@@ -130,18 +130,24 @@ def spike_gain(model, solution, t, eps, perturbation, boundary=None,
 
 def anchored_minimizer_policy(model, solution, t):
     """The pre-committed spike choice: the minimizer map anchored at t,
-    fed with the stored equilibrium row Theta(t; s, ., .)."""
+    fed with the stored equilibrium row Theta(t; s, ., .).
+
+    The minimizer covers every regime at once, so the controls of the
+    last time node asked for are kept and shared by its regimes."""
     theta = solution.theta
     times = theta.times
     grid = theta.grid
     t_idx = _node_index(times, t)
     problem = model.hjb_problem(float(t), grid)
+    last = {}
 
     def policy(s, x, i):
-        k = _node_index(times, s)
-        v_all = theta.values[t_idx, k]
-        u = controls_on_grid(problem, float(s), v_all)
-        return u[:, i - 1, :]
+        if last.get("s") != s:
+            k = _node_index(times, s)
+            last["s"] = s
+            last["u"] = controls_on_grid(problem, float(s),
+                                         theta.values[t_idx, k])
+        return last["u"][:, i - 1, :].copy()
 
     return policy
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .fields import FeedbackStrategy, TwoTimeField, ValueField, d1
-from .pde import controls_on_grid, solve_rows_batch
+from .fields import FeedbackStrategy, TwoTimeField, ValueField, d1, d2
+from .pde import _hamiltonian, _qv, controls_on_grid, solve_rows_batch
 
 
 class ClampWarning(UserWarning):
@@ -185,26 +185,18 @@ def residual(model, solution, buffer_frac=None):
     q_table = model.q_table(grid)
     interior = grid.interior_mask(buffer_frac)
     interior[0] = interior[-1] = False
-    x = grid.x
     controls = solution.strategy.values
     worst = 0.0
 
     def hamiltonian(tau, k, v_all):
-        out = np.empty((grid.n_x, m))
         vx = d1(v_all, grid.dx, axis=0)
-        from .fields import d2 as _d2
-        vxx = _d2(v_all, grid.dx, axis=0)
-        qv = np.einsum("xij,xj->xi", q_table, v_all) if q_table is not None \
-            else np.zeros_like(v_all)
+        vxx = d2(v_all, grid.dx, axis=0)
+        qv = _qv(q_table, v_all)
         s = float(times[k])
-        for i in range(m):
-            u = controls[k, :, i, :]
-            b = np.broadcast_to(model.b(s, x, i + 1, u), x.shape)
-            sg = np.broadcast_to(model.sigma(s, x, i + 1, u), x.shape)
-            out[:, i] = (0.5 * sg**2 * vxx[:, i] + b * vx[:, i] + qv[:, i]
-                         + model.g(tau, s, x, i + 1, v_all[:, i],
-                                   vx[:, i] * sg, qv[:, i], u))
-        return out
+        return np.stack([_hamiltonian(model, tau, s, grid.x, i + 1, v_all[:, i],
+                                      vx[:, i], vxx[:, i], qv[:, i],
+                                      controls[k, :, i, :])
+                         for i in range(m)], axis=1)
 
     for tau_idx in range(len(times) - 1):
         tau = float(times[tau_idx])

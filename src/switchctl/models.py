@@ -94,7 +94,13 @@ GEOMETRY_PRESETS = {
 
 @dataclass
 class ControlModel:
-    """Everything the PDE/game layers need about one control problem."""
+    """Everything the PDE/game layers need about one control problem.
+
+    b, sigma and g are evaluated pointwise along the leading axis of x
+    and u (u is (n, control_dim)) for any length n: the grid-search
+    minimizer calls them on n_u * n_x stacked nodes, so a callable that
+    ignores its input length is rejected with a ConfigError.
+    """
 
     name: str
     m: int

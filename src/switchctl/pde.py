@@ -74,11 +74,17 @@ class LinearPDEProblem:
 
 @dataclass
 class HJBProblem:
-    """Hamiltonian block: coefficients with an explicit control argument."""
+    """Hamiltonian block: coefficients with an explicit control argument.
 
-    b: callable                 # b(s, x, i, u) -> (n_x,)
-    sigma: callable             # sigma(s, x, i, u) -> (n_x,)
-    g: callable                 # g(tau, s, x, i, y, z, qv, u) -> (n_x,)
+    b, sigma and g must be pointwise along the leading axis of x and u
+    (u is (n, control_dim)) for any length n, not only n_x: the grid
+    search evaluates them on n_u * n_x stacked nodes, with a few
+    n_u * n_x float64 temporaries per regime.
+    """
+
+    b: callable                 # b(s, x, i, u) -> (n,)
+    sigma: callable             # sigma(s, x, i, u) -> (n,)
+    g: callable                 # g(tau, s, x, i, y, z, qv, u) -> (n,)
     anchor: float
     control_set: ControlSet
     grid: object
@@ -124,22 +130,11 @@ def _implicit_matrix(a_i, beta_i, dt, dx, bc, n_x):
     ab[2, :] = diag
     ab[1, 1:] = upper[:-1]       # A[j, j+1]
     ab[3, :-1] = lower[1:]       # A[j, j-1]
-    # boundary rows
-    for edge, j in ((0, 0), (1, n_x - 1)):
-        ab[2, j] = 1.0
-        if j == 0:
-            ab[1, 1] = 0.0
-            ab[0, 2] = 0.0
-        else:
-            ab[3, n_x - 2] = 0.0
-            ab[4, n_x - 3] = 0.0
-        if bc[edge] == BC_EXTRAPOLATE:
-            if j == 0:
-                ab[1, 1] = -2.0
-                ab[0, 2] = 1.0
-            else:
-                ab[3, n_x - 2] = -2.0
-                ab[4, n_x - 3] = 1.0
+    # boundary rows: identity (Dirichlet) or a vanishing second difference
+    extrapolate = [edge == BC_EXTRAPOLATE for edge in bc]
+    ab[2, [0, -1]] = 1.0
+    ab[1, 1], ab[0, 2] = (-2.0, 1.0) if extrapolate[0] else (0.0, 0.0)
+    ab[3, -2], ab[4, -3] = (-2.0, 1.0) if extrapolate[1] else (0.0, 0.0)
     return ab
 
 
@@ -222,50 +217,86 @@ def solve_linear_parabolic(problem, times):
     return ValueField(times, grid, values)
 
 
+def _pointwise(name, out, shape):
+    """A model callable's output broadcast to the stacked node shape."""
+    try:
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
+    except ValueError:
+        raise ConfigError(f"model callable {name} returned shape "
+                          f"{np.shape(out)} on {shape[0]} stacked nodes; it "
+                          f"must be pointwise along x and u") from None
+
+
+def _hamiltonian(coeffs, tau, s, x, lab, y, p, pp, qv, u):
+    """p b + 0.5 sigma^2 pp + qv + g of regime ``lab`` at a stack of nodes.
+
+    ``coeffs`` carries the callables b, sigma and g; ``x``, ``y`` (the
+    value), ``p``, ``pp``, ``qv`` are (n,) and ``u`` is (n, control_dim)
+    for any stack length n.
+    """
+    shape = x.shape
+    b = _pointwise("b", coeffs.b(s, x, lab, u), shape)
+    sg = _pointwise("sigma", coeffs.sigma(s, x, lab, u), shape)
+    return (p * b + 0.5 * sg**2 * pp + qv
+            + _pointwise("g", coeffs.g(tau, s, x, lab, y, p * sg, qv, u), shape))
+
+
 def controls_on_grid(problem, s, v_all):
     """Minimizing control at every (x, regime) node from a value snapshot.
 
     Uses the analytic minimizer when the problem supplies one, otherwise
     a deterministic grid search over the (possibly clamped) control set,
-    ties broken toward the smallest control.
+    ties broken toward the smallest control.  The search evaluates one
+    regime's Hamiltonian on all n_u x n_x (control, node) pairs at once.
     """
     grid = problem.grid
     x = grid.x
-    dx = grid.dx
-    m = problem.m
-    out = np.empty((grid.n_x, m, problem.control_dim))
-    p_all = d1(v_all, dx, axis=0)
-    pp_all = d2(v_all, dx, axis=0)
+    n_x = grid.n_x
+    out = np.empty((n_x, problem.m, problem.control_dim))
+    p_all = d1(v_all, grid.dx, axis=0)
+    pp_all = d2(v_all, grid.dx, axis=0)
+    if problem.psi is not None:
+        for i in range(problem.m):
+            u = np.asarray(problem.psi(problem.anchor, s, x, i + 1, v_all,
+                                       p_all[:, i], pp_all[:, i]), dtype=float)
+            out[:, i, :] = u[:, None] if u.ndim == 1 else u
+        return out
     qv = _qv(problem.q_table, v_all)
-    for i in range(m):
-        lab = i + 1
-        p = p_all[:, i]
-        pp = pp_all[:, i]
-        if problem.psi is not None:
-            u = np.asarray(problem.psi(problem.anchor, s, x, lab, v_all, p, pp),
-                           dtype=float)
-            if u.ndim == 1:
-                u = u[:, None]
-            out[:, i, :] = u
-            continue
-        grid_u, clamped = problem.control_set.search_grid()
-        ham = np.empty((len(grid_u), grid.n_x))
-        for k, u_val in enumerate(grid_u):
-            u_arr = np.full((grid.n_x, 1), u_val)
-            bi = np.broadcast_to(problem.b(s, x, lab, u_arr), x.shape)
-            sgi = np.broadcast_to(problem.sigma(s, x, lab, u_arr), x.shape)
-            ham[k] = (p * bi + 0.5 * sgi**2 * pp + qv[:, i]
-                      + problem.g(problem.anchor, s, x, lab, v_all[:, i],
-                                  p * sgi, qv[:, i], u_arr))
+    grid_u, clamped = problem.control_set.search_grid()
+    n_u = len(grid_u)
+    x_stack = np.tile(x, n_u)
+    u_stack = np.repeat(grid_u, n_x)[:, None]
+    for i in range(problem.m):
+        ham = _hamiltonian(problem, problem.anchor, s, x_stack, i + 1,
+                           np.tile(v_all[:, i], n_u), np.tile(p_all[:, i], n_u),
+                           np.tile(pp_all[:, i], n_u), np.tile(qv[:, i], n_u),
+                           u_stack)
         # first occurrence of the minimum = smallest control on ties
-        best_idx = np.argmin(ham, axis=0)
-        if clamped and (np.any(best_idx == 0) or np.any(best_idx == len(grid_u) - 1)):
+        best_idx = np.argmin(ham.reshape(n_u, n_x), axis=0)
+        if clamped and (np.any(best_idx == 0) or np.any(best_idx == n_u - 1)):
             warnings.warn(
                 f"Hamiltonian minimum hit the control clamp "
                 f"{problem.control_set.clamp} on an unbounded control set",
                 TruncationWarning)
         out[:, i, 0] = grid_u[best_idx]
     return out
+
+
+def _frozen_coefficients(problem, u_star):
+    """a, beta and the source of one linear step, controls frozen at u_star."""
+
+    def a_fn(s, x, lab):
+        sg = np.broadcast_to(problem.sigma(s, x, lab, u_star[:, lab - 1]), x.shape)
+        return 0.5 * sg**2
+
+    def beta_fn(s, x, lab):
+        return np.broadcast_to(problem.b(s, x, lab, u_star[:, lab - 1]), x.shape)
+
+    def source(s, x, lab, v_i, vx_i, qv_i):
+        z = vx_i * np.broadcast_to(problem.sigma(s, x, lab, u_star[:, lab - 1]), x.shape)
+        return problem.g(problem.anchor, s, x, lab, v_i, z, qv_i, u_star[:, lab - 1])
+
+    return a_fn, beta_fn, source
 
 
 def solve_hjb(problem, times):
@@ -283,19 +314,7 @@ def solve_hjb(problem, times):
     controls[-1] = controls_on_grid(problem, times[-1], values[-1])
     for k in range(n_t - 2, -1, -1):
         s_lo, s_hi = times[k], times[k + 1]
-        u_star = controls[k + 1]
-
-        def a_fn(s, x, lab, _u=u_star):
-            sg = np.broadcast_to(problem.sigma(s, x, lab, _u[:, lab - 1]), x.shape)
-            return 0.5 * sg**2
-
-        def beta_fn(s, x, lab, _u=u_star):
-            return np.broadcast_to(problem.b(s, x, lab, _u[:, lab - 1]), x.shape)
-
-        def source(s, x, lab, v_i, vx_i, qv_i, _u=u_star):
-            z = vx_i * np.broadcast_to(problem.sigma(s, x, lab, _u[:, lab - 1]), x.shape)
-            return problem.g(problem.anchor, s, x, lab, v_i, z, qv_i, _u[:, lab - 1])
-
+        a_fn, beta_fn, source = _frozen_coefficients(problem, controls[k + 1])
         values[k] = _linear_step(values[k + 1], s_lo, s_hi, grid, m, a_fn,
                                  beta_fn, problem.q_table, source,
                                  problem.dirichlet, grid.bc)
@@ -316,12 +335,9 @@ def _strategy_nodes(strategy, s, grid, m, control_dim):
         k = int(np.argmin(np.abs(strategy.times - s)))
         if abs(strategy.times[k] - s) <= 1e-9 and strategy.grid == grid:
             return strategy.node_values(k)
-        fn = strategy
-    else:
-        fn = strategy
     out = np.empty((grid.n_x, m, control_dim))
     for lab in range(1, m + 1):
-        u = np.asarray(fn(s, grid.x, lab), dtype=float)
+        u = np.asarray(strategy(s, grid.x, lab), dtype=float)
         if u.ndim == 1:
             u = u[:, None]
         out[:, lab - 1, :] = u
@@ -349,18 +365,7 @@ def solve_representation(problem, times, strategy):
     for k in range(n_t - 2, -1, -1):
         u_star = _strategy_nodes(strategy, times[k + 1], grid, m,
                                  problem.control_dim)
-
-        def a_fn(s, x, lab, _u=u_star):
-            sg = np.broadcast_to(problem.sigma(s, x, lab, _u[:, lab - 1]), x.shape)
-            return 0.5 * sg**2
-
-        def beta_fn(s, x, lab, _u=u_star):
-            return np.broadcast_to(problem.b(s, x, lab, _u[:, lab - 1]), x.shape)
-
-        def source(s, x, lab, v_i, vx_i, qv_i, _u=u_star):
-            z = vx_i * np.broadcast_to(problem.sigma(s, x, lab, _u[:, lab - 1]), x.shape)
-            return problem.g(problem.anchor, s, x, lab, v_i, z, qv_i, _u[:, lab - 1])
-
+        a_fn, beta_fn, source = _frozen_coefficients(problem, u_star)
         values[k] = _linear_step(values[k + 1], times[k], times[k + 1], grid, m,
                                  a_fn, beta_fn, problem.q_table, source,
                                  problem.dirichlet, grid.bc)

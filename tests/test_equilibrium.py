@@ -291,3 +291,50 @@ def test_partition_convergence_state_dependent_rates(toy_ti):
         dists.append(compare_to_partition(eq, pi)["sup_diff_theta"])
     ratios = [dists[0] / dists[1], dists[1] / dists[2]]
     assert all(1.8 <= r <= 2.2 for r in ratios), (dists, ratios)
+
+
+def reference_residual(model, solution):
+    """The residual with one Hamiltonian loop per regime, written out."""
+    from switchctl.fields import d1, d2
+    theta = solution.theta
+    times, grid = theta.times, theta.grid
+    q_table = model.q_table(grid)
+    interior = grid.interior_mask(None)
+    interior[0] = interior[-1] = False
+    x = grid.x
+    controls = solution.strategy.values
+
+    def hamiltonian(tau, k, v_all):
+        out = np.empty((grid.n_x, theta.m))
+        vx = d1(v_all, grid.dx, axis=0)
+        vxx = d2(v_all, grid.dx, axis=0)
+        qv = np.einsum("xij,xj->xi", q_table, v_all)
+        s = float(times[k])
+        for i in range(theta.m):
+            u = controls[k, :, i, :]
+            b = np.broadcast_to(model.b(s, x, i + 1, u), x.shape)
+            sg = np.broadcast_to(model.sigma(s, x, i + 1, u), x.shape)
+            out[:, i] = (0.5 * sg**2 * vxx[:, i] + b * vx[:, i] + qv[:, i]
+                         + model.g(tau, s, x, i + 1, v_all[:, i],
+                                   vx[:, i] * sg, qv[:, i], u))
+        return out
+
+    worst = 0.0
+    for tau_idx in range(len(times) - 1):
+        tau = float(times[tau_idx])
+        for k in range(len(times) - 2, tau_idx - 1, -1):
+            v_hi = theta.values[tau_idx, k + 1]
+            v_lo = theta.values[tau_idx, k]
+            res = (v_hi - v_lo) / (times[k + 1] - times[k]) + 0.5 * (
+                hamiltonian(tau, k + 1, v_hi) + hamiltonian(tau, k, v_lo))
+            worst = max(worst, float(np.max(np.abs(res[interior]))))
+    return worst
+
+
+def test_residual_equals_per_regime_loop(toy_ti):
+    grid = toy_ti.default_grid(21)
+    times = time_grid(0, 1, 16)
+    sol = solve_equilibrium(toy_ti, grid, times, tol=1e-10)
+    got = residual(toy_ti, sol)
+    assert got > 0
+    assert got == reference_residual(toy_ti, sol)

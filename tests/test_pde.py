@@ -334,3 +334,123 @@ def test_truncation_warning_on_unbounded_argmin():
         terminal=np.zeros((21, 1)))
     with pytest.warns(Warning, match="clamp"):
         solve_hjb(problem, times)
+
+
+# ---- vectorized grid search against the per-control loop --------------------
+
+def reference_controls(problem, s, v_all):
+    """The grid search one control value at a time: a Hamiltonian call per
+    control, smallest control on ties."""
+    from switchctl.fields import d1, d2
+    grid = problem.grid
+    x = grid.x
+    p_all = d1(v_all, grid.dx, axis=0)
+    pp_all = d2(v_all, grid.dx, axis=0)
+    qv = np.zeros_like(v_all) if problem.q_table is None else \
+        np.einsum("xij,xj->xi", problem.q_table, v_all)
+    grid_u, _ = problem.control_set.search_grid()
+    out = np.empty((grid.n_x, problem.m, 1))
+    for i in range(problem.m):
+        lab = i + 1
+        p, pp = p_all[:, i], pp_all[:, i]
+        ham = np.empty((len(grid_u), grid.n_x))
+        for k, u_val in enumerate(grid_u):
+            u_arr = np.full((grid.n_x, 1), u_val)
+            bi = np.broadcast_to(problem.b(s, x, lab, u_arr), x.shape)
+            sgi = np.broadcast_to(problem.sigma(s, x, lab, u_arr), x.shape)
+            ham[k] = (p * bi + 0.5 * sgi**2 * pp + qv[:, i]
+                      + problem.g(problem.anchor, s, x, lab, v_all[:, i],
+                                  p * sgi, qv[:, i], u_arr))
+        out[:, i, 0] = grid_u[np.argmin(ham, axis=0)]
+    return out
+
+
+def test_grid_search_matches_per_control_loop_along_solve():
+    grid = SpatialGrid(-2, 2, 41)
+    times = time_grid(0, 1, 40)
+    problem = toy_hjb(grid, ControlSet(lo=-1.0, hi=1.0))
+    sol = solve_hjb(problem, times)
+    for k in (0, 5, 17, 31, 39, 40):
+        v = sol.value.values[k]
+        want = reference_controls(problem, times[k], v)
+        assert np.array_equal(controls_on_grid(problem, times[k], v), want)
+        assert np.array_equal(sol.strategy.values[k], want)
+
+
+def test_grid_search_flat_hamiltonian_picks_smallest_control():
+    grid = SpatialGrid(-1, 1, 21)
+    problem = HJBProblem(
+        b=lambda s, x, i, u: 0.0 * u[:, 0],
+        sigma=lambda s, x, i, u: np.full_like(x, 0.3),
+        g=lambda tau, s, x, i, y, z, qv, u: x**2 + 0.0 * u[:, 0],
+        anchor=0.0, control_set=ControlSet(lo=-0.5, hi=2.0, n_grid=33),
+        grid=grid, m=2, q_table=q_const(grid, [[-0.2, 0.2], [0.2, -0.2]]))
+    v = np.random.default_rng(3).normal(size=(21, 2))
+    got = controls_on_grid(problem, 0.4, v)
+    assert np.array_equal(got, reference_controls(problem, 0.4, v))
+    assert np.all(got == -0.5)
+
+
+def test_grid_search_unsorted_finite_set():
+    grid = SpatialGrid(-2, 2, 31)
+    times = time_grid(0, 1, 30)
+    values = np.array([0.5, -1.0, 0.0, 1.0, -0.25, 0.75])
+    problem = HJBProblem(
+        b=lambda s, x, i, u: u[:, 0] * (1.0 + 0.2 * i * np.tanh(x)),
+        sigma=lambda s, x, i, u: 0.3 + 0.1 * u[:, 0] ** 2 + 0.05 * x**2,
+        g=lambda tau, s, x, i, y, z, qv, u: (u[:, 0] ** 2 + x**2
+                                             + 0.1 * z * u[:, 0]),
+        anchor=0.0, control_set=ControlSet(values=values),
+        grid=grid, m=2, q_table=q_const(grid, [[-0.2, 0.2], [0.3, -0.3]]),
+        terminal=np.stack([grid.x**2, 0.5 * grid.x**2], axis=1))
+    sol = solve_hjb(problem, times)
+    for k in (0, 12, 29, 30):
+        v = sol.value.values[k]
+        got = controls_on_grid(problem, times[k], v)
+        assert np.array_equal(got, reference_controls(problem, times[k], v))
+        assert set(np.unique(got)) <= set(values)
+
+
+def test_grid_search_single_regime_clamp_warns():
+    from switchctl.pde import TruncationWarning
+    grid = SpatialGrid(-1, 1, 21)
+    problem = HJBProblem(
+        b=lambda s, x, i, u: u[:, 0],
+        sigma=lambda s, x, i, u: np.full_like(x, 0.3),
+        g=lambda tau, s, x, i, y, z, qv, u: -u[:, 0],
+        anchor=0.0,
+        control_set=ControlSet(lo=-np.inf, hi=np.inf, clamp=(-2.0, 2.0)),
+        grid=grid, m=1)
+    v = (0.3 * grid.x**2)[:, None]
+    with pytest.warns(TruncationWarning, match="clamp"):
+        got = controls_on_grid(problem, 0.0, v)
+    assert np.array_equal(got, reference_controls(problem, 0.0, v))
+    assert got.shape == (21, 1, 1)
+
+
+def test_grid_search_rejects_non_pointwise_callable():
+    grid = SpatialGrid(-1, 1, 21)
+    problem = toy_hjb(grid, ControlSet(lo=-1.0, hi=1.0))
+    problem.b = lambda s, x, i, u: np.zeros(21)   # ignores the stack length
+    with pytest.raises(ConfigError, match=r"callable b returned shape \(21,\)") \
+            as err:
+        controls_on_grid(problem, 0.0, np.zeros((21, 2)))
+    assert err.value.exit_code == 2
+
+
+def test_hamiltonian_stack_equals_written_out_sum():
+    from switchctl.pde import _hamiltonian
+    grid = SpatialGrid(-2, 2, 41)
+    problem = toy_hjb(grid, ControlSet(lo=-1.0, hi=1.0))
+    problem.sigma = lambda s, x, i, u: 0.2 + 0.3 * u[:, 0] ** 2 + 0.1 * x
+    rng = np.random.default_rng(7)
+    n = 5 * grid.n_x
+    x = np.tile(grid.x, 5)
+    y, p, pp, qv = rng.normal(size=(4, n))
+    u = rng.uniform(-1, 1, size=(n, 1))
+    b = problem.b(0.3, x, 2, u)
+    sg = problem.sigma(0.3, x, 2, u)
+    want = (0.5 * sg**2 * pp + b * p + qv
+            + problem.g(0.1, 0.3, x, 2, y, p * sg, qv, u))
+    got = _hamiltonian(problem, 0.1, 0.3, x, 2, y, p, pp, qv, u)
+    assert np.array_equal(got, want)
