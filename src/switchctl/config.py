@@ -18,6 +18,9 @@ from .expressions import CoefficientExpression
 
 _GEOMETRY_PRESETS = ("constant", "tanh", "affine", "empty")
 _MODEL_PRESETS = ("merton-ti", "merton-tc", "toy-lq", "toy-lq-tc")
+# formats that write the value field; "json" is accepted too, as the JSON
+# artifacts are always written
+_FIELD_FORMATS = ("csv", "bin", "binary")
 
 
 def _parse_float(text):
@@ -139,6 +142,9 @@ _VALIDATORS = {
         or f"unknown geometry (valid: {', '.join(_GEOMETRY_PRESETS)})",
     ("model", "regimes"): lambda v: 1 <= v <= 4 or "regimes must lie in 1..4",
     ("run", "workers"): lambda v: v >= 1 or "workers must be >= 1",
+    ("output", "formats"): lambda v: (set(v) <= {*_FIELD_FORMATS, "json"}
+                                      and not set(v).isdisjoint(_FIELD_FORMATS))
+        or "formats must name csv, bin or binary, optionally with json",
 }
 
 

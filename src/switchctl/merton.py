@@ -358,9 +358,6 @@ def strategies(spec, phi_ss, s, x, i, g_weight=None):
     return u, c
 
 
-strategy_pair = strategies
-
-
 def proportional_policy(spec, kappa):
     """Policy callable (s, x, i) -> (u, c) with u, c proportional to x."""
     frac = spec.investment_fraction()

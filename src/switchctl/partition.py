@@ -61,11 +61,6 @@ class Partition:
         return idx
 
 
-def anchor(partition, s):
-    """Module-level alias of Partition.anchor."""
-    return partition.anchor(s)
-
-
 @dataclass
 class PiSolution:
     """Outputs of one cycle run on a shared (times, grid) pair."""

@@ -13,6 +13,12 @@ which restores second-order accuracy in time without an m-coupled
 implicit solve.  The explicit coupling needs dt * max|q_ii| < 1; the
 solver enforces the configured bound.
 
+Every solve takes this step through one kernel, ``_step``, on R rows
+that share the coefficients and differ in anchor, terminal and Dirichlet
+data.  solve_linear_parabolic and solve_hjb march one row,
+solve_rows_batch marches a slab of anchor rows, and solve_representation
+is its one-row case.
+
 The HJB variant picks the control at the known time level (analytic
 minimizer when supplied, otherwise a deterministic grid search with ties
 broken toward the smallest control), freezes it, and takes one linear
@@ -24,7 +30,7 @@ data at the edges; error norms should exclude the configured buffer.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -115,10 +121,11 @@ def _check_stability(q_table, times, bound):
             f"got {dt_max * qmax:g} (refine the time grid)")
 
 
-def _qv(q_table, v_all):
+def _qv(q_table, v):
+    """[Q(x) v(x, .)]_i on the grid; ``v`` is (..., n_x, m)."""
     if q_table is None:
-        return np.zeros_like(v_all)
-    return np.einsum("xij,xj->xi", q_table, v_all)
+        return np.zeros_like(v)
+    return np.einsum("xij,...xj->...xi", q_table, v)
 
 
 def _implicit_matrix(a_i, beta_i, dt, dx, bc, n_x):
@@ -138,62 +145,63 @@ def _implicit_matrix(a_i, beta_i, dt, dx, bc, n_x):
     return ab
 
 
-def _explicit_half(v_i, a_i, beta_i, dt, dx):
-    """(I + dt/2 (a D2 + beta D1)) v at interior nodes; edges copied."""
-    out = v_i.copy()
-    lap = (v_i[2:] - 2 * v_i[1:-1] + v_i[:-2]) / dx**2
-    grad = (v_i[2:] - v_i[:-2]) / (2 * dx)
-    out[1:-1] = v_i[1:-1] + 0.5 * dt * (a_i[1:-1] * lap + beta_i[1:-1] * grad)
-    return out
+def _by_regime(m, x, fn):
+    """(n_x, m) stack of ``fn(lab)`` for the labels 1..m, broadcast along x."""
+    return np.stack([np.broadcast_to(fn(i + 1), x.shape) for i in range(m)],
+                    axis=1)
 
 
-def _linear_step(v_next, s_lo, s_hi, grid, m, a_fn, beta_fn, q_table, source,
-                 dirichlet, bc):
-    """One backward step s_hi -> s_lo of the predictor/corrector scheme."""
+def _edges(grid, fns, s, m):
+    """Dirichlet data at ``s`` as (R, m, 2), one call per (row, regime) to
+    the rows' callables (s, lab) -> (left, right); None if no edge needs it."""
+    if all(edge == BC_EXTRAPOLATE for edge in grid.bc):
+        return None
+    if fns is None or None in fns:
+        raise ConfigError("dirichlet boundary requires data")
+    return np.array([[fn(s, i + 1) for i in range(m)] for fn in fns], float)
+
+
+def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
+    """One backward step s_hi -> s_lo of the predictor/corrector scheme.
+
+    ``v_next`` is (R, n_x, m); the rows share ``a`` and ``beta`` ((n_x, m)
+    at the mid time) and differ in ``sources(s, v, qv)`` -> (R, n_x, m)
+    and in ``edges``, their (R, m, 2) Dirichlet data at s_lo.  Each
+    regime's banded matrix is assembled once and solved for all R rows,
+    in the predictor and again in the corrector.
+    """
     dt = s_hi - s_lo
     dx = grid.dx
-    x = grid.x
-    n_x = grid.n_x
-    s_mid = 0.5 * (s_lo + s_hi)
-    qv1 = _qv(q_table, v_next)
-    a_im = np.stack([np.broadcast_to(a_fn(s_mid, x, i + 1), x.shape)
-                     for i in range(m)], axis=1)
-    beta_im = np.stack([np.broadcast_to(beta_fn(s_mid, x, i + 1), x.shape)
-                        for i in range(m)], axis=1)
-
-    def sources(s, v_all, qv):
-        if source is None:
-            return np.zeros_like(v_all)
-        vx = d1(v_all, dx, axis=0)
-        return np.stack([np.broadcast_to(
-            source(s, x, i + 1, v_all[:, i], vx[:, i], qv[:, i]), x.shape)
-            for i in range(m)], axis=1)
-
-    src1 = sources(s_hi, v_next, qv1)
+    lap = (v_next[:, 2:] - 2 * v_next[:, 1:-1] + v_next[:, :-2]) / dx**2
+    grad = (v_next[:, 2:] - v_next[:, :-2]) / (2 * dx)
+    expl = v_next.copy()
+    expl[:, 1:-1] += 0.5 * dt * (a[1:-1] * lap + beta[1:-1] * grad)
+    for edge, j in ((0, 0), (1, -1)):
+        expl[:, j] = 0.0 if grid.bc[edge] == BC_EXTRAPOLATE else edges[:, :, edge]
+    mats = [_implicit_matrix(a[:, i], beta[:, i], dt, dx, grid.bc, grid.n_x)
+            for i in range(a.shape[1])]
 
     def solve(expl_extra):
-        out = np.empty_like(v_next)
-        for i in range(m):
-            rhs = _explicit_half(v_next[:, i], a_im[:, i], beta_im[:, i], dt, dx)
-            rhs[1:-1] += dt * expl_extra[1:-1, i]
-            for edge, j in ((0, 0), (1, n_x - 1)):
-                if bc[edge] == BC_EXTRAPOLATE:
-                    rhs[j] = 0.0
-                else:
-                    if dirichlet is None:
-                        raise ConfigError("dirichlet boundary requires data")
-                    rhs[j] = dirichlet(s_lo, i + 1)[edge]
-            ab = _implicit_matrix(a_im[:, i], beta_im[:, i], dt, dx, bc, n_x)
+        rhs = expl.copy()
+        rhs[:, 1:-1] += dt * expl_extra[:, 1:-1]
+        out = np.empty_like(rhs)
+        for i, ab in enumerate(mats):
             try:
-                out[:, i] = solve_banded((2, 2), ab, rhs)
+                out[:, :, i] = solve_banded((2, 2), ab, rhs[:, :, i].T).T
             except Exception as exc:  # LinAlgError and friends
                 raise NumericError(f"linear solve failed at s={s_lo:g}: {exc}")
         return out
 
+    qv1 = _qv(q_table, v_next)
+    src1 = sources(s_hi, v_next, qv1)
     v_pred = solve(qv1 + src1)
     qv2 = _qv(q_table, v_pred)
     src2 = sources(s_lo, v_pred, qv2)
-    return solve(0.5 * (qv1 + qv2) + 0.5 * (src1 + src2))
+    v_new = solve(0.5 * (qv1 + qv2) + 0.5 * (src1 + src2))
+    if not np.all(np.isfinite(v_new)):
+        raise NumericError(f"backward step produced non-finite values at "
+                           f"s={s_lo:g}")
+    return v_new
 
 
 def solve_linear_parabolic(problem, times):
@@ -201,19 +209,28 @@ def solve_linear_parabolic(problem, times):
     times = np.asarray(times, dtype=float)
     _check_stability(problem.q_table, times, problem.stability_bound)
     grid = problem.grid
-    n_t = len(times)
-    values = np.empty((n_t, grid.n_x, problem.m))
+    x = grid.x
+    m = problem.m
+    values = np.empty((len(times), grid.n_x, m))
     if problem.terminal is None:
         raise ConfigError("linear problem needs terminal data")
     values[-1] = problem.terminal
-    for k in range(n_t - 2, -1, -1):
-        values[k] = _linear_step(values[k + 1], times[k], times[k + 1], grid,
-                                 problem.m, problem.a, problem.beta,
-                                 problem.q_table, problem.source,
-                                 problem.dirichlet, grid.bc)
-        if not np.all(np.isfinite(values[k])):
-            raise NumericError(f"linear solve produced non-finite values at "
-                               f"s={times[k]:g}")
+
+    def sources(s, v, qv):
+        if problem.source is None:
+            return np.zeros_like(v)
+        vx = d1(v[0], grid.dx, axis=0)
+        return _by_regime(m, x, lambda lab: problem.source(
+            s, x, lab, v[0, :, lab - 1], vx[:, lab - 1], qv[0, :, lab - 1]))[None]
+
+    for k in range(len(times) - 2, -1, -1):
+        s_lo, s_hi = times[k], times[k + 1]
+        s_mid = 0.5 * (s_lo + s_hi)
+        a, beta = (_by_regime(m, x, lambda lab: fn(s_mid, x, lab))
+                   for fn in (problem.a, problem.beta))
+        values[k] = _step(values[k + 1][None], s_lo, s_hi, grid, a, beta,
+                          problem.q_table, sources,
+                          _edges(grid, [problem.dirichlet], s_lo, m))[0]
     return ValueField(times, grid, values)
 
 
@@ -282,21 +299,31 @@ def controls_on_grid(problem, s, v_all):
     return out
 
 
-def _frozen_coefficients(problem, u_star):
-    """a, beta and the source of one linear step, controls frozen at u_star."""
+def _frozen(problem, u_star, s_lo, s_hi, anchors):
+    """a, beta and the anchored g source of one step, controls frozen at
+    ``u_star`` (n_x, m, control_dim), for one row per anchor."""
+    x = problem.grid.x
+    m = problem.m
+    s_mid = 0.5 * (s_lo + s_hi)
 
-    def a_fn(s, x, lab):
-        sg = np.broadcast_to(problem.sigma(s, x, lab, u_star[:, lab - 1]), x.shape)
-        return 0.5 * sg**2
+    def frozen(fn, s):
+        return _by_regime(m, x, lambda lab: fn(s, x, lab, u_star[:, lab - 1]))
 
-    def beta_fn(s, x, lab):
-        return np.broadcast_to(problem.b(s, x, lab, u_star[:, lab - 1]), x.shape)
+    a = 0.5 * frozen(problem.sigma, s_mid)**2
+    beta = frozen(problem.b, s_mid)
 
-    def source(s, x, lab, v_i, vx_i, qv_i):
-        z = vx_i * np.broadcast_to(problem.sigma(s, x, lab, u_star[:, lab - 1]), x.shape)
-        return problem.g(problem.anchor, s, x, lab, v_i, z, qv_i, u_star[:, lab - 1])
+    def sources(s, v, qv):
+        sg = frozen(problem.sigma, s)
+        vx = d1(v, problem.grid.dx, axis=1)
+        src = np.empty_like(v)
+        for r, tau in enumerate(anchors):
+            for i in range(m):
+                src[r, :, i] = problem.g(tau, s, x, i + 1, v[r, :, i],
+                                         vx[r, :, i] * sg[:, i], qv[r, :, i],
+                                         u_star[:, i])
+        return src
 
-    return a_fn, beta_fn, source
+    return a, beta, sources
 
 
 def solve_hjb(problem, times):
@@ -305,21 +332,19 @@ def solve_hjb(problem, times):
     _check_stability(problem.q_table, times, problem.stability_bound)
     grid = problem.grid
     m = problem.m
-    n_t = len(times)
-    values = np.empty((n_t, grid.n_x, m))
-    controls = np.empty((n_t, grid.n_x, m, problem.control_dim))
+    values = np.empty((len(times), grid.n_x, m))
+    controls = np.empty((len(times), grid.n_x, m, problem.control_dim))
     if problem.terminal is None:
         raise ConfigError("HJB problem needs terminal data")
     values[-1] = problem.terminal
     controls[-1] = controls_on_grid(problem, times[-1], values[-1])
-    for k in range(n_t - 2, -1, -1):
+    for k in range(len(times) - 2, -1, -1):
         s_lo, s_hi = times[k], times[k + 1]
-        a_fn, beta_fn, source = _frozen_coefficients(problem, controls[k + 1])
-        values[k] = _linear_step(values[k + 1], s_lo, s_hi, grid, m, a_fn,
-                                 beta_fn, problem.q_table, source,
-                                 problem.dirichlet, grid.bc)
-        if not np.all(np.isfinite(values[k])):
-            raise NumericError(f"HJB solve produced non-finite values at s={s_lo:g}")
+        a, beta, sources = _frozen(problem, controls[k + 1], s_lo, s_hi,
+                                   [problem.anchor])
+        values[k] = _step(values[k + 1][None], s_lo, s_hi, grid, a, beta,
+                          problem.q_table, sources,
+                          _edges(grid, [problem.dirichlet], s_lo, m))[0]
         controls[k] = controls_on_grid(problem, s_lo, values[k])
     value = ValueField(times, grid, values)
     cs = problem.control_set
@@ -351,28 +376,14 @@ def solve_representation(problem, times, strategy):
     it is evaluated at the known time level of each step and frozen, the
     exact counterpart of the policy-evaluation splitting in solve_hjb.
     Solving with the strategy returned by solve_hjb reproduces its value
-    field bit for bit.
+    field bit for bit.  This is the one-row case of solve_rows_batch.
     """
-    times = np.asarray(times, dtype=float)
-    _check_stability(problem.q_table, times, problem.stability_bound)
-    grid = problem.grid
-    m = problem.m
-    n_t = len(times)
-    values = np.empty((n_t, grid.n_x, m))
     if problem.terminal is None:
         raise ConfigError("representation problem needs terminal data")
-    values[-1] = problem.terminal
-    for k in range(n_t - 2, -1, -1):
-        u_star = _strategy_nodes(strategy, times[k + 1], grid, m,
-                                 problem.control_dim)
-        a_fn, beta_fn, source = _frozen_coefficients(problem, u_star)
-        values[k] = _linear_step(values[k + 1], times[k], times[k + 1], grid, m,
-                                 a_fn, beta_fn, problem.q_table, source,
-                                 problem.dirichlet, grid.bc)
-        if not np.all(np.isfinite(values[k])):
-            raise NumericError(f"representation solve produced non-finite "
-                               f"values at s={times[k]:g}")
-    return ValueField(times, grid, values)
+    values = solve_rows_batch(problem, times, strategy, [problem.anchor],
+                              np.asarray(problem.terminal)[None],
+                              [problem.dirichlet])[0]
+    return ValueField(np.asarray(times, dtype=float), problem.grid, values)
 
 
 def solve_rows_batch(problem, times, strategy, anchors, terminals,
@@ -380,105 +391,32 @@ def solve_rows_batch(problem, times, strategy, anchors, terminals,
     """Batch of representation solves that share coefficients and strategy.
 
     The rows differ only in the anchor entering the source, the terminal
-    data, and (optionally) per-row Dirichlet data, so each backward step
-    factorizes one banded matrix per regime and back-substitutes all
-    rows at once.  ``active_from[r]`` is the lowest time index row r
-    reaches; below it the output stays NaN.  Returns an array
-    (n_rows, n_t, n_x, m).
+    data and (optionally) per-row Dirichlet data, so each step solves all
+    active rows as right-hand sides of one banded matrix per regime.
+    ``active_from[r]`` is the lowest time index row r reaches; below it
+    the output stays NaN.  Returns an array (n_rows, n_t, n_x, m).
     """
     times = np.asarray(times, dtype=float)
     _check_stability(problem.q_table, times, problem.stability_bound)
     grid = problem.grid
     m = problem.m
-    dx = grid.dx
-    x = grid.x
-    n_x = grid.n_x
     n_t = len(times)
     anchors = np.asarray(anchors, dtype=float)
-    n_rows = len(anchors)
-    if active_from is None:
-        active_from = np.zeros(n_rows, dtype=np.int64)
-    active_from = np.asarray(active_from, dtype=np.int64)
-    q_table = problem.q_table
-
-    out = np.full((n_rows, n_t, n_x, m), np.nan)
+    active_from = np.zeros(len(anchors), dtype=np.int64) if active_from is None \
+        else np.asarray(active_from, dtype=np.int64)
+    out = np.full((len(anchors), n_t, grid.n_x, m), np.nan)
     out[:, -1] = terminals
-
-    def qv_of(v):
-        if q_table is None:
-            return np.zeros_like(v)
-        return np.einsum("xij,axj->axi", q_table, v)
-
-    def sources(s, v, qv, act, u_star, sg_im):
-        vx = d1(v, dx, axis=1)
-        src = np.empty_like(v)
-        for r, row in enumerate(act):
-            for i in range(m):
-                src[r, :, i] = problem.g(anchors[row], s, x, i + 1, v[r, :, i],
-                                         vx[r, :, i] * sg_im[:, i], qv[r, :, i],
-                                         u_star[:, i])
-        return src
-
     for k in range(n_t - 1, 0, -1):
         s_hi, s_lo = times[k], times[k - 1]
-        dt = s_hi - s_lo
-        s_mid = 0.5 * (s_lo + s_hi)
         act = np.where(active_from <= k - 1)[0]
         if len(act) == 0:
             continue
         u_star = _strategy_nodes(strategy, s_hi, grid, m, problem.control_dim)
-        a_im = np.empty((n_x, m))
-        beta_im = np.empty((n_x, m))
-        sg_hi = np.empty((n_x, m))
-        sg_lo = np.empty((n_x, m))
-        for i in range(m):
-            sg_mid = np.broadcast_to(problem.sigma(s_mid, x, i + 1, u_star[:, i]),
-                                     x.shape)
-            a_im[:, i] = 0.5 * sg_mid**2
-            beta_im[:, i] = np.broadcast_to(problem.b(s_mid, x, i + 1,
-                                                      u_star[:, i]), x.shape)
-            sg_hi[:, i] = np.broadcast_to(problem.sigma(s_hi, x, i + 1,
-                                                        u_star[:, i]), x.shape)
-            sg_lo[:, i] = np.broadcast_to(problem.sigma(s_lo, x, i + 1,
-                                                        u_star[:, i]), x.shape)
-        v_next = out[act, k]
-        qv1 = qv_of(v_next)
-        src1 = sources(s_hi, v_next, qv1, act, u_star, sg_hi)
-
-        def solve(expl_extra):
-            res = np.empty_like(v_next)
-            for i in range(m):
-                lap = (v_next[:, 2:, i] - 2 * v_next[:, 1:-1, i]
-                       + v_next[:, :-2, i]) / dx**2
-                grad = (v_next[:, 2:, i] - v_next[:, :-2, i]) / (2 * dx)
-                rhs = v_next[:, :, i].copy()
-                rhs[:, 1:-1] += 0.5 * dt * (a_im[1:-1, i] * lap
-                                            + beta_im[1:-1, i] * grad)
-                rhs[:, 1:-1] += dt * expl_extra[:, 1:-1, i]
-                for edge, j in ((0, 0), (1, n_x - 1)):
-                    if grid.bc[edge] == BC_EXTRAPOLATE:
-                        rhs[:, j] = 0.0
-                    else:
-                        if dirichlet_fns is None:
-                            raise ConfigError("dirichlet boundary requires data")
-                        for r, row in enumerate(act):
-                            rhs[r, j] = dirichlet_fns[row](s_lo, i + 1)[edge]
-                ab = _implicit_matrix(a_im[:, i], beta_im[:, i], dt, dx,
-                                      grid.bc, n_x)
-                try:
-                    res[:, :, i] = solve_banded((2, 2), ab, rhs.T).T
-                except Exception as exc:
-                    raise NumericError(f"linear solve failed at s={s_lo:g}: {exc}")
-            return res
-
-        v_pred = solve(qv1 + src1)
-        qv2 = qv_of(v_pred)
-        src2 = sources(s_lo, v_pred, qv2, act, u_star, sg_lo)
-        v_new = solve(0.5 * (qv1 + qv2) + 0.5 * (src1 + src2))
-        if not np.all(np.isfinite(v_new)):
-            raise NumericError(f"batch solve produced non-finite values at "
-                               f"s={s_lo:g}")
-        out[act, k - 1] = v_new
+        a, beta, sources = _frozen(problem, u_star, s_lo, s_hi, anchors[act])
+        fns = None if dirichlet_fns is None else [dirichlet_fns[r] for r in act]
+        out[act, k - 1] = _step(out[act, k], s_lo, s_hi, grid, a, beta,
+                                problem.q_table, sources,
+                                _edges(grid, fns, s_lo, m))
     return out
 
 

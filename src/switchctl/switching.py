@@ -215,16 +215,6 @@ def _adaptive_simpson(f, a, b, tol, max_depth=48):
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
-def interval(geometry, i, j, x):
-    """Module-level alias of RegimeGeometry.interval."""
-    return geometry.interval(i, j, x)
-
-
-def mark_to_jump(geometry, x, i, theta):
-    """Module-level alias of RegimeGeometry.mark_to_jump."""
-    return geometry.mark_to_jump(x, i, theta)
-
-
 def rate_matrix(geometry, levy, x):
     """Generator matrix Q(x): q_ij = pi(Delta_ij(x)), diagonal = -row sum."""
     m = geometry.m

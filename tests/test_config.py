@@ -91,3 +91,16 @@ def test_bad_preset_rejected():
 def test_variant_validated():
     with pytest.raises(ConfigError, match="variant"):
         parse_config("[solver]\nvariant = both\n")
+
+
+@pytest.mark.parametrize("formats", ["json", "cvs", "csv, jsn", "bin, xml", ""])
+def test_output_formats_need_a_field_format(formats):
+    with pytest.raises(ConfigError, match=r"\[output\] formats") as err:
+        parse_config(MINIMAL + f"[output]\nformats = {formats}\n")
+    assert err.value.exit_code == 2
+
+
+def test_output_formats_accepted():
+    for formats in ("csv, json", "csv", "bin", "binary, json", "json, csv, bin"):
+        cfg = parse_config(MINIMAL + f"[output]\nformats = {formats}\n")
+        assert cfg.get("output", "formats") == [f.strip() for f in formats.split(",")]

@@ -7,7 +7,7 @@ from switchctl.merton import (MertonSpec, anchored_policy, equilibrium_policy,
                               monte_carlo_payoff, proportional_policy,
                               solve_equilibrium_ode, solve_precommitted,
                               solve_proportional_cost, solve_time_consistent,
-                              strategy_pair, wealth_dynamics)
+                              strategies, wealth_dynamics)
 from switchctl.models import (constant_rate_geometry, merton_spec,
                               uniform_mark_density)
 
@@ -153,28 +153,28 @@ def test_equilibrium_row_priced_by_proportional_cost():
 
 def test_strategy_pair_arithmetic():
     spec = single_regime_spec(g0=1.0)
-    u, c = strategy_pair(spec, phi_ss=1.0, s=0.0, x=1.0, i=1, g_weight=1.0)
+    u, c = strategies(spec, phi_ss=1.0, s=0.0, x=1.0, i=1, g_weight=1.0)
     assert u == pytest.approx(5.0)
     assert c == pytest.approx(1.0)
 
 
 def test_strategy_unit_consumption_when_weight_matches_phi():
     spec = anchor_free_spec()
-    u, c = strategy_pair(spec, phi_ss=0.7, s=0.2, x=3.0, i=2, g_weight=0.7)
+    u, c = strategies(spec, phi_ss=0.7, s=0.2, x=3.0, i=2, g_weight=0.7)
     assert c == pytest.approx(3.0)
 
 
 def test_strategy_linear_in_wealth():
     spec = anchor_free_spec()
-    u1, _ = strategy_pair(spec, 1.0, 0.1, 1.5, 1)
-    u2, _ = strategy_pair(spec, 1.0, 0.1, 3.0, 1)
+    u1, _ = strategies(spec, 1.0, 0.1, 1.5, 1)
+    u2, _ = strategies(spec, 1.0, 0.1, 3.0, 1)
     assert u2 == pytest.approx(2 * u1)
 
 
 def test_strategy_requires_positive_wealth():
     spec = anchor_free_spec()
     with pytest.raises(DomainError):
-        strategy_pair(spec, 1.0, 0.1, -1.0, 1)
+        strategies(spec, 1.0, 0.1, -1.0, 1)
 
 
 def test_investment_fraction_anchor_free():

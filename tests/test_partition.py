@@ -5,7 +5,7 @@ from switchctl.errors import ConfigError, DomainError
 from switchctl.fields import time_grid
 from switchctl.merton import partition_phi
 from switchctl.models import merton_partition_boundary
-from switchctl.partition import (Partition, anchor, refine_and_compare,
+from switchctl.partition import (Partition, refine_and_compare,
                                  run_cycles)
 from switchctl.pde import solve_hjb, solve_representation
 
@@ -14,24 +14,24 @@ from switchctl.pde import solve_hjb, solve_representation
 
 def test_anchor_left_knot_and_closing_interval():
     part = Partition(np.array([0.0, 0.25, 0.5, 1.0]))
-    assert anchor(part, 0.25) == 0.25
-    assert anchor(part, 0.3) == 0.25
-    assert anchor(part, 1.0) == 0.5       # closing indicator puts T with t_{N-1}
-    assert anchor(part, 0.0) == 0.0
+    assert part.anchor(0.25) == 0.25
+    assert part.anchor(0.3) == 0.25
+    assert part.anchor(1.0) == 0.5       # closing indicator puts T with t_{N-1}
+    assert part.anchor(0.0) == 0.0
 
 
 def test_anchor_single_player():
     part = Partition.uniform(1.0, 1)
     for s in (0.0, 0.37, 1.0):
-        assert anchor(part, s) == 0.0
+        assert part.anchor(s) == 0.0
 
 
 def test_anchor_domain_error():
     part = Partition.uniform(1.0, 2)
     with pytest.raises(DomainError):
-        anchor(part, -0.1)
+        part.anchor(-0.1)
     with pytest.raises(DomainError):
-        anchor(part, 1.2)
+        part.anchor(1.2)
 
 
 def test_knot_off_grid_rejected(toy_ti):

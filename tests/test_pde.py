@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,7 +8,8 @@ from switchctl.errors import ConfigError, DomainError
 from switchctl.fields import SpatialGrid, time_grid
 from switchctl.pde import (ControlSet, HJBProblem, LinearPDEProblem,
                            apply_generator, controls_on_grid, kernel_oracle,
-                           solve_hjb, solve_linear_parabolic)
+                           solve_hjb, solve_linear_parabolic,
+                           solve_representation, solve_rows_batch)
 from switchctl.sde import ControlledDynamics
 
 
@@ -454,3 +457,96 @@ def test_hamiltonian_stack_equals_written_out_sum():
             + problem.g(0.1, 0.3, x, 2, y, p * sg, qv, u))
     got = _hamiltonian(problem, 0.1, 0.3, x, 2, y, p, pp, qv, u)
     assert np.array_equal(got, want)
+
+
+# ---- solve_rows_batch ------------------------------------------------------
+
+def anchored_hjb(grid):
+    """Toy HJB whose running cost depends on the anchor through exp(tau - s)."""
+    return HJBProblem(
+        b=lambda s, x, i, u: u[:, 0] + 0.1 * i * x,
+        sigma=lambda s, x, i, u: 0.3 + 0.1 * np.tanh(x) + 0.05 * s,
+        g=lambda tau, s, x, i, y, z, qv, u: (u[:, 0] ** 2 + np.exp(tau - s) * x**2
+                                             + 0.1 * z * u[:, 0] - 0.05 * y),
+        anchor=0.0, control_set=ControlSet(lo=-1.0, hi=1.0, n_grid=33),
+        grid=grid, m=2, q_table=q_const(grid, [[-0.2, 0.2], [0.3, -0.3]]),
+        terminal=np.stack([grid.x**2, 0.5 * grid.x**2], axis=1))
+
+
+def row_dirichlet(tau):
+    return lambda s, i: (np.exp(tau - s) + i, 2.0 * i - tau * s)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", ("dirichlet", "extrapolate"),
+                                "extrapolate"])
+def test_rows_batch_rows_equal_representation(bc):
+    grid = SpatialGrid(-2, 2, 41, bc=bc)
+    times = time_grid(0, 1, 24)
+    problem = anchored_hjb(grid)
+    problem.dirichlet = row_dirichlet(0.0) if "dirichlet" in grid.bc else None
+    strategy = solve_hjb(problem, times).strategy
+    active_from = np.array([0, 5, 11, 17, 23])
+    anchors = times[active_from]
+    terminals = np.stack([np.stack([(1 + tau) * grid.x**2,
+                                    np.cos(grid.x) + tau], axis=1)
+                          for tau in anchors])
+    fns = [row_dirichlet(tau) for tau in anchors] \
+        if "dirichlet" in grid.bc else None
+    batch = solve_rows_batch(problem, times, strategy, anchors, terminals,
+                             fns, active_from=active_from)
+    assert batch.shape == (len(anchors), len(times), grid.n_x, 2)
+    for r, (tau, k0) in enumerate(zip(anchors, active_from)):
+        row = replace(problem, anchor=tau, terminal=terminals[r],
+                      dirichlet=fns[r] if fns else None)
+        want = solve_representation(row, times[k0:], strategy).values
+        assert np.array_equal(batch[r, k0:], want)
+        assert np.all(np.isnan(batch[r, :k0]))
+
+
+def counting(fn):
+    def wrapped(s, i):
+        wrapped.calls += 1
+        return fn(s, i)
+    wrapped.calls = 0
+    return wrapped
+
+
+def test_dirichlet_data_read_once_per_row_regime_step():
+    grid = SpatialGrid(-2, 2, 21, bc="dirichlet")
+    times = time_grid(0, 1, 12)
+    n_steps = len(times) - 1
+    problem = anchored_hjb(grid)
+    problem.dirichlet = counting(row_dirichlet(0.0))
+    sol = solve_hjb(problem, times)
+    assert problem.dirichlet.calls == n_steps * 2
+
+    linear = LinearPDEProblem(a=const(0.05), beta=const(0.1), grid=grid, m=2,
+                              terminal=problem.terminal,
+                              dirichlet=counting(row_dirichlet(0.0)))
+    solve_linear_parabolic(linear, times)
+    assert linear.dirichlet.calls == n_steps * 2
+
+    active_from = np.array([0, 3, 7])
+    fns = [counting(row_dirichlet(tau)) for tau in times[active_from]]
+    solve_rows_batch(problem, times, sol.strategy, times[active_from],
+                     np.stack([problem.terminal] * 3), fns,
+                     active_from=active_from)
+    assert [fn.calls for fn in fns] == [(n_steps - k) * 2 for k in active_from]
+
+
+def test_dirichlet_edge_without_data_rejected():
+    grid = SpatialGrid(-2, 2, 21, bc=("extrapolate", "dirichlet"))
+    times = time_grid(0, 1, 8)
+    problem = anchored_hjb(grid)
+    linear = LinearPDEProblem(a=const(0.05), beta=const(0.0), grid=grid, m=2,
+                              terminal=problem.terminal)
+    def strategy(s, x, i):
+        return np.zeros((len(x), 1))
+
+    calls = [lambda: solve_linear_parabolic(linear, times),
+             lambda: solve_hjb(problem, times),
+             lambda: solve_rows_batch(problem, times, strategy, [0.0],
+                                      problem.terminal[None])]
+    for call in calls:
+        with pytest.raises(ConfigError, match="dirichlet boundary requires data"):
+            call()

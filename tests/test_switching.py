@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchctl.errors import GeometryError
-from switchctl.switching import (LevyMeasure, RegimeGeometry, interval,
-                                 interval_measure_gap, mark_to_jump,
-                                 rate_matrix, rate_matrix_table)
+from switchctl.switching import (LevyMeasure, RegimeGeometry,
+                                 interval_measure_gap, rate_matrix,
+                                 rate_matrix_table)
 
 
 def uniform_levy(beta0=1.0):
@@ -38,13 +38,13 @@ def empty_geometry(m=2):
 def test_interval_ii_always_empty():
     geo = constant_geometry()
     for x in (-2.0, 0.0, 1.5):
-        assert interval(geo, 1, 1, x) is None
-        assert interval(geo, 2, 2, x) is None
+        assert geo.interval(1, 1, x) is None
+        assert geo.interval(2, 2, x) is None
 
 
 def test_interval_constant_endpoints():
     geo = constant_geometry()
-    assert interval(geo, 1, 2, 0.3) == (0.0, 0.4)
+    assert geo.interval(1, 2, 0.3) == (0.0, 0.4)
 
 
 def test_interval_empty_when_endpoints_coincide():
@@ -52,7 +52,7 @@ def test_interval_empty_when_endpoints_coincide():
             [-0.6, -0.2, -0.2, -0.1],
             [0.5, 0.6, 0.7, 0.7]]
     geo = RegimeGeometry(rows, beta0=1.0)
-    assert interval(geo, 1, 3, 0.0) is None  # beta_12 = beta_13 = 0.4
+    assert geo.interval(1, 3, 0.0) is None  # beta_12 = beta_13 = 0.4
 
 
 def test_reversed_row_rejected_at_construction():
@@ -80,18 +80,18 @@ def test_thresholds_outside_beta0_rejected():
 
 def test_mark_inside_interval_jumps():
     geo = constant_geometry()
-    assert mark_to_jump(geo, 0.0, 1, 0.2) == 2
+    assert geo.mark_to_jump(0.0, 1, 0.2) == 2
 
 
 def test_mark_outside_all_intervals_stays():
     geo = constant_geometry()
-    assert mark_to_jump(geo, 0.0, 1, -0.9) == 1
+    assert geo.mark_to_jump(0.0, 1, -0.9) == 1
 
 
 def test_mark_second_row():
     geo = constant_geometry()
-    assert mark_to_jump(geo, 0.0, 2, -0.5) == 1
-    assert mark_to_jump(geo, 0.0, 2, 0.2) == 2
+    assert geo.mark_to_jump(0.0, 2, -0.5) == 1
+    assert geo.mark_to_jump(0.0, 2, 0.2) == 2
 
 
 def test_mark_to_jump_array_matches_scalar():
@@ -101,7 +101,7 @@ def test_mark_to_jump_array_matches_scalar():
     regs = rng.integers(1, 3, 200)
     thetas = rng.uniform(-1, 1, 200)
     vec = geo.mark_to_jump_array(xs, regs, thetas)
-    scal = [mark_to_jump(geo, x, int(i), th) for x, i, th in zip(xs, regs, thetas)]
+    scal = [geo.mark_to_jump(x, int(i), th) for x, i, th in zip(xs, regs, thetas)]
     assert np.array_equal(vec, np.asarray(scal))
 
 
@@ -225,11 +225,11 @@ def test_intervals_partition_no_overlap(rows, x, theta):
     for i in range(1, geo.m + 1):
         hits = 0
         for j in range(1, geo.m + 1):
-            iv = interval(geo, i, j, x)
+            iv = geo.interval(i, j, x)
             if iv is not None and iv[0] <= theta < iv[1]:
                 hits += 1
         assert hits <= 1
-        target = mark_to_jump(geo, x, i, float(np.clip(theta, -1, 1)))
+        target = geo.mark_to_jump(x, i, float(np.clip(theta, -1, 1)))
         assert 1 <= target <= geo.m
 
 
