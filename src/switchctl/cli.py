@@ -377,30 +377,31 @@ def _run_merton(config, outdir, workers, plan_only):
     report = {"variant": variant}
     if variant == "tc":
         _write_phi_table(art, "phi.csv", times, {0.0: phi_tc})
-        rates = _strategy_rates(spec, times, phi_tc,
-                                lambda s: float(spec.g(s, s)))
+        phi_rows = phi_tc
     elif variant == "pre":
         phi_pre = merton_mod.solve_precommitted(spec, anchor, times)
         _write_phi_table(art, "phi.csv", times, {anchor: phi_pre})
-        rates = _strategy_rates(spec, times, phi_pre,
-                                lambda s: float(spec.g(anchor, s)))
+        phi_rows = phi_pre
         report["max_gap_pre_tc"] = float(np.nanmax(np.abs(phi_pre - phi_tc)))
     else:
         sol = merton_mod.solve_equilibrium_ode(spec, times, tol=min(tol, 1e-12))
         _write_phi_table(art, "phi.csv", times,
                          {float(times[k]): sol.eq[k] for k in range(len(times))})
-        rates = _strategy_rates(spec, times, sol.eq_diag,
-                                lambda s: float(spec.g(s, s)))
+        phi_rows = sol.eq_diag
         report["max_gap_eq_tc"] = float(np.nanmax(np.abs(sol.eq_diag - phi_tc)))
         report["sweeps"] = len(sol.iterations)
         report["final_change"] = sol.iterations[-1]
     with open(art.path("strategy.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s,i,invest_fraction,consume_rate\n")
         for k, s in enumerate(times):
+            s = float(s)
+            g_weight = float(spec.g(anchor, s)) if variant == "pre" else None
             for i in range(1, spec.m + 1):
-                if np.isnan(rates[1][k, i - 1]):
+                if np.isnan(phi_rows[k, i - 1]):
                     continue
-                fh.write(f"{float(s)!r},{i},{float(rates[0][i - 1])!r},{float(rates[1][k, i - 1])!r}\n")
+                u, c = merton_mod.strategies(spec, phi_rows[k, i - 1], s, 1.0, i,
+                                             g_weight=g_weight)
+                fh.write(f"{s!r},{i},{float(u)!r},{float(c)!r}\n")
     art.add("strategy.csv")
     art.write_json("comparison.json", report)
     art.finish()
@@ -419,18 +420,6 @@ def _write_phi_table(art, name, times, rows_by_tau):
                         continue
                     fh.write(f"{float(tau)!r},{float(s)!r},{i + 1},{float(val)!r}\n")
     art.add(name)
-
-
-def _strategy_rates(spec, times, phi_rows, g_of_s):
-    frac = spec.investment_fraction()
-    gam = spec.gamma
-    rates = np.full_like(phi_rows, np.nan)
-    for k, s in enumerate(times):
-        for i in range(spec.m):
-            if np.isnan(phi_rows[k, i]):
-                continue
-            rates[k, i] = (g_of_s(float(s)) / phi_rows[k, i]) ** (1 / (1 - gam))
-    return frac, rates
 
 
 def _run_verify(config, outdir, workers, plan_only):

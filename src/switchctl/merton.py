@@ -111,18 +111,24 @@ def _rk4_backward(times, terminal, rhs, k_stop=0):
     return out
 
 
-def solve_time_consistent(spec, times):
-    """Backward system for the anchor-free weights; phi_i(T) = h."""
+def _optimal_rhs(spec, weight):
+    """Right-hand side of the optimal phi system under the weight ``weight(s)``."""
     A = spec.drift_gain()
     gam = spec.gamma
 
     def rhs(s, y):
-        gs = float(spec.g(s, s))
+        gs = float(weight(s))
         return -(A * y + (1 - gam) * gs ** (1 / (1 - gam)) * y ** (gam / (gam - 1))
                  + y @ spec.q.T)
 
+    return rhs
+
+
+def solve_time_consistent(spec, times):
+    """Backward system for the anchor-free weights; phi_i(T) = h."""
     hT = float(spec.h(spec.T)) * np.ones(spec.m)
-    return _rk4_backward(np.asarray(times, dtype=float), hT, rhs)
+    return _rk4_backward(np.asarray(times, dtype=float), hT,
+                         _optimal_rhs(spec, lambda s: spec.g(s, s)))
 
 
 def solve_precommitted(spec, tau, times):
@@ -131,16 +137,9 @@ def solve_precommitted(spec, tau, times):
     if not 0 <= tau < spec.T:
         raise DomainError("anchor tau must lie in [0, T)")
     k_stop = int(np.searchsorted(times, tau - 1e-12))
-    A = spec.drift_gain()
-    gam = spec.gamma
-
-    def rhs(s, y):
-        gs = float(spec.g(tau, s))
-        return -(A * y + (1 - gam) * gs ** (1 / (1 - gam)) * y ** (gam / (gam - 1))
-                 + y @ spec.q.T)
-
     hT = float(spec.h(tau)) * np.ones(spec.m)
-    return _rk4_backward(times, hT, rhs, k_stop=k_stop)
+    return _rk4_backward(times, hT, _optimal_rhs(spec, lambda s: spec.g(tau, s)),
+                         k_stop=k_stop)
 
 
 def solve_proportional_cost(spec, tau, theta, kappa, times, terminal=None,
@@ -275,7 +274,6 @@ def partition_phi(spec, knots, times):
         if abs(times[j] - t) > 1e-9:
             raise ConfigError(f"partition knot {t:g} is not a time-grid node")
         kidx.append(j)
-    A = spec.drift_gain()
     gam = spec.gamma
     frac = spec.investment_fraction()
 
@@ -283,13 +281,6 @@ def partition_phi(spec, knots, times):
     value = np.full((n, spec.m), np.nan)
     rows = {}
     interval_kappa = [None] * N   # seg -> s -> (m,) consumption rate
-
-    def hjb_rhs(tau):
-        def rhs(s, y):
-            gs = float(spec.g(tau, s))
-            return -(A * y + (1 - gam) * gs ** (1 / (1 - gam))
-                     * y ** (gam / (gam - 1)) + y @ spec.q.T)
-        return rhs
 
     for k in range(N, 0, -1):
         a_idx, b_idx = kidx[k - 1], kidx[k]
@@ -300,15 +291,9 @@ def partition_phi(spec, knots, times):
             y = float(spec.h(tau)) * np.ones(spec.m)
             for seg in range(N - 1, k - 1, -1):
                 lo, hi = kidx[seg], kidx[seg + 1]
-
-                def rhs(s, yy, _ka=interval_kappa[seg]):
-                    ka = _ka(s)
-                    lin = (gam * (spec.b * frac - ka)
-                           + 0.5 * spec.sigma**2 * frac**2 * gam * (gam - 1))
-                    return -(lin * yy + yy @ spec.q.T
-                             + float(spec.g(tau, s)) * ka**gam)
-
-                block = _rk4_backward(times[lo:hi + 1], y, rhs)
+                block = solve_proportional_cost(spec, tau, lambda s: frac,
+                                                interval_kappa[seg],
+                                                times[lo:hi + 1], terminal=y)
                 tail[lo:hi + 1] = block
                 y = block[0]
             terminal = tail[b_idx]
@@ -316,7 +301,8 @@ def partition_phi(spec, knots, times):
             terminal = float(spec.h(tau)) * np.ones(spec.m)
         # anchored optimal system on the player's own interval
         seg_times = times[a_idx:b_idx + 1]
-        own = _rk4_backward(seg_times, terminal, hjb_rhs(tau))
+        own = _rk4_backward(seg_times, terminal,
+                            _optimal_rhs(spec, lambda s: spec.g(tau, s)))
         row = np.full((n, spec.m), np.nan)
         row[a_idx:b_idx + 1] = own
         if k < N:
@@ -441,7 +427,7 @@ def monte_carlo_payoff(spec, policy, t, x, i, n_paths, seed, h_step,
     gam = spec.gamma
     acc = np.zeros(n_paths)
     prev = np.zeros(n_paths)
-    state = {"s_prev": t}
+    state = {}
 
     def hook(k, s, xs, alphas, lo, hi):
         if np.any(xs <= 0):
@@ -454,22 +440,13 @@ def monte_carlo_payoff(spec, policy, t, x, i, n_paths, seed, h_step,
                 continue
             c = policy(s, xs[mask], lab)[:, 1]
             integrand[mask] = float(spec.g(t, s)) * c**gam
-        if k == 0:
-            prev[lo:hi] = integrand
-            return
-        ds = s - state["s_prev"]
-        acc[lo:hi] += 0.5 * ds * (prev[lo:hi] + integrand)
+        if k > 0:
+            ds = s - state["s_prev"]
+            acc[lo:hi] += 0.5 * ds * (prev[lo:hi] + integrand)
         prev[lo:hi] = integrand
-
-    # note: hooks run chunk by chunk; track the node spacing globally
-    n_steps = max(1, int(round((spec.T - t) / h_step)))
-    nodes = np.linspace(t, spec.T, n_steps + 1)
-
-    def hook_with_time(k, s, xs, alphas, lo, hi):
-        state["s_prev"] = nodes[k - 1] if k > 0 else t
-        hook(k, s, xs, alphas, lo, hi)
+        state["s_prev"] = s
 
     res = simulate_ensemble(dyn, geometry, levy, (t, x, i), policy, h_step,
-                            spec.T, n_paths, seed, node_hook=hook_with_time)
+                            spec.T, n_paths, seed, node_hook=hook)
     payoff = acc + float(spec.h(t)) * res.state_T**gam
     return float(np.mean(payoff)), float(np.std(payoff, ddof=1) / np.sqrt(n_paths))

@@ -111,8 +111,8 @@ class HJBSolution:
 
 
 def _check_stability(q_table, times, bound):
-    if q_table is None:
-        return
+    if q_table is None or len(times) < 2:
+        return   # a one-node window takes no step
     dt_max = float(np.max(np.diff(times)))
     qmax = float(np.max(np.abs(np.einsum("xii->xi", q_table))))
     if dt_max * qmax >= bound:

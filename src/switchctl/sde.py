@@ -13,9 +13,15 @@ its jump inter-arrival times, one uniform per in-horizon jump (mapped
 through the mark CDF), and one standard normal per sub-interval of its
 merged grid.  Ensembles are therefore order-independent across paths
 and bit-reproducible for a fixed seed.
+
+One loop, ``_march``, walks the merged grid for every entry point.  It
+advances K state copies of each path (K = 1 for ensembles and single
+paths, K = 2 for the common-random-number coupling), and all copies of
+path p consume path p's stream.  ``simulate_path`` records the base
+nodes and the regime-changing jumps in event order as its merged grid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +112,6 @@ class EnsembleResult:
     n_jumps: np.ndarray
     states: np.ndarray = None     # (n_paths, n_nodes) if recorded
     regimes: np.ndarray = None
-    jumps: list = field(default_factory=list)
 
 
 def _as_policy(policy, control_dim=1):
@@ -192,9 +197,73 @@ def _em_update(dynamics, policy, s, x, alpha, dt, z):
     return out
 
 
+def _base_nodes(t0, t_end, h):
+    """Euler nodes on [t0, t_end], the step snapped to a whole number of steps."""
+    if h <= 0:
+        raise ConfigError("step h must be positive")
+    if t_end <= t0:
+        raise ConfigError("empty simulation horizon")
+    return np.linspace(t0, t_end, max(1, int(round((t_end - t0) / h))) + 1)
+
+
+def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
+           on_node=None):
+    """Walk K state copies of n paths over the merged Euler/jump grid, in place.
+
+    ``x`` and ``alpha`` are (K, n); every copy of path p consumes path p's
+    jump times, marks and normals from ``noise``, the output of
+    ``_pregenerate``.  ``on_jump(rows, s, theta)`` runs after the regimes
+    of ``rows`` updated at their jump times ``s``; ``on_node(k, s)`` runs
+    at every base node, k = 0 included.
+    """
+    jt, mu, _n_jumps, normals = noise
+    n = x.shape[1]
+    rows = np.arange(n)
+    ptr = np.zeros(n, dtype=np.int64)      # next normal to consume
+    jptr = np.zeros(n, dtype=np.int64)     # next jump to process
+    tcur = np.full(n, nodes[0])
+
+    def advance(mv, dt):
+        z = normals[mv, ptr[mv]]
+        for xc, ac in zip(x, alpha):     # row views keep the indexing 1-D
+            xc[mv] = _em_update(dynamics, pol, tcur[mv], xc[mv], ac[mv], dt, z)
+        ptr[mv] += 1
+
+    if on_node is not None:
+        on_node(0, nodes[0])
+    for k in range(len(nodes) - 1):
+        t_next = nodes[k + 1]
+        while True:
+            jnext = jt[rows, jptr]
+            active = jnext <= t_next
+            if not np.any(active):
+                break
+            sub = np.where(active)[0]
+            s_jump = jnext[sub]
+            dt = s_jump - tcur[sub]
+            move = dt > 0
+            if np.any(move):
+                advance(sub[move], dt[move])
+            theta = levy.sample_from_uniform(mu[sub, jptr[sub]])
+            for xc, ac in zip(x, alpha):
+                ac[sub] = geometry.mark_to_jump_array(xc[sub], ac[sub], theta)
+            if on_jump is not None:
+                on_jump(sub, s_jump, theta)
+            tcur[sub] = s_jump
+            jptr[sub] += 1
+        dt = t_next - tcur
+        move = dt > 0
+        if np.any(move):
+            advance(np.where(move)[0], dt[move])
+        tcur[:] = t_next
+        if not np.all(np.isfinite(x)):
+            raise NumericError(f"state blew up at step {k + 1} (t={t_next:g})")
+        if on_node is not None:
+            on_node(k + 1, t_next)
+
+
 def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
-                      seed, record_nodes=False, collect_jumps=False,
-                      node_hook=None, chunk_size=8192, first_path_index=0):
+                      seed, record_nodes=False, node_hook=None, chunk_size=8192):
     """Simulate ``n_paths`` paths of (X, alpha) from ``init = (t0, x0, i0)``.
 
     ``h`` is the base Euler step (snapped so the horizon is an integer
@@ -204,16 +273,11 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
     path range [lo, hi).
     """
     t0, x0, i0 = init
-    if h <= 0:
-        raise ConfigError("step h must be positive")
-    if t_end <= t0:
-        raise ConfigError("empty simulation horizon")
-    n_steps = max(1, int(round((t_end - t0) / h)))
-    nodes = np.linspace(t0, t_end, n_steps + 1)
+    nodes = _base_nodes(t0, t_end, h)
+    n_steps = len(nodes) - 1
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,)).copy()
     i0 = np.broadcast_to(np.asarray(i0), (n_paths,)).astype(np.int64).copy()
     pol = _as_policy(policy, dynamics.control_dim)
-    with_jumps = geometry is not None
 
     res = EnsembleResult(nodes=nodes,
                          state_T=np.empty(n_paths),
@@ -225,90 +289,58 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
 
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
-        idx = np.arange(lo + first_path_index, hi + first_path_index)
-        jt, mu, n_jumps, normals = _pregenerate(seed, idx, t0, t_end, n_steps, with_jumps)
-        res.n_jumps[lo:hi] = n_jumps
-        x = x0[lo:hi].copy()
-        alpha = i0[lo:hi].copy()
-        n = hi - lo
-        ptr = np.zeros(n, dtype=np.int64)      # next normal to consume
-        jptr = np.zeros(n, dtype=np.int64)     # next jump to process
-        tcur = np.full(n, t0)
-        if record_nodes:
-            res.states[lo:hi, 0] = x
-            res.regimes[lo:hi, 0] = alpha
-        if node_hook is not None:
-            node_hook(0, t0, x, alpha, lo, hi)
-        rng_rows = np.arange(n)
-        for k in range(n_steps):
-            t_next = nodes[k + 1]
-            while True:
-                jnext = jt[rng_rows, jptr]
-                active = jnext <= t_next
-                if not np.any(active):
-                    break
-                sub = np.where(active)[0]
-                s_jump = jnext[sub]
-                dt = s_jump - tcur[sub]
-                move = dt > 0
-                if np.any(move):
-                    mv = sub[move]
-                    z = normals[mv, ptr[mv]]
-                    x[mv] = _em_update(dynamics, pol, tcur[mv], x[mv], alpha[mv],
-                                       dt[move], z)
-                    ptr[mv] += 1
-                theta = levy.sample_from_uniform(mu[sub, jptr[sub]])
-                new_alpha = geometry.mark_to_jump_array(x[sub], alpha[sub], theta)
-                if collect_jumps:
-                    for r, srow in enumerate(sub):
-                        if new_alpha[r] != alpha[srow]:
-                            res.jumps.append(JumpRecord(
-                                time=float(s_jump[r]), mark=float(theta[r]),
-                                regime_from=int(alpha[srow]), regime_to=int(new_alpha[r]),
-                                state=float(x[srow])))
-                alpha[sub] = new_alpha
-                tcur[sub] = s_jump
-                jptr[sub] += 1
-            dt = t_next - tcur
-            move = dt > 0
-            if np.any(move):
-                mv = np.where(move)[0]
-                z = normals[mv, ptr[mv]]
-                x[mv] = _em_update(dynamics, pol, tcur[mv], x[mv], alpha[mv],
-                                   dt[move], z)
-                ptr[mv] += 1
-            tcur[:] = t_next
-            if not np.all(np.isfinite(x)):
-                raise NumericError(f"state blew up at step {k + 1} (t={t_next:g})")
+        noise = _pregenerate(seed, np.arange(lo, hi), t0, t_end, n_steps,
+                             geometry is not None)
+        res.n_jumps[lo:hi] = noise[2]
+        x = x0[None, lo:hi].copy()
+        alpha = i0[None, lo:hi].copy()
+
+        def on_node(k, s):
             if record_nodes:
-                res.states[lo:hi, k + 1] = x
-                res.regimes[lo:hi, k + 1] = alpha
+                res.states[lo:hi, k] = x[0]
+                res.regimes[lo:hi, k] = alpha[0]
             if node_hook is not None:
-                node_hook(k + 1, t_next, x, alpha, lo, hi)
-        res.state_T[lo:hi] = x
-        res.regime_T[lo:hi] = alpha
+                node_hook(k, s, x[0], alpha[0], lo, hi)
+
+        _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_node=on_node)
+        res.state_T[lo:hi] = x[0]
+        res.regime_T[lo:hi] = alpha[0]
     return res
 
 
 def simulate_path(dynamics, geometry, levy, init, policy, h, t_end, seed,
                   path_index=0):
-    """Single trajectory with the full merged grid and jump log."""
-    res = simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end,
-                            n_paths=1, seed=seed, record_nodes=True,
-                            collect_jumps=True, first_path_index=path_index)
-    # merge the base-grid record with the jump records
-    times = list(res.nodes)
-    states = list(res.states[0])
-    regimes = list(res.regimes[0])
-    for j in res.jumps:
-        pos = int(np.searchsorted(times, j.time))
-        times.insert(pos, j.time)
-        states.insert(pos, j.state)
-        regimes.insert(pos, j.regime_to)
-        # nodes after the jump inside the same step already carry the new regime
+    """Single trajectory with the full merged grid and jump log.
+
+    The merged grid holds the base nodes and the jumps that changed the
+    regime, recorded in event order.
+    """
+    t0, x0, i0 = init
+    nodes = _base_nodes(t0, t_end, h)
+    noise = _pregenerate(seed, np.array([path_index]), t0, t_end, len(nodes) - 1,
+                         geometry is not None)
+    x = np.full((1, 1), x0, dtype=float)
+    alpha = np.full((1, 1), i0, dtype=np.int64)
+    times, states, regimes, jumps = [], [], [], []
+
+    def record(s):
+        times.append(s)
+        states.append(x[0, 0])
+        regimes.append(alpha[0, 0])
+
+    def on_jump(rows, s, theta):
+        if alpha[0, 0] != regimes[-1]:
+            jumps.append(JumpRecord(time=float(s[0]), mark=float(theta[0]),
+                                    regime_from=int(regimes[-1]),
+                                    regime_to=int(alpha[0, 0]), state=float(x[0, 0])))
+            record(jumps[-1].time)
+
+    _march(dynamics, geometry, levy, _as_policy(policy, dynamics.control_dim),
+           nodes, noise, x, alpha, on_jump=on_jump,
+           on_node=lambda k, s: record(s))
     return Path(times=np.asarray(times), states=np.asarray(states),
                 regimes=np.asarray(regimes, dtype=np.int64),
-                jumps=res.jumps, seed=seed, path_index=path_index)
+                jumps=jumps, seed=seed, path_index=path_index)
 
 
 @dataclass
@@ -351,67 +383,29 @@ def coupled_pair_divergence(dynamics, geometry, levy, strategy, xi1, xi2, i,
     increments.  Returns (P(regime histories split by T),
     E[sup_{s<=T} |X1 - X2|^2 on full agreement]).
     """
-    if h <= 0 or t_end <= t0:
-        raise ConfigError("need h > 0 and t_end > t0")
-    n_steps = max(1, int(round((t_end - t0) / h)))
-    nodes = np.linspace(t0, t_end, n_steps + 1)
+    nodes = _base_nodes(t0, t_end, h)
     pol = _as_policy(strategy, dynamics.control_dim)
     split = 0
     sup_sum = 0.0
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
-        idx = np.arange(lo, hi)
-        jt, mu, _nj, normals = _pregenerate(seed, idx, t0, t_end, n_steps,
-                                            geometry is not None)
-        n = hi - lo
-        x1 = np.full(n, float(xi1))
-        x2 = np.full(n, float(xi2))
-        a1 = np.full(n, int(i), dtype=np.int64)
-        a2 = a1.copy()
-        agree = np.ones(n, dtype=bool)
-        supsq = (x1 - x2) ** 2
-        ptr = np.zeros(n, dtype=np.int64)
-        jptr = np.zeros(n, dtype=np.int64)
-        tcur = np.full(n, t0)
-        rows = np.arange(n)
-        for k in range(n_steps):
-            t_next = nodes[k + 1]
-            while True:
-                jnext = jt[rows, jptr]
-                active = jnext <= t_next
-                if not np.any(active):
-                    break
-                sub = np.where(active)[0]
-                s_jump = jnext[sub]
-                dt = s_jump - tcur[sub]
-                move = dt > 0
-                if np.any(move):
-                    mv = sub[move]
-                    z = normals[mv, ptr[mv]]
-                    x1[mv] = _em_update(dynamics, pol, tcur[mv], x1[mv], a1[mv],
-                                        dt[move], z)
-                    x2[mv] = _em_update(dynamics, pol, tcur[mv], x2[mv], a2[mv],
-                                        dt[move], z)
-                    ptr[mv] += 1
-                theta = levy.sample_from_uniform(mu[sub, jptr[sub]])
-                a1[sub] = geometry.mark_to_jump_array(x1[sub], a1[sub], theta)
-                a2[sub] = geometry.mark_to_jump_array(x2[sub], a2[sub], theta)
-                agree[sub] &= a1[sub] == a2[sub]
-                tcur[sub] = s_jump
-                jptr[sub] += 1
-                supsq[sub] = np.maximum(supsq[sub], (x1[sub] - x2[sub]) ** 2)
-            dt = t_next - tcur
-            move = dt > 0
-            if np.any(move):
-                mv = np.where(move)[0]
-                z = normals[mv, ptr[mv]]
-                x1[mv] = _em_update(dynamics, pol, tcur[mv], x1[mv], a1[mv],
-                                    dt[move], z)
-                x2[mv] = _em_update(dynamics, pol, tcur[mv], x2[mv], a2[mv],
-                                    dt[move], z)
-                ptr[mv] += 1
-            tcur[:] = t_next
-            supsq = np.maximum(supsq, (x1 - x2) ** 2)
+        noise = _pregenerate(seed, np.arange(lo, hi), t0, t_end, len(nodes) - 1,
+                             geometry is not None)
+        x = np.empty((2, hi - lo))
+        x[0], x[1] = float(xi1), float(xi2)
+        alpha = np.full((2, hi - lo), int(i), dtype=np.int64)
+        agree = np.ones(hi - lo, dtype=bool)
+        supsq = (x[0] - x[1]) ** 2
+
+        def on_jump(rows, s, theta):
+            agree[rows] &= alpha[0, rows] == alpha[1, rows]
+            supsq[rows] = np.maximum(supsq[rows], (x[0, rows] - x[1, rows]) ** 2)
+
+        def on_node(k, s):
+            np.maximum(supsq, (x[0] - x[1]) ** 2, out=supsq)
+
+        _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha,
+               on_jump=on_jump, on_node=on_node)
         split += int(np.sum(~agree))
         sup_sum += float(np.sum(supsq[agree]))
     return split / n_paths, sup_sum / n_paths

@@ -550,3 +550,17 @@ def test_dirichlet_edge_without_data_rejected():
     for call in calls:
         with pytest.raises(ConfigError, match="dirichlet boundary requires data"):
             call()
+
+
+def test_one_node_window_returns_terminal_data():
+    grid = SpatialGrid(-2, 2, 21)
+    times = time_grid(0, 1, 8)[-1:]
+    problem = anchored_hjb(grid)
+    linear = LinearPDEProblem(a=const(0.05), beta=const(0.1), grid=grid, m=2,
+                              q_table=problem.q_table, terminal=problem.terminal)
+    strategy = solve_hjb(problem, time_grid(0, 1, 8)).strategy
+    for fld in (solve_linear_parabolic(linear, times),
+                solve_hjb(problem, times).value,
+                solve_representation(problem, times, strategy)):
+        assert fld.values.shape == (1, grid.n_x, 2)
+        assert np.array_equal(fld.values[0], problem.terminal)

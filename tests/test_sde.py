@@ -206,3 +206,33 @@ def test_zero_transition_anomaly_flagged():
                                    x=0.0, i=1, j=2, ds=0.01, n_paths=10_000,
                                    seed=3, q_theory=0.3)
     assert est.n_transitions == 0 and est.anomaly
+
+
+def test_coupled_blowup_reports_step_index():
+    bad = ControlledDynamics(
+        drift=lambda s, x, i, u: x * 1e4,
+        diffusion=lambda s, x, i, u: np.zeros_like(x),
+        m=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="step"):
+            coupled_pair_divergence(bad, empty_geometry(), uniform_levy(), None,
+                                    1.0, 2.0, 1, n_paths=4, seed=1, h=0.5,
+                                    t_end=40.0)
+
+
+def test_ensemble_rows_equal_simulate_path():
+    kw = dict(init=(0.0, 0.0, 1), policy=None, h=0.05, t_end=6.0, seed=7)
+    n_switches = 0
+    for p in (0, 2):
+        res = simulate_ensemble(drifted(), tanh_geometry(), uniform_levy(),
+                                n_paths=p + 1, record_nodes=True, **kw)
+        path = simulate_path(drifted(), tanh_geometry(), uniform_levy(),
+                             path_index=p, **kw)
+        on_nodes = np.isin(path.times, res.nodes)
+        assert np.array_equal(path.times[on_nodes], res.nodes)
+        assert np.array_equal(path.states[on_nodes], res.states[p])
+        assert np.array_equal(path.regimes[on_nodes], res.regimes[p])
+        assert path.states[-1] == res.state_T[p]
+        assert path.regimes[-1] == res.regime_T[p]
+        n_switches += len(path.jumps)
+    assert n_switches >= 1
