@@ -14,6 +14,11 @@ through the mark CDF), and one standard normal per sub-interval of its
 merged grid.  Ensembles are therefore order-independent across paths
 and bit-reproducible for a fixed seed.
 
+The contract is per path; the implementation is per chunk.
+``_pregenerate`` builds one generator per chunk and, before each path
+draws, re-keys it into exactly the state of a fresh
+``Philox(key=[s, p])``, so no Philox is constructed per path.
+
 One loop, ``_march``, walks the merged grid for every entry point.  It
 advances K state copies of each path (K = 1 for ensembles and single
 paths, K = 2 for the common-random-number coupling), and all copies of
@@ -29,11 +34,17 @@ from .errors import ConfigError, NumericError
 from .fields import FeedbackStrategy
 
 _MAX_JUMP_DRAWS = 4096
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
 
 def path_stream(seed, path_index):
-    """Generator for the (seed, path_index) counter-based stream."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(path_index)],
+    """Generator for the (seed, path_index) counter-based stream.
+
+    Every path of a run draws from this stream, whatever the chunking.
+    ``_pregenerate`` opens it once per chunk and re-keys the generator
+    for each further path instead of calling this per path.
+    """
+    key = np.array([np.uint64(seed & _MASK64), np.uint64(path_index)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -144,41 +155,72 @@ def _as_policy(policy, control_dim=1):
     return f
 
 
+def _rekey(gen, seed, p):
+    """Put ``gen`` in the state of a fresh ``path_stream(seed, p)``.
+
+    The Philox state setter copies the values element by element, so
+    tuples stand in for the arrays the getter returns.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _MASK64, p)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _jump_columns(horizon):
+    """Jump columns to allocate before any path is drawn.
+
+    A unit-rate Poisson count on ``horizon`` exceeds this with
+    probability below about 1e-9, so widening is rare.
+    """
+    return int(horizon + 6.0 * np.sqrt(horizon)) + 8
+
+
+def _widen(a, cols, fill):
+    out = np.full((a.shape[0], cols), fill)
+    out[:, :a.shape[1]] = a
+    return out
+
+
 def _pregenerate(seed, path_indices, t0, t_end, n_steps, with_jumps):
-    """Draw each path's noise in the canonical order; pad across the chunk."""
+    """Draw each path's noise in the canonical order; pad across the chunk.
+
+    One generator serves the chunk, re-keyed to path p's stream before
+    path p draws.  Each path's normals are written straight into its row;
+    the columns widen only when a path has more jumps than allocated.
+    """
     horizon = t_end - t0
     n = len(path_indices)
-    jump_times = []
-    mark_u = []
-    max_j = 0
-    streams = [path_stream(seed, p) for p in path_indices]
-    if with_jumps:
-        for g in streams:
-            cum = np.cumsum(g.standard_exponential(8))
-            while cum[-1] <= horizon:
-                if len(cum) >= _MAX_JUMP_DRAWS:
-                    raise NumericError("jump count cap exceeded; intensity is fixed "
-                                       "to one so this indicates a horizon misuse")
-                cum = np.concatenate([cum, cum[-1] + np.cumsum(g.standard_exponential(8))])
-            jt = t0 + cum[cum <= horizon]
-            jump_times.append(jt)
-            mark_u.append(g.random(len(jt)))
-            max_j = max(max_j, len(jt))
-    else:
-        jump_times = [np.empty(0)] * n
-        mark_u = [np.empty(0)] * n
-    jt_pad = np.full((n, max_j + 1), np.inf)
-    mu_pad = np.zeros((n, max_j + 1))
+    cap = _jump_columns(horizon) if with_jumps else 0
+    jt_pad = np.full((n, cap + 1), np.inf)
+    mu_pad = np.zeros((n, cap + 1))
+    normals = np.zeros((n, n_steps + cap + 1))
     n_jumps = np.zeros(n, dtype=np.int64)
-    for k, (jt, mu) in enumerate(zip(jump_times, mark_u)):
-        jt_pad[k, :len(jt)] = jt
-        mu_pad[k, :len(mu)] = mu
-        n_jumps[k] = len(jt)
-    normals = np.zeros((n, n_steps + max_j + 1))
-    for k, g in enumerate(streams):
-        need = n_steps + n_jumps[k]
-        normals[k, :need] = g.standard_normal(need)
-    return jt_pad, mu_pad, n_jumps, normals
+    gen = path_stream(seed, path_indices[0])
+    for k, p in enumerate(path_indices.tolist()):
+        _rekey(gen, seed, p)
+        nj = 0
+        if with_jumps:
+            e = gen.standard_exponential(8)
+            if e[0] <= horizon:     # else no arrival: the usual case for small ds
+                cum = np.cumsum(e)
+                while cum[-1] <= horizon:
+                    if len(cum) >= _MAX_JUMP_DRAWS:
+                        raise NumericError("jump count cap exceeded; intensity is fixed "
+                                           "to one so this indicates a horizon misuse")
+                    cum = np.concatenate([cum, cum[-1] + np.cumsum(gen.standard_exponential(8))])
+                nj = int(np.count_nonzero(cum <= horizon))
+                if nj > cap:
+                    cap = 2 * nj
+                    jt_pad = _widen(jt_pad, cap + 1, np.inf)
+                    mu_pad = _widen(mu_pad, cap + 1, 0.0)
+                    normals = _widen(normals, n_steps + cap + 1, 0.0)
+                jt_pad[k, :nj] = t0 + cum[:nj]
+                gen.random(out=mu_pad[k, :nj])
+                n_jumps[k] = nj
+        gen.standard_normal(out=normals[k, :n_steps + nj])
+    width = int(n_jumps.max(initial=0)) + 1
+    return jt_pad[:, :width], mu_pad[:, :width], n_jumps, normals[:, :n_steps + width]
 
 
 def _em_update(dynamics, policy, s, x, alpha, dt, z):
@@ -204,6 +246,11 @@ def _base_nodes(t0, t_end, h):
     if t_end <= t0:
         raise ConfigError("empty simulation horizon")
     return np.linspace(t0, t_end, max(1, int(round((t_end - t0) / h))) + 1)
+
+
+def _check_chunk_size(chunk_size):
+    if chunk_size < 1:
+        raise ConfigError("chunk_size must be >= 1")
 
 
 def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
@@ -272,6 +319,7 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
     lo, hi)`` is called after every base node with the chunk's global
     path range [lo, hi).
     """
+    _check_chunk_size(chunk_size)
     t0, x0, i0 = init
     nodes = _base_nodes(t0, t_end, h)
     n_steps = len(nodes) - 1
@@ -383,6 +431,7 @@ def coupled_pair_divergence(dynamics, geometry, levy, strategy, xi1, xi2, i,
     increments.  Returns (P(regime histories split by T),
     E[sup_{s<=T} |X1 - X2|^2 on full agreement]).
     """
+    _check_chunk_size(chunk_size)
     nodes = _base_nodes(t0, t_end, h)
     pol = _as_policy(strategy, dynamics.control_dim)
     split = 0

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 from switchctl.cli import main
 
@@ -30,6 +31,20 @@ ds = 0.001
 rate_states = -1.0, 0.0, 1.0
 [run]
 seed = 4
+"""
+
+RATES_TANH_CFG = """
+[model]
+geometry = tanh
+drift = 0
+sigma = 0.1
+[solver]
+n_paths = 3000
+ds = 0.02
+rate_states = -1.0, 0.0, 1.0
+[run]
+seed = 5
+workers = {workers}
 """
 
 EQ_CFG = """
@@ -85,6 +100,23 @@ def test_rates_empty_geometry_exact_zeros(tmp_path, capsys):
     table = json.loads((out / "rates.json").read_text())
     assert len(table) == 6
     assert all(r["q_theory"] == 0.0 and r["q_empirical"] == 0.0 for r in table)
+
+
+def test_rates_threaded_cells_match_serial(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SWITCHCTL_WORKERS", raising=False)
+    tables = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # interleave the cells' threads finely
+    try:
+        for workers in (1, 2):
+            code, out = run_cli(tmp_path, f"rates{workers}",
+                                RATES_TANH_CFG.format(workers=workers), ("rates",))
+            assert code == 0
+            tables[workers] = (out / "rates.json").read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert tables[1] == tables[2]
+    assert any(r["q_empirical"] > 0 for r in json.loads(tables[1]))
 
 
 def test_equilibrium_run_and_residual_log(tmp_path, capsys):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from switchctl import sde
 from switchctl.errors import ConfigError, NumericError
-from switchctl.sde import (ControlledDynamics, coupled_pair_divergence,
-                           estimate_transition_rate, simulate_ensemble,
-                           simulate_path)
+from switchctl.sde import (ControlledDynamics, _pregenerate,
+                           coupled_pair_divergence, estimate_transition_rate,
+                           simulate_ensemble, simulate_path)
 from switchctl.switching import rate_matrix
 
 from test_switching import (constant_geometry, empty_geometry, tanh_geometry,
@@ -236,3 +237,72 @@ def test_ensemble_rows_equal_simulate_path():
         assert path.regimes[-1] == res.regime_T[p]
         n_switches += len(path.jumps)
     assert n_switches >= 1
+
+
+def fresh_stream_noise(seed, p, horizon, n_steps, with_jumps):
+    """Path p's draws in the documented order, from a freshly built Philox."""
+    # a list key above 2**63 would pass through float64, so build uint64
+    key = np.array([seed & 0xFFFF_FFFF_FFFF_FFFF, p], dtype=np.uint64)
+    g = np.random.Generator(np.random.Philox(key=key))
+    arrivals = np.empty(0)
+    if with_jumps:
+        cum = np.cumsum(g.standard_exponential(8))
+        while cum[-1] <= horizon:
+            cum = np.concatenate([cum, cum[-1] + np.cumsum(g.standard_exponential(8))])
+        arrivals = cum[cum <= horizon]
+    marks = g.random(len(arrivals))
+    return arrivals, marks, g.standard_normal(n_steps + len(arrivals))
+
+
+def assert_noise_matches_fresh_streams(seed, first, t0, t_end, n_steps, with_jumps):
+    idx = np.arange(first, first + 40)
+    jt, mu, n_jumps, normals = _pregenerate(seed, idx, t0, t_end, n_steps, with_jumps)
+    refs = [fresh_stream_noise(seed, p, t_end - t0, n_steps, with_jumps) for p in idx]
+    width = max(len(r[0]) for r in refs) + 1
+    assert jt.shape == mu.shape == (len(idx), width)
+    assert normals.shape == (len(idx), n_steps + width)
+    for k, (arrivals, marks, z) in enumerate(refs):
+        nj = len(arrivals)
+        assert n_jumps[k] == nj
+        assert np.array_equal(jt[k, :nj], t0 + arrivals)
+        assert np.all(jt[k, nj:] == np.inf)
+        assert np.array_equal(mu[k, :nj], marks)
+        assert np.all(mu[k, nj:] == 0.0)
+        assert np.array_equal(normals[k, :n_steps + nj], z)
+        assert np.all(normals[k, n_steps + nj:] == 0.0)
+    return n_jumps
+
+
+@pytest.mark.parametrize("seed, first, t_end, n_steps, with_jumps", [
+    (5, 0, 20.5, 10, True),       # long horizon: the 8-block extension runs
+    (3, 0, 0.51, 1, True),        # one-step paths, mostly without a jump
+    (3, 0, 1.5, 5, False),
+    (-1, 0, 2.5, 4, True),
+    (9, 8192, 1.5, 3, True),      # the path indices of a second chunk
+])
+def test_pregenerate_matches_fresh_philox_streams(seed, first, t_end, n_steps,
+                                                  with_jumps):
+    n_jumps = assert_noise_matches_fresh_streams(seed, first, 0.5, t_end,
+                                                 n_steps, with_jumps)
+    if t_end > 20:
+        assert n_jumps.max() > 8
+    if t_end < 1:
+        assert np.any(n_jumps == 0)
+
+
+def test_pregenerate_widens_jump_columns(monkeypatch):
+    monkeypatch.setattr(sde, "_jump_columns", lambda horizon: 0)
+    n_jumps = assert_noise_matches_fresh_streams(5, 0, 0.5, 20.5, 10, True)
+    assert n_jumps.max() > 8
+
+
+@pytest.mark.parametrize("chunk_size", [0, -4])
+def test_chunk_size_must_be_positive(chunk_size):
+    with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
+        simulate_ensemble(dyn(), empty_geometry(), uniform_levy(), (0.0, 0.0, 1),
+                          None, h=0.1, t_end=1.0, n_paths=5, seed=0,
+                          chunk_size=chunk_size)
+    with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
+        coupled_pair_divergence(drifted(), tanh_geometry(), uniform_levy(), None,
+                                0.5, 0.6, 1, n_paths=5, seed=4, h=0.05,
+                                t_end=1.0, chunk_size=chunk_size)
