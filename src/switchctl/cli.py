@@ -339,25 +339,15 @@ def _run_equilibrium(config, outdir, workers, plan_only):
     grid, times = _grids(config, model)
     tol = config.get("solver", "tol")
     _phi, boundary = _merton_boundary(model, times, grid, tol)
-    sol = solve_equilibrium(model, grid, times, tol=tol,
-                            max_sweeps=config.get("solver", "max_sweeps"),
-                            slab=config.get("solver", "slab"),
-                            boundary=boundary)
+    sol = solve_equilibrium(model, grid, times, boundary=boundary)
     final_res = equilibrium_residual(model, sol)
-    rows = []
-    for entry in sol.log:
-        row = dict(entry)
-        row.setdefault("residual", None)
-        rows.append(row)
-    rows.append({"sweep": None, "diag_change": None, "residual": final_res})
     art = _Artifacts(outdir)
     _write_field(art, sol.value, "value", formats)
     sol.strategy.to_csv(art.path("strategy.csv"))
     art.add("strategy.csv")
-    art.write_jsonl("residual_log.jsonl", rows)
+    art.write_jsonl("residual_log.jsonl", [{"residual": final_res}])
     art.finish()
-    return {"sweeps": len([e for e in sol.log if "sweep" in e]),
-            "final_residual": final_res}
+    return {"final_residual": final_res}
 
 
 def _run_merton(config, outdir, workers, plan_only):
@@ -430,10 +420,7 @@ def _run_verify(config, outdir, workers, plan_only):
     grid, times = _grids(config, model)
     tol = config.get("solver", "tol")
     _phi, boundary = _merton_boundary(model, times, grid, tol)
-    sol = solve_equilibrium(model, grid, times, tol=tol,
-                            max_sweeps=config.get("solver", "max_sweeps"),
-                            slab=config.get("solver", "slab"),
-                            boundary=boundary)
+    sol = solve_equilibrium(model, grid, times, boundary=boundary)
     t0 = config.get("solver", "spike_anchor")
     epsilons = config.get("solver", "epsilons")
     policy = anchored_minimizer_policy(model, sol, t0)

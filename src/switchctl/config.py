@@ -101,8 +101,6 @@ SCHEMA = {
     },
     "solver": {
         "tol": (_parse_float, 1e-9),
-        "max_sweeps": (_parse_int, 40),
-        "slab": (_parse_float, None),
         "partitions": (_parse_int_list, [1, 2, 4]),
         "knots": (_parse_float_list, None),
         "epsilons": (_parse_float_list, [0.1, 0.05, 0.025]),
@@ -130,7 +128,6 @@ _VALIDATORS = {
     ("grid", "t_max"): lambda v: v > 0 or "t_max must be positive",
     ("grid", "buffer"): lambda v: 0 <= v < 0.5 or "buffer must lie in [0, 0.5)",
     ("solver", "tol"): lambda v: v > 0 or "tol must be positive",
-    ("solver", "max_sweeps"): lambda v: v >= 1 or "max_sweeps must be >= 1",
     ("solver", "n_paths"): lambda v: v >= 1 or "n_paths must be >= 1",
     ("solver", "h"): lambda v: v > 0 or "h must be positive",
     ("solver", "ds"): lambda v: v > 0 or "ds must be positive",

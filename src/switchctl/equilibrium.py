@@ -1,15 +1,14 @@
-"""Equilibrium two-time solver: fixed point on the diagonal.
+"""Equilibrium two-time solver: one backward march on the diagonal.
 
 The unknown Theta(tau, s, x, i) lives on the triangle tau <= s of one
-global time grid.  Given a diagonal guess v(s, x, i), the strategy is
-read off the diagonal through the minimizer map, every anchor row
-becomes a linear representation equation closed under that strategy,
-and the diagonal is replaced by the freshly solved one.  The iteration
-is a contraction only over short horizons, so the solver marches
-backward in slabs: within a slab the rows are swept to stationarity
-while everything to the right stays frozen; each row's tail beyond the
-slab is solved once, when its slab begins, against the already
-converged strategy.
+global time grid.  Every anchor row is a linear representation equation
+closed under the strategy read off the diagonal Theta(s, s) through the
+minimizer map, and a backward step s_hi -> s_lo freezes the controls at
+s_hi.  So the discrete equilibrium equations are lower-triangular in s:
+once every row holds its value at level k, row k's value there is the
+diagonal, the diagonal gives the controls at level k, and those controls
+take every row anchored below k one step down.  One backward march over
+all rows solves the system exactly, with no iteration.
 """
 
 import warnings
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 from .fields import FeedbackStrategy, TwoTimeField, ValueField, d1, d2
 from .pde import _hamiltonian, _qv, controls_on_grid, solve_rows_batch
 
@@ -32,7 +31,6 @@ class EquilibriumSolution:
     value: ValueField              # the diagonal
     strategy: FeedbackStrategy
     log: list = field(default_factory=list)
-    final_residual: float = None
 
 
 def strategy_from_diagonal(model, grid, times, diag, q_table=None,
@@ -54,121 +52,47 @@ def strategy_from_diagonal(model, grid, times, diag, q_table=None,
     return out
 
 
-def solve_equilibrium(model, grid, times, tol=1e-8, max_sweeps=40,
-                      slab=None, boundary=None, max_slab_halvings=3):
-    """Solve the equilibrium system; returns fields, strategy and the log.
+def solve_equilibrium(model, grid, times, boundary=None):
+    """Solve the equilibrium system in one backward march.
 
-    ``slab`` is the slab width in time units (default T/8); it is halved
-    and the solve restarted when a slab fails to converge within
-    ``max_sweeps``.  ``boundary`` is an optional factory
-    tau -> dirichlet(s, i) for anchored Dirichlet data.
+    Every anchor row starts from its terminal data h(tau) at T.  At each
+    level k, from the last down, the diagonal value Theta(s_k, s_k) gives
+    the controls at s_k, and rows 0..k-1 take one step to level k-1 under
+    them, each with its own anchor and Dirichlet data.  ``boundary`` is
+    an optional factory tau -> dirichlet(s, i) for anchored Dirichlet
+    data.  The log stays empty: the march takes no sweeps.
     """
     times = np.asarray(times, dtype=float)
-    horizon = times[-1] - times[0]
-    if slab is None:
-        slab = horizon / 8.0
-    if slab <= 0 or slab > horizon + 1e-12:
-        raise ConfigError("slab width must lie in (0, T]")
-    log = []
-    clamps_before = getattr(model, "psi_clamp_count", 0)
-    for attempt in range(max_slab_halvings + 1):
-        try:
-            solution = _solve_with_slab(model, grid, times, tol, max_sweeps,
-                                        slab, boundary, log)
-            fired = getattr(model, "psi_clamp_count", 0) - clamps_before
-            if fired:
-                warnings.warn(f"minimizer derivative clamp fired {fired} "
-                              f"times during the equilibrium solve",
-                              ClampWarning)
-            return solution
-        except ConvergenceError:
-            if attempt == max_slab_halvings:
-                raise
-            slab /= 2.0
-            log.append({"event": "slab_halved", "slab": slab})
-
-
-def _solve_with_slab(model, grid, times, tol, max_sweeps, slab, boundary, log):
     n_t = len(times)
-    m = model.m
-    q_table = model.q_table(grid)
-    dt = times[1] - times[0]
-    slab_steps = max(1, int(round(slab / dt)))
-
-    theta = TwoTimeField(times, grid, m)
-    diag = np.empty((n_t, grid.n_x, m))
+    theta = TwoTimeField(times, grid, model.m)
+    rows = theta.values
     for j in range(n_t):
-        diag[j] = model.terminal_values(times[j], grid)
-    theta.values[n_t - 1, n_t - 1] = diag[n_t - 1]
-    controls = strategy_from_diagonal(model, grid, times, diag, q_table)
-
-    template = model.hjb_problem(0.0, grid)
-    template.q_table = q_table
-
-    def strategy_view():
-        cs = model.control_set
-        return FeedbackStrategy(times, grid, controls,
-                                bounds=[(cs.lo, cs.hi)] * model.control_dim,
-                                names=model.control_names)
-
-    b_idx = n_t - 1
-    while b_idx > 0:
-        a_idx = max(0, b_idx - slab_steps)
-        rows = np.arange(a_idx, b_idx)
-        anchors = times[rows]
-        dirichlet_fns = [boundary(float(t)) for t in anchors] \
-            if boundary is not None else None
-        h_rows = np.stack([model.terminal_values(float(t), grid)
-                           for t in anchors])
-        # tails of this slab's rows, solved once against the frozen strategy
-        if b_idx < n_t - 1:
-            tails = solve_rows_batch(template, times[b_idx:], strategy_view(),
-                                     anchors, h_rows, dirichlet_fns)
-            theta.values[rows, b_idx:] = tails
-            terminals = theta.values[rows, b_idx]
-        else:
-            terminals = h_rows
-        active_from = rows - a_idx
-        sweep = 0
-        prev_change = np.inf
-        while True:
-            sweep += 1
-            segs = solve_rows_batch(template, times[a_idx:b_idx + 1],
-                                    strategy_view(), anchors, terminals,
-                                    dirichlet_fns, active_from=active_from)
-            for r, tau_idx in enumerate(rows):
-                theta.values[tau_idx, tau_idx:b_idx + 1] = segs[r, r:]
-            new_diag = theta.values[rows, rows]
-            change = float(np.max(np.abs(new_diag - diag[a_idx:b_idx])))
-            log.append({"sweep": sweep, "slab_end": float(times[b_idx]),
-                        "diag_change": change})
-            if change < tol:
-                diag[a_idx:b_idx] = new_diag
-                controls[a_idx:b_idx] = strategy_from_diagonal(
-                    model, grid, times, diag, q_table,
-                    range(a_idx, b_idx))[a_idx:b_idx]
-                break
-            if sweep >= max_sweeps:
-                raise ConvergenceError(
-                    f"diagonal sweep stalled at change {change:g} on slab "
-                    f"ending {times[b_idx]:g}", history=log)
-            if change > prev_change:
-                # a growing change signals a control flicker; damp it out
-                diag[a_idx:b_idx] = 0.5 * (diag[a_idx:b_idx] + new_diag)
-            else:
-                diag[a_idx:b_idx] = new_diag
-            prev_change = change
-            controls[a_idx:b_idx] = strategy_from_diagonal(
-                model, grid, times, diag, q_table, range(a_idx, b_idx))[a_idx:b_idx]
-        b_idx = a_idx
-
-    value = ValueField(times, grid, diag.copy())
+        rows[j, -1] = model.terminal_values(float(times[j]), grid)
+    dirichlet_fns = [boundary(float(t)) for t in times] \
+        if boundary is not None else None
+    problem = model.hjb_problem(0.0, grid)
+    controls = np.empty((n_t, grid.n_x, model.m, model.control_dim))
+    clamps_before = getattr(model, "psi_clamp_count", 0)
+    for k in range(n_t - 1, -1, -1):
+        problem.anchor = float(times[k])
+        controls[k] = controls_on_grid(problem, float(times[k]), rows[k, k])
+        if k == 0:
+            break
+        step = solve_rows_batch(
+            problem, times[k - 1:k + 1],
+            lambda s, x, lab: controls[k, :, lab - 1], times[:k], rows[:k, k],
+            None if dirichlet_fns is None else dirichlet_fns[:k])
+        rows[:k, k - 1] = step[:, 0]
+    fired = getattr(model, "psi_clamp_count", 0) - clamps_before
+    if fired:
+        warnings.warn(f"minimizer derivative clamp fired {fired} times "
+                      f"during the equilibrium solve", ClampWarning)
     cs = model.control_set
-    strategy = FeedbackStrategy(times, grid, controls.copy(),
+    strategy = FeedbackStrategy(times, grid, controls,
                                 bounds=[(cs.lo, cs.hi)] * model.control_dim,
                                 names=model.control_names)
-    return EquilibriumSolution(theta=theta, value=value, strategy=strategy,
-                               log=log)
+    return EquilibriumSolution(theta=theta, value=theta.diagonal(),
+                               strategy=strategy)
 
 
 def residual(model, solution, buffer_frac=None):

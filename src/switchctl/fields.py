@@ -8,6 +8,7 @@ in (s, x) with clamping to the control bounds.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -268,12 +269,28 @@ class FeedbackStrategy:
                         fh.write(f"{float(s)!r},{float(x)!r},{i + 1},{vals}\n")
 
 
+def physical_memory_bytes():
+    """Physical memory of the machine, or None where sysconf cannot tell."""
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return total if total > 0 else None
+
+
+def two_time_bytes(n_t, n_x, m):
+    """Bytes of the float64 array behind a TwoTimeField."""
+    return 8 * n_t * n_t * n_x * m
+
+
 class TwoTimeField:
     """Triangular two-time field Theta[tau_idx, s_idx, x_idx, regime_idx].
 
     Rows share the single global time grid; row ``tau_idx`` is defined
     for s_idx >= tau_idx (NaN below the diagonal).  The diagonal
-    Theta(s, s, x, i) is an exact array diagonal.
+    Theta(s, s, x, i) is an exact array diagonal.  A field larger than
+    half the physical memory is refused with a ConfigError before it is
+    allocated.
     """
 
     def __init__(self, times, grid, m):
@@ -281,6 +298,13 @@ class TwoTimeField:
         self.grid = grid
         self.m = m
         n_t = len(self.times)
+        need = two_time_bytes(n_t, grid.n_x, m)
+        total = physical_memory_bytes()
+        if total is not None and need > total // 2:
+            raise ConfigError(
+                f"two-time field on n_t={n_t} times x n_x={grid.n_x} nodes x "
+                f"m={m} regimes needs {need} bytes, more than half of the "
+                f"{total} bytes of physical memory (coarsen the grid)")
         self.values = np.full((n_t, n_t, grid.n_x, m), np.nan)
 
     def row(self, tau_idx):

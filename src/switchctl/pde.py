@@ -16,8 +16,9 @@ solver enforces the configured bound.
 Every solve takes this step through one kernel, ``_step``, on R rows
 that share the coefficients and differ in anchor, terminal and Dirichlet
 data.  solve_linear_parabolic and solve_hjb march one row,
-solve_rows_batch marches a slab of anchor rows, and solve_representation
-is its one-row case.
+solve_rows_batch marches a batch of anchor rows (the equilibrium march
+takes each of its steps through it on a two-node window), and
+solve_representation is its one-row case.
 
 The HJB variant picks the control at the known time level (analytic
 minimizer when supplied, otherwise a deterministic grid search with ties

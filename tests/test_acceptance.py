@@ -45,7 +45,7 @@ def mt_acc():
     grid = model.default_grid(81)
     phi = solve_equilibrium_ode(model.spec, times, tol=1e-13)
     boundary = merton_equilibrium_boundary(model, phi, grid)
-    eq = solve_equilibrium(model, grid, times, tol=1e-11, boundary=boundary)
+    eq = solve_equilibrium(model, grid, times, boundary=boundary)
     return {"model": model, "times": times, "grid": grid, "phi": phi,
             "boundary": boundary, "eq": eq}
 
@@ -180,7 +180,7 @@ def test_criterion_06_time_consistent_collapse():
     sol1 = run_cycles(model, Partition.uniform(1.0, 1), grid, times)
     sol4 = run_cycles(model, Partition.uniform(1.0, 4), grid, times)
     d_part = sol1.value.sup_diff(sol4.value)
-    eq = solve_equilibrium(model, grid, times, tol=1e-11)
+    eq = solve_equilibrium(model, grid, times)
     spread = 0.0
     for k in range(len(times)):
         col = eq.theta.values[:k + 1, k]        # anchors tau <= s, fixed s

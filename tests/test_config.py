@@ -104,3 +104,10 @@ def test_output_formats_accepted():
     for formats in ("csv, json", "csv", "bin", "binary, json", "json, csv, bin"):
         cfg = parse_config(MINIMAL + f"[output]\nformats = {formats}\n")
         assert cfg.get("output", "formats") == [f.strip() for f in formats.split(",")]
+
+
+@pytest.mark.parametrize("line", ["max_sweeps = 40", "slab = 0.125"])
+def test_removed_solver_keys_rejected(line):
+    with pytest.raises(ConfigError, match=r"\[solver\] .*unknown key") as err:
+        parse_config(MINIMAL + f"[solver]\n{line}\n")
+    assert err.value.exit_code == 2

@@ -16,7 +16,7 @@ def toy_eq():
     model = toy_anchored_model(True)
     grid = model.default_grid(61)
     times = time_grid(0, 1, 80)
-    sol = solve_equilibrium(model, grid, times, tol=1e-13)
+    sol = solve_equilibrium(model, grid, times)
     return model, grid, times, sol
 
 

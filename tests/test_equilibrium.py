@@ -11,6 +11,8 @@ from switchctl.models import (ControlModel, merton_equilibrium_boundary,
 from switchctl.partition import Partition, run_cycles
 from switchctl.pde import ControlSet, solve_hjb
 
+from slab_oracle import slab_solve
+
 
 def affine_model(c1=1.0, c2=1.0, c3=0.5):
     """Manufactured model whose equilibrium field is affine:
@@ -38,7 +40,7 @@ def test_affine_manufactured_exact_and_residual():
     model = affine_model()
     grid = model.default_grid(41)
     times = time_grid(0, 1, 40)
-    sol = solve_equilibrium(model, grid, times, tol=1e-12)
+    sol = solve_equilibrium(model, grid, times)
     c1, c2, c3 = 1.0, 1.0, 0.5
     for tau_idx in (0, 13, 40):
         tau = times[tau_idx]
@@ -53,7 +55,7 @@ def test_affine_converges_fast():
     model = affine_model()
     grid = model.default_grid(41)
     times = time_grid(0, 1, 40)
-    sol = solve_equilibrium(model, grid, times, tol=1e-12)
+    sol = slab_solve(model, grid, times, tol=1e-12)
     sweeps = [e for e in sol.log if "sweep" in e]
     # 8 slabs, each stationary from the second sweep on
     assert all(e["diag_change"] < 1e-12 for e in sweeps if e["sweep"] >= 2)
@@ -62,7 +64,7 @@ def test_affine_converges_fast():
 def test_terminal_rows_exact(mt_ti):
     model, times, phi = mt_ti["model"], mt_ti["times"], mt_ti["phi"]
     grid = model.default_grid(61)
-    sol = solve_equilibrium(model, grid, times, tol=1e-10,
+    sol = solve_equilibrium(model, grid, times,
                             boundary=merton_equilibrium_boundary(model, phi, grid))
     for tau_idx in (0, 80, 159):
         want = model.terminal_values(times[tau_idx], grid)
@@ -72,7 +74,7 @@ def test_terminal_rows_exact(mt_ti):
 def test_anchor_free_rows_constant_and_match_hjb(toy_tc):
     grid = toy_tc.default_grid(61)
     times = time_grid(0, 1, 80)
-    sol = solve_equilibrium(toy_tc, grid, times, tol=1e-11)
+    sol = solve_equilibrium(toy_tc, grid, times)
     direct = solve_hjb(toy_tc.hjb_problem(0.0, grid), times)
     assert sol.value.sup_diff(direct.value) <= 1e-8
     for tau_idx in (0, 20, 60):
@@ -92,7 +94,7 @@ def test_zero_cost_constant_terminal_converges_immediately():
         T=1.0, q_const=np.array([[-0.3, 0.3], [0.2, -0.2]]))
     grid = model.default_grid(31)
     times = time_grid(0, 1, 32)
-    sol = solve_equilibrium(model, grid, times, tol=1e-12)
+    sol = slab_solve(model, grid, times, tol=1e-12)
     tri = sol.theta.values[~np.isnan(sol.theta.values)]
     assert np.allclose(tri, 4.2, atol=1e-12)
     sweeps = [e for e in sol.log if "sweep" in e]
@@ -102,7 +104,7 @@ def test_zero_cost_constant_terminal_converges_immediately():
 def test_merton_matches_phi_ansatz(mt_ti):
     model, times, phi = mt_ti["model"], mt_ti["times"], mt_ti["phi"]
     grid = model.default_grid(81)
-    sol = solve_equilibrium(model, grid, times, tol=1e-10,
+    sol = solve_equilibrium(model, grid, times,
                             boundary=merton_equilibrium_boundary(model, phi, grid))
     interior = grid.interior_mask()
     xs = grid.x[interior]
@@ -119,7 +121,7 @@ def test_merton_matches_phi_ansatz(mt_ti):
 def test_strategy_consistency_bit_exact(mt_ti):
     model, times, phi = mt_ti["model"], mt_ti["times"], mt_ti["phi"]
     grid = model.default_grid(41)
-    sol = solve_equilibrium(model, grid, times, tol=1e-10,
+    sol = solve_equilibrium(model, grid, times,
                             boundary=merton_equilibrium_boundary(model, phi, grid))
     again = strategy_from_diagonal(model, grid, times, sol.value.values,
                                    model.q_table(grid))
@@ -129,7 +131,7 @@ def test_strategy_consistency_bit_exact(mt_ti):
 def test_anchor_lipschitz(mt_ti):
     model, times, phi = mt_ti["model"], mt_ti["times"], mt_ti["phi"]
     grid = model.default_grid(61)
-    sol = solve_equilibrium(model, grid, times, tol=1e-10,
+    sol = solve_equilibrium(model, grid, times,
                             boundary=merton_equilibrium_boundary(model, phi, grid))
     interior = grid.interior_mask()
     pairs = [(0, 16), (16, 48), (48, 96)]
@@ -148,7 +150,7 @@ def test_residual_scales_with_grid(mt_ti):
         times = time_grid(0, model.T, n_t)
         phi_n = solve_equilibrium_ode(model.spec, times, tol=1e-13)
         grid = model.default_grid(n_x)
-        sol = solve_equilibrium(model, grid, times, tol=1e-10,
+        sol = solve_equilibrium(model, grid, times,
                                 boundary=merton_equilibrium_boundary(model, phi_n, grid))
         res = residual(model, sol)
         dt = times[1] - times[0]
@@ -159,7 +161,7 @@ def test_residual_scales_with_grid(mt_ti):
 def test_compare_to_partition_time_consistent(toy_tc):
     grid = toy_tc.default_grid(41)
     times = time_grid(0, 1, 64)
-    eq = solve_equilibrium(toy_tc, grid, times, tol=1e-11)
+    eq = solve_equilibrium(toy_tc, grid, times)
     pi = run_cycles(toy_tc, Partition.uniform(1.0, 4), grid, times)
     out = compare_to_partition(eq, pi)
     assert out["sup_diff_theta"] <= 1e-7
@@ -169,7 +171,7 @@ def test_compare_to_partition_time_consistent(toy_tc):
 def test_compare_to_partition_grid_mismatch(toy_tc):
     grid = toy_tc.default_grid(41)
     times = time_grid(0, 1, 64)
-    eq = solve_equilibrium(toy_tc, grid, times, tol=1e-10)
+    eq = solve_equilibrium(toy_tc, grid, times)
     other = run_cycles(toy_tc, Partition.uniform(1.0, 2),
                        toy_tc.default_grid(21), time_grid(0, 1, 64))
     with pytest.raises(ConfigError, match="share"):
@@ -179,7 +181,7 @@ def test_compare_to_partition_grid_mismatch(toy_tc):
 def test_merton_partition_converges_to_equilibrium(mt_ti):
     model, times, phi = mt_ti["model"], mt_ti["times"], mt_ti["phi"]
     grid = model.default_grid(61)
-    eq = solve_equilibrium(model, grid, times, tol=1e-10,
+    eq = solve_equilibrium(model, grid, times,
                            boundary=merton_equilibrium_boundary(model, phi, grid))
     dists = []
     for n in (2, 4, 8):
@@ -202,7 +204,7 @@ def test_sweep_changes_shrink_geometrically():
     model = toy_anchored_model(True)
     grid = model.default_grid(41)
     times = time_grid(0, 1, 80)
-    sol = solve_equilibrium(model, grid, times, tol=1e-11)
+    sol = slab_solve(model, grid, times, tol=1e-11)
     by_slab = {}
     for e in sol.log:
         if "sweep" in e:
@@ -224,8 +226,8 @@ def test_merton_sweeps_converge_with_bounded_chatter(mt_ti):
     grid = fresh.default_grid(41)
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        sol = solve_equilibrium(fresh, grid, times, tol=1e-11,
-                                boundary=merton_equilibrium_boundary(fresh, phi, grid))
+        sol = slab_solve(fresh, grid, times, tol=1e-11,
+                         boundary=merton_equilibrium_boundary(fresh, phi, grid))
     by_slab = {}
     for e in sol.log:
         if "sweep" in e:
@@ -257,10 +259,10 @@ def test_nonconvergence_raises_with_history(mt_ti):
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError) as err:
-            solve_equilibrium(model, grid, times, tol=1e-12, max_sweeps=1,
-                              max_slab_halvings=0,
-                              boundary=merton_equilibrium_boundary(
-                                  model, mt_ti["phi"], grid))
+            slab_solve(model, grid, times, tol=1e-12, max_sweeps=1,
+                       max_slab_halvings=0,
+                       boundary=merton_equilibrium_boundary(
+                           model, mt_ti["phi"], grid))
     assert err.value.history
 
 
@@ -270,7 +272,7 @@ def test_compare_matches_refine_table_entry(toy_tc):
     from switchctl.partition import refine_and_compare
     grid = toy_tc.default_grid(41)
     times = time_grid(0, 1, 64)
-    eq = solve_equilibrium(toy_tc, grid, times, tol=1e-11)
+    eq = solve_equilibrium(toy_tc, grid, times)
     part = Partition.uniform(1.0, 4)
     pi = run_cycles(toy_tc, part, grid, times)
     direct = compare_to_partition(eq, pi, buffer_frac=grid.buffer_frac)
@@ -284,7 +286,7 @@ def test_partition_convergence_state_dependent_rates(toy_ti):
     # is linear in tau here, so the staircase error halves exactly
     grid = toy_ti.default_grid(61)
     times = time_grid(0, 1, 80)
-    eq = solve_equilibrium(toy_ti, grid, times, tol=1e-11)
+    eq = solve_equilibrium(toy_ti, grid, times)
     dists = []
     for n in (2, 4, 8):
         pi = run_cycles(toy_ti, Partition.uniform(1.0, n), grid, times)
@@ -334,7 +336,71 @@ def reference_residual(model, solution):
 def test_residual_equals_per_regime_loop(toy_ti):
     grid = toy_ti.default_grid(21)
     times = time_grid(0, 1, 16)
-    sol = solve_equilibrium(toy_ti, grid, times, tol=1e-10)
+    sol = solve_equilibrium(toy_ti, grid, times)
     got = residual(toy_ti, sol)
     assert got > 0
     assert got == reference_residual(toy_ti, sol)
+
+
+def _preset_case(preset, n_x, n_t):
+    """Model, grid, times and Dirichlet factory as the CLI builds them."""
+    from switchctl.merton import solve_equilibrium_ode
+    from switchctl.models import MODEL_PRESETS
+    model = MODEL_PRESETS[preset]()
+    grid = model.default_grid(n_x)
+    times = time_grid(0.0, model.T, n_t)
+    boundary = None
+    if model.spec is not None:
+        phi = solve_equilibrium_ode(model.spec, times, tol=1e-12)
+        boundary = merton_equilibrium_boundary(model, phi, grid)
+    return model, grid, times, boundary
+
+
+def test_march_matches_slab_oracle_merton():
+    import warnings as _warnings
+    model, grid, times, boundary = _preset_case("merton-ti", 61, 96)
+    sol = solve_equilibrium(model, grid, times, boundary=boundary)
+    with _warnings.catch_warnings():
+        _warnings.simplefilter("ignore")   # the sweeps fire the psi clamp
+        ref = slab_solve(model, grid, times, tol=1e-9, boundary=boundary)
+    got, want = sol.theta.values, ref.theta.values
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.nanmax(np.abs(got - want)) <= 1e-12
+    assert residual(model, sol) == residual(model, ref)
+    assert sol.log == []
+
+
+def test_march_matches_slab_oracle_toy_lq_bit_exact():
+    model, grid, times, _ = _preset_case("toy-lq", 41, 64)
+    sol = solve_equilibrium(model, grid, times)
+    ref = slab_solve(model, grid, times, tol=1e-10)
+    assert np.array_equal(sol.theta.values, ref.theta.values, equal_nan=True)
+    assert np.array_equal(sol.strategy.values, ref.strategy.values)
+    assert np.array_equal(sol.value.values, ref.value.values)
+
+
+def test_march_rows_are_representation_solves(toy_ti):
+    # the march solves the discrete system exactly: under the strategy
+    # read off its own diagonal, each row re-solved alone is the row
+    from switchctl.pde import solve_representation
+    grid = toy_ti.default_grid(21)
+    times = time_grid(0, 1, 24)
+    sol = solve_equilibrium(toy_ti, grid, times)
+    for tau_idx in (0, 7, 23, 24):
+        problem = toy_ti.hjb_problem(float(times[tau_idx]), grid)
+        row = solve_representation(problem, times[tau_idx:], sol.strategy)
+        assert np.array_equal(row.values, sol.theta.values[tau_idx, tau_idx:])
+
+
+def test_march_fires_no_psi_clamp():
+    # the clamps came from the sweeps' intermediate diagonals; the march
+    # evaluates the minimizer on the equilibrium diagonal only
+    import warnings as _warnings
+    from switchctl.equilibrium import ClampWarning
+    model, grid, times, boundary = _preset_case("merton-ti", 41, 64)
+    before = model.psi_clamp_count
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        solve_equilibrium(model, grid, times, boundary=boundary)
+    assert model.psi_clamp_count == before
+    assert not [w for w in caught if issubclass(w.category, ClampWarning)]

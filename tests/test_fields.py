@@ -108,6 +108,26 @@ def test_two_time_field_rows_and_diagonal():
     assert np.isnan(tt.values[2, 0]).all()
 
 
+def test_two_time_field_refused_from_its_estimate(monkeypatch):
+    # 1001 times x 401 nodes x 2 regimes is 6.4 GB: refused on a 7 GB
+    # machine before the array exists, accepted on a larger one
+    from switchctl import fields
+    assert fields.two_time_bytes(1001, 401, 2) == 8 * 1001**2 * 401 * 2
+    grid = SpatialGrid(-1, 1, 401)
+    times = time_grid(0, 1, 1000)
+    allocated = []      # np.full stands in for the allocation
+    monkeypatch.setattr(fields.np, "full", lambda *a, **k: allocated.append(a))
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: 7 * 10**9)
+    with pytest.raises(ConfigError, match="6428838416 bytes") as err:
+        TwoTimeField(times, grid, 2)
+    assert err.value.exit_code == 2
+    assert "n_t=1001" in str(err.value) and "n_x=401" in str(err.value)
+    assert allocated == []
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: 16 * 10**9)
+    TwoTimeField(times, grid, 2)
+    assert allocated == [((1001, 1001, 401, 2), np.nan)]
+
+
 def test_eval_expression_op():
     assert eval_expression("2^3^2", {}) == 512
     assert eval_expression("x + tau", {"x": 1.0, "tau": 0.5}) == 1.5
