@@ -94,9 +94,16 @@ def _output_dir(config, override):
 
 def _workers(config):
     env = os.environ.get("SWITCHCTL_WORKERS")
-    if env:
-        return max(1, int(env))
-    return config.get("run", "workers")
+    if not env:
+        return config.get("run", "workers")
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ConfigError(
+            f"SWITCHCTL_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ConfigError(f"SWITCHCTL_WORKERS must be >= 1, got {workers}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +386,7 @@ def _run_merton(config, outdir, workers, plan_only):
                          {float(times[k]): sol.eq[k] for k in range(len(times))})
         phi_rows = sol.eq_diag
         report["max_gap_eq_tc"] = float(np.nanmax(np.abs(sol.eq_diag - phi_tc)))
-        report["sweeps"] = len(sol.iterations)
+        report["rounds"] = len(sol.iterations)
         report["final_change"] = sol.iterations[-1]
     with open(art.path("strategy.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s,i,invest_fraction,consume_rate\n")

@@ -37,7 +37,7 @@ class NumericError(SwitchctlError):
 
 
 class ConvergenceError(SwitchctlError):
-    """An iterative solver exhausted its sweep budget."""
+    """An iterative solver exhausted its iteration budget."""
 
     exit_code = 4
 

@@ -9,7 +9,8 @@ ODE systems for phi(s, i):
 * time-consistent weights  -> a single backward system (phi_tc),
 * anchored (pre-committed) -> the same system with g(tau,.), h(tau),
 * equilibrium              -> a two-time family phi(tau, s, i) coupled
-  through its own diagonal, solved by fixed-point iteration,
+  through its own diagonal, solved by one backward march whose step
+  fixes the one unknown diagonal value it reads,
 * any proportional strategy (u, c) = (theta x, kappa x) -> a linear
   system, which prices arbitrary such strategies exactly.
 
@@ -21,6 +22,7 @@ objects.  The PDE core minimizes, so its adapter (see models.py) negates
 values and data once at the boundary.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (ConfigError, ConvergenceError, DomainError, NumericError,
                      ResolutionError)
+from .partition import Partition
 from .sde import ControlledDynamics, simulate_ensemble
 
 
@@ -89,24 +92,29 @@ class PhiSolution:
     iterations: list = field(default_factory=list)
 
 
+def _rk4_step(rhs, s_hi, s_lo, y):
+    """One classical RK4 step of y' = rhs(s, y) from s_hi down to s_lo."""
+    dt = s_lo - s_hi  # negative
+    k1 = rhs(s_hi, y)
+    k2 = rhs(s_hi + dt / 2, y + dt / 2 * k1)
+    k3 = rhs(s_hi + dt / 2, y + dt / 2 * k2)
+    k4 = rhs(s_lo, y + dt * k3)
+    y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if np.any(y <= 0) or not np.all(np.isfinite(y)):
+        raise NumericError(
+            f"phi integration left the positive cone at s={s_lo:g}; "
+            f"the weights do not define a valid problem")
+    return y
+
+
 def _rk4_backward(times, terminal, rhs, k_stop=0):
     """Integrate y' = rhs(s, y) from times[-1] down to times[k_stop]."""
     n = len(times)
     out = np.full((n,) + np.shape(terminal), np.nan)
     out[-1] = terminal
-    y = np.asarray(terminal, dtype=float).copy()
+    y = np.asarray(terminal, dtype=float)
     for k in range(n - 1, k_stop, -1):
-        s_hi, s_lo = times[k], times[k - 1]
-        dt = s_lo - s_hi  # negative
-        k1 = rhs(s_hi, y)
-        k2 = rhs(s_hi + dt / 2, y + dt / 2 * k1)
-        k3 = rhs(s_hi + dt / 2, y + dt / 2 * k2)
-        k4 = rhs(s_lo, y + dt * k3)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.any(y <= 0) or not np.all(np.isfinite(y)):
-            raise NumericError(
-                f"phi integration left the positive cone at s={s_lo:g}; "
-                f"the weights do not define a valid problem")
+        y = _rk4_step(rhs, times[k], times[k - 1], y)
         out[k - 1] = y
     return out
 
@@ -166,71 +174,65 @@ def solve_proportional_cost(spec, tau, theta, kappa, times, terminal=None,
                          k_stop=k_stop)
 
 
-def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
-    """Two-time family coupled through its own diagonal.
+def _lagrange(nodes, values, s):
+    """Value at ``s`` of the polynomial through (nodes[j], values[j])."""
+    return sum(math.prod((s - t) / (t_j - t) for t in nodes if t != t_j) * v_j
+               for t_j, v_j in zip(nodes, values))
 
-    Fixed point on d(s, i) = phi(s, s, i): rows are integrated backward
-    with the diagonal quantities read from the current d (cubic in s),
-    then d is replaced by the new diagonal; damping 0.5 kicks in when
-    the diagonal change grows.  Returns a PhiSolution with the full
-    triangular table, the diagonal, and the per-iteration changes.
+
+def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
+    """Two-time family phi(tau, s, i) coupled through its diagonal d(s) = phi(s, s).
+
+    One backward march: every row tau_j starts at h(tau_j) at T.  The step
+    s_k -> s_{k-1} reads d at its RK4 stages from the Lagrange cubic through
+    the known d(s_k), d(s_{k+1}), d(s_{k+2}) (fewer nodes near T) and the
+    unknown d(s_{k-1}), which is row k-1's own value after the step: rounds
+    of that one row's step fix it to ``tol`` (at most ``max_iter``), then
+    rows 0..k-1 take the step once.  ``iterations[j]`` of the returned
+    PhiSolution is the largest change any step saw in round j.
     """
     times = np.asarray(times, dtype=float)
     n = len(times)
     A = spec.drift_gain()
     gam = spec.gamma
-    d = np.asarray(spec.h(times), dtype=float)[:, None] * np.ones((n, spec.m))
+    phi = np.full((n, n, spec.m), np.nan)
+    phi[:, -1, :] = np.asarray(spec.h(times), dtype=float)[:, None]
     log = []
-    prev_change = np.inf
-    for sweep in range(max_iter):
-        splines = [CubicSpline(times, d[:, i]) for i in range(spec.m)]
 
-        def ratio_pow(s):
-            phi_ss = np.array([float(sp(s)) for sp in splines])
-            if np.any(phi_ss <= 0):
+    def step(k, rows, d_lo):
+        # rows tau_j <= s_{k-1} <= s, so g stays on its domain
+        nodes = times[k - 1:k + 3]
+        diag = [d_lo] + [phi[j, j] for j in range(k, min(k + 3, n))]
+
+        def rhs(s, y):
+            d = _lagrange(nodes, diag, s)
+            if np.any(d <= 0):
                 raise NumericError("diagonal phi left the positive cone")
-            r = float(spec.g(s, s)) / phi_ss
-            return r ** (1 / (1 - gam)), r ** (gam / (1 - gam))
+            r = float(spec.g(s, s)) / d
+            gres = np.asarray(spec.g(times[rows], s), dtype=float)[:, None]
+            return -(A * y - gam * y * r ** (1 / (1 - gam))
+                     + gres * r ** (gam / (1 - gam)) + y @ spec.q.T)
 
-        phi = np.full((n, n, spec.m), np.nan)
-        taus = times.copy()
-        h_rows = np.asarray(spec.h(taus), dtype=float)
-        phi[:, -1, :] = h_rows[:, None]
-        y = phi[:, -1, :].copy()
+        return _rk4_step(rhs, times[k], times[k - 1], phi[rows, k])
 
-        def rhs(s, y_rows, k_act):
-            # rows 0..k_act-1 all have tau <= s, so g stays on its domain
-            r1, r2 = ratio_pow(s)
-            gres = np.asarray(spec.g(taus[:k_act], s), dtype=float)[:, None]
-            return -(A[None, :] * y_rows - gam * y_rows * r1[None, :]
-                     + gres * r2[None, :] + y_rows @ spec.q.T)
-
-        for k in range(n - 1, 0, -1):
-            s_hi, s_lo = times[k], times[k - 1]
-            dt = s_lo - s_hi
-            ya = y[:k]
-            k1 = rhs(s_hi, ya, k)
-            k2 = rhs(s_hi + dt / 2, ya + dt / 2 * k1, k)
-            k3 = rhs(s_hi + dt / 2, ya + dt / 2 * k2, k)
-            k4 = rhs(s_lo, ya + dt * k3, k)
-            y[:k] = ya + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if np.any(y[:k] <= 0) or not np.all(np.isfinite(y[:k])):
-                raise NumericError("equilibrium phi rows left the positive cone")
-            phi[:k, k - 1, :] = y[:k]
-        new_d = phi[np.arange(n), np.arange(n)]
-        change = float(np.max(np.abs(new_d - d)))
-        log.append(change)
-        if change > prev_change:
-            d = 0.5 * (d + new_d)
+    for k in range(n - 1, 0, -1):
+        d_lo = phi[k, k]
+        for rnd in range(max_iter):
+            new = step(k, slice(k - 1, k), d_lo)[0]
+            change = float(np.max(np.abs(new - d_lo)))
+            if rnd == len(log):
+                log.append(change)
+            log[rnd] = max(log[rnd], change)
+            if change < tol:
+                break
+            d_lo = new
         else:
-            d = new_d
-        prev_change = change
-        if change < tol:
-            sol = PhiSolution(times=times, eq=phi, eq_diag=d, iterations=log)
-            return sol
-    raise ConvergenceError(
-        f"equilibrium phi fixed point did not reach {tol:g} in {max_iter} sweeps",
-        history=log)
+            raise ConvergenceError(
+                f"equilibrium phi diagonal at s={times[k - 1]:g} did not reach "
+                f"{tol:g} in {max_iter} rounds", history=log)
+        phi[:k, k - 1] = step(k, slice(0, k), d_lo)
+    idx = np.arange(n)
+    return PhiSolution(times=times, eq=phi, eq_diag=phi[idx, idx], iterations=log)
 
 
 @dataclass
@@ -241,18 +243,6 @@ class PartitionPhi:
     knots: np.ndarray
     value: np.ndarray            # (n, m): concatenated player values
     rows: dict = field(default_factory=dict)   # player k -> (n, m), NaN before t_{k-1}
-    kappa: np.ndarray = None     # (n, m) consumption rate of the cycle strategy
-
-    def consumption_rate(self):
-        times, kappa = self.times, self.kappa
-
-        def fn(s):
-            out = np.empty(kappa.shape[1])
-            for i in range(kappa.shape[1]):
-                out[i] = np.interp(s, times, kappa[:, i])
-            return out
-
-        return fn
 
 
 def partition_phi(spec, knots, times):
@@ -268,16 +258,10 @@ def partition_phi(spec, knots, times):
     knots = np.asarray(knots, dtype=float)
     n = len(times)
     N = len(knots) - 1
-    kidx = []
-    for t in knots:
-        j = int(np.argmin(np.abs(times - t)))
-        if abs(times[j] - t) > 1e-9:
-            raise ConfigError(f"partition knot {t:g} is not a time-grid node")
-        kidx.append(j)
+    kidx = Partition(knots).knot_indices(times)
     gam = spec.gamma
     frac = spec.investment_fraction()
 
-    kappa_tab = np.full((n, spec.m), np.nan)
     value = np.full((n, spec.m), np.nan)
     rows = {}
     interval_kappa = [None] * N   # seg -> s -> (m,) consumption rate
@@ -319,11 +303,7 @@ def partition_phi(spec, knots, times):
             return (float(spec.g(_tau, s)) / phi) ** (1 / (1 - gam))
 
         interval_kappa[k - 1] = seg_kappa
-        hi_fill = b_idx + 1 if k == N else b_idx
-        for j in range(a_idx, hi_fill):
-            kappa_tab[j] = seg_kappa(times[j])
-    return PartitionPhi(times=times, knots=knots, value=value, rows=rows,
-                        kappa=kappa_tab)
+    return PartitionPhi(times=times, knots=knots, value=value, rows=rows)
 
 
 def strategies(spec, phi_ss, s, x, i, g_weight=None):
@@ -344,16 +324,23 @@ def strategies(spec, phi_ss, s, x, i, g_weight=None):
     return u, c
 
 
-def proportional_policy(spec, kappa):
-    """Policy callable (s, x, i) -> (u, c) with u, c proportional to x."""
+def _spline_feedback(spec, times, phi, weight):
+    """Feedback (u, c) = (frac x, (weight(s) / phi(s))^(1/(1-gamma)) x).
+
+    ``phi`` (len(times), m) is read between nodes by a cubic spline per
+    regime; the investment leg is the same in every variant.
+    """
+    splines = [CubicSpline(times, phi[:, i]) for i in range(spec.m)]
     frac = spec.investment_fraction()
+    gam = spec.gamma
 
     def policy(s, x, i):
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        s_arr = np.broadcast_to(np.asarray(s, dtype=float), x.shape)
+        w = np.asarray(weight(s_arr), dtype=float)
         out = np.empty((x.shape[0], 2))
         out[:, 0] = frac[i - 1] * x
-        out[:, 1] = np.asarray(kappa(s))[..., i - 1] * x if np.ndim(kappa(s)) \
-            else float(kappa(s)) * x
+        out[:, 1] = (w / splines[i - 1](s_arr)) ** (1 / (1 - gam)) * x
         return out
 
     return policy
@@ -361,44 +348,15 @@ def proportional_policy(spec, kappa):
 
 def equilibrium_policy(spec, phi_solution):
     """Feedback (u, c) built from the equilibrium diagonal."""
-    times = phi_solution.times
-    splines = [CubicSpline(times, phi_solution.eq_diag[:, i])
-               for i in range(spec.m)]
-    frac = spec.investment_fraction()
-    gam = spec.gamma
-
-    def policy(s, x, i):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        s_arr = np.broadcast_to(np.asarray(s, dtype=float), x.shape)
-        phi_ss = splines[i - 1](s_arr)
-        gss = np.asarray(spec.g(s_arr, s_arr), dtype=float)
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = frac[i - 1] * x
-        out[:, 1] = (gss / phi_ss) ** (1 / (1 - gam)) * x
-        return out
-
-    return policy
+    return _spline_feedback(spec, phi_solution.times, phi_solution.eq_diag,
+                            lambda s: spec.g(s, s))
 
 
 def anchored_policy(spec, tau, phi_rows, times):
     """Feedback (u, c) from an anchored row phi(tau; s, i) (pre-committed)."""
     valid = ~np.isnan(phi_rows[:, 0])
-    splines = [CubicSpline(times[valid], phi_rows[valid, i])
-               for i in range(spec.m)]
-    frac = spec.investment_fraction()
-    gam = spec.gamma
-
-    def policy(s, x, i):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        s_arr = np.broadcast_to(np.asarray(s, dtype=float), x.shape)
-        phi_s = splines[i - 1](s_arr)
-        gts = np.asarray(spec.g(tau, s_arr), dtype=float)
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = frac[i - 1] * x
-        out[:, 1] = (gts / phi_s) ** (1 / (1 - gam)) * x
-        return out
-
-    return policy
+    return _spline_feedback(spec, times[valid], phi_rows[valid],
+                            lambda s: spec.g(tau, s))
 
 
 def wealth_dynamics(spec):

@@ -188,6 +188,8 @@ seed = 3
         assert header == "tau,s,i,phi"
         report = json.loads((out / "comparison.json").read_text())
         assert report["variant"] == variant
+    # the last report is the eq variant's
+    assert report["rounds"] >= 1 and report["final_change"] < 1e-12
 
 
 def test_reproducibility_byte_identical(tmp_path, capsys):
@@ -254,6 +256,16 @@ def test_nonconvergence_exit_code_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConvergenceError"
+
+
+def test_workers_env_must_be_a_positive_integer(tmp_path, capsys, monkeypatch):
+    for value in ("abc", "0"):
+        monkeypatch.setenv("SWITCHCTL_WORKERS", value)
+        code, _ = run_cli(tmp_path, "workers", SIM_CFG, ("simulate", "--dry-run"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "SWITCHCTL_WORKERS" in err["message"]
 
 
 def test_oversized_two_time_field_exit_code_2(tmp_path, capsys, monkeypatch):
