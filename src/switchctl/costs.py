@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ResolutionError
-from .fields import ValueField, d1
+from .fields import ValueField, d1, node_index
 from .pde import controls_on_grid, solve_representation, _strategy_nodes
 
 
@@ -96,8 +96,7 @@ def _as_spike_policy(perturbation, control_dim):
     return perturbation
 
 
-def spike_gain(model, solution, t, eps, perturbation, boundary=None,
-               buffer_frac=None):
+def spike_gain(model, solution, t, eps, perturbation, boundary=None):
     """Per-unit-time cost gain of a spike perturbation on [t, t+eps].
 
     ``solution`` is an EquilibriumSolution; ``perturbation`` a constant
@@ -111,8 +110,8 @@ def spike_gain(model, solution, t, eps, perturbation, boundary=None,
     if eps < 2 * dt - 1e-12:
         raise ResolutionError(
             f"spike width {eps:g} must span at least two time steps ({dt:g})")
-    t_idx = _node_index(times, t)
-    e_idx = _node_index(times, t + eps)
+    t_idx = node_index(times, t)
+    e_idx = node_index(times, t + eps)
     if np.any(np.isnan(theta.values[t_idx, t_idx])):
         raise DomainError("equilibrium row at the spike anchor is missing")
     problem = model.hjb_problem(float(t), grid,
@@ -122,7 +121,7 @@ def spike_gain(model, solution, t, eps, perturbation, boundary=None,
     pert = solve_representation(problem, times[t_idx:e_idx + 1], policy)
     base = theta.values[t_idx, t_idx]
     gain = (pert.values[0] - base) / eps
-    interior = grid.interior_mask(buffer_frac)
+    interior = grid.interior_mask()
     return SpikeGain(epsilon=float(eps), gain=gain,
                      min_gain=float(np.min(gain[interior, :])),
                      interior=interior)
@@ -137,13 +136,13 @@ def anchored_minimizer_policy(model, solution, t):
     theta = solution.theta
     times = theta.times
     grid = theta.grid
-    t_idx = _node_index(times, t)
+    t_idx = node_index(times, t)
     problem = model.hjb_problem(float(t), grid)
     last = {}
 
     def policy(s, x, i):
         if last.get("s") != s:
-            k = _node_index(times, s)
+            k = node_index(times, s)
             last["s"] = s
             last["u"] = controls_on_grid(problem, float(s),
                                          theta.values[t_idx, k])
@@ -152,15 +151,14 @@ def anchored_minimizer_policy(model, solution, t):
     return policy
 
 
-def spike_ladder(model, solution, t, epsilons, perturbation, boundary=None,
-                 buffer_frac=None):
+def spike_ladder(model, solution, t, epsilons, perturbation, boundary=None):
     """Spike gains over an epsilon ladder plus the extrapolated intercept.
 
     Fits min_gain ~ a + b eps and reports the intercept a, the numerical
     stand-in for the liminf as eps -> 0.
     """
-    gains = [spike_gain(model, solution, t, eps, perturbation, boundary,
-                        buffer_frac) for eps in epsilons]
+    gains = [spike_gain(model, solution, t, eps, perturbation, boundary)
+             for eps in epsilons]
     eps_arr = np.asarray([g.epsilon for g in gains])
     min_arr = np.asarray([g.min_gain for g in gains])
     if len(gains) >= 2:
@@ -170,10 +168,3 @@ def spike_ladder(model, solution, t, epsilons, perturbation, boundary=None,
     return {"gains": gains, "epsilons": list(map(float, eps_arr)),
             "min_gains": list(map(float, min_arr)),
             "slope": float(slope), "intercept": float(intercept)}
-
-
-def _node_index(times, s, tol=1e-9):
-    k = int(np.argmin(np.abs(times - s)))
-    if abs(times[k] - s) > tol:
-        raise ConfigError(f"time {s:g} is not a node of the solution grid")
-    return k

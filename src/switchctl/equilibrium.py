@@ -58,9 +58,11 @@ def solve_equilibrium(model, grid, times, boundary=None):
     Every anchor row starts from its terminal data h(tau) at T.  At each
     level k, from the last down, the diagonal value Theta(s_k, s_k) gives
     the controls at s_k, and rows 0..k-1 take one step to level k-1 under
-    them, each with its own anchor and Dirichlet data.  ``boundary`` is
-    an optional factory tau -> dirichlet(s, i) for anchored Dirichlet
-    data.  The log stays empty: the march takes no sweeps.
+    them, each with its own anchor and Dirichlet data: one
+    solve_rows_batch call with row j active from level j, writing
+    straight into the two-time field.  ``boundary`` is an optional
+    factory tau -> dirichlet(s, i) for anchored Dirichlet data.  The log
+    stays empty: the march takes no sweeps.
     """
     times = np.asarray(times, dtype=float)
     n_t = len(times)
@@ -73,16 +75,15 @@ def solve_equilibrium(model, grid, times, boundary=None):
     problem = model.hjb_problem(0.0, grid)
     controls = np.empty((n_t, grid.n_x, model.m, model.control_dim))
     clamps_before = getattr(model, "psi_clamp_count", 0)
-    for k in range(n_t - 1, -1, -1):
+
+    def minimizer(k):
         problem.anchor = float(times[k])
         controls[k] = controls_on_grid(problem, float(times[k]), rows[k, k])
-        if k == 0:
-            break
-        step = solve_rows_batch(
-            problem, times[k - 1:k + 1],
-            lambda s, x, lab: controls[k, :, lab - 1], times[:k], rows[:k, k],
-            None if dirichlet_fns is None else dirichlet_fns[:k])
-        rows[:k, k - 1] = step[:, 0]
+        return controls[k]
+
+    solve_rows_batch(problem, times, minimizer, times, rows, dirichlet_fns,
+                     active_from=np.arange(n_t))
+    minimizer(0)
     fired = getattr(model, "psi_clamp_count", 0) - clamps_before
     if fired:
         warnings.warn(f"minimizer derivative clamp fired {fired} times "
@@ -95,7 +96,7 @@ def solve_equilibrium(model, grid, times, boundary=None):
                                strategy=strategy)
 
 
-def residual(model, solution, buffer_frac=None):
+def residual(model, solution):
     """Max finite-difference residual of the equilibrium system.
 
     For every anchor row and interior node the residual couples the
@@ -107,7 +108,7 @@ def residual(model, solution, buffer_frac=None):
     grid = theta.grid
     m = theta.m
     q_table = model.q_table(grid)
-    interior = grid.interior_mask(buffer_frac)
+    interior = grid.interior_mask()
     interior[0] = interior[-1] = False
     controls = solution.strategy.values
     worst = 0.0
@@ -138,7 +139,7 @@ def residual(model, solution, buffer_frac=None):
     return worst
 
 
-def compare_to_partition(solution, pi_solution, buffer_frac=None):
+def compare_to_partition(solution, pi_solution):
     """Sup-norm distances between the cycle outputs and the equilibrium.
 
     Returns the distances of the two-time fields, their space derivative
@@ -150,7 +151,7 @@ def compare_to_partition(solution, pi_solution, buffer_frac=None):
             not (pi_solution.grid == theta.grid):
         raise ConfigError("partition and equilibrium runs must share grids")
     grid = theta.grid
-    interior = grid.interior_mask(buffer_frac)
+    interior = grid.interior_mask()
     d_theta = 0.0
     d_theta_x = 0.0
     for tau_idx in range(len(theta.times)):

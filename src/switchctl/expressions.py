@@ -29,7 +29,7 @@ _UNARY_FUNCS = {
 _BINARY_FUNCS = {
     "min": np.minimum,
     "max": np.maximum,
-    "pow": None,  # handled like '^'
+    "pow": None,  # evaluated like '^'
 }
 
 
@@ -164,18 +164,9 @@ def _parse_power(tk):
     if ch == "^":
         tk.pos = pos + 1
         # right-associative; exponent may carry its own unary minus
-        exponent = _parse_unary_or_power(tk)
+        exponent = _parse_unary(tk)
         return Node("binop", "^", (base, exponent), (base.span[0], exponent.span[1]))
     return base
-
-
-def _parse_unary_or_power(tk):
-    ch, pos = tk.peek()
-    if ch == "-":
-        tk.pos = pos + 1
-        child = _parse_unary_or_power(tk)
-        return Node("unop", "-", (child,), (pos, child.span[1]))
-    return _parse_power(tk)
 
 
 def _parse_atom(tk):
@@ -241,7 +232,7 @@ def evaluate(node, bindings, _text=None):
         return bindings[node.value]
     if node.kind == "unop":
         return -evaluate(node.children[0], bindings, _text)
-    if node.kind == "binop":
+    if node.kind == "binop" or node.value == "pow":
         a = evaluate(node.children[0], bindings, _text)
         b = evaluate(node.children[1], bindings, _text)
         if node.value == "+":
@@ -254,19 +245,12 @@ def evaluate(node, bindings, _text=None):
             if np.any(b == 0):
                 raise NumericError(f"division by zero in '{_src(node, _text)}'")
             return a / b
-        # '^'
+        # '^' and pow(a, b): real powers on scalars and arrays alike
         with np.errstate(all="ignore"):
-            out = np.power(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a ** b
+            out = np.power(a, b, dtype=float)
         _check_finite(out, node, _text)
         return out
     # call
-    if node.value == "pow":
-        a = evaluate(node.children[0], bindings, _text)
-        b = evaluate(node.children[1], bindings, _text)
-        with np.errstate(all="ignore"):
-            out = np.power(a, b)
-        _check_finite(out, node, _text)
-        return out
     if node.value in _BINARY_FUNCS:
         a = evaluate(node.children[0], bindings, _text)
         b = evaluate(node.children[1], bindings, _text)
@@ -322,7 +306,6 @@ class CoefficientExpression:
             text = repr(float(text))
         self.text = text
         self.ast = parse(text)
-        self.free_variables = _free_vars(self.ast)
 
     def __call__(self, **bindings):
         return evaluate(self.ast, bindings, self.text)
@@ -335,15 +318,3 @@ class CoefficientExpression:
 
     def __repr__(self):
         return f"CoefficientExpression({self.text!r})"
-
-    def emit(self):
-        return emit(self.ast)
-
-
-def _free_vars(node):
-    if node.kind == "var":
-        return frozenset((node.value,))
-    out = frozenset()
-    for c in node.children:
-        out |= _free_vars(c)
-    return out

@@ -60,6 +60,15 @@ def time_grid(t0, t1, n_steps):
     return np.linspace(float(t0), float(t1), int(n_steps) + 1)
 
 
+def node_index(times, s):
+    """Index of the node of ``times`` within 1e-9 of ``s``; ConfigError
+    if there is none."""
+    k = int(np.argmin(np.abs(np.asarray(times) - s)))
+    if abs(times[k] - s) > 1e-9:
+        raise ConfigError(f"time {s:g} is not a node of the time grid")
+    return k
+
+
 def d1(values, dx, axis=-1):
     """First derivative, central inside, one-sided second order at edges."""
     v = np.asarray(values, dtype=float)
@@ -117,18 +126,11 @@ class ValueField:
                 f"({len(self.times)}, {grid.n_x}, m)")
         self.m = self.values.shape[2]
 
-    @classmethod
-    def empty(cls, times, grid, m):
-        return cls(times, grid, np.full((len(times), grid.n_x, m), np.nan))
-
     def copy(self):
         return ValueField(self.times.copy(), self.grid, self.values.copy())
 
-    def time_index(self, s, tol=1e-9):
-        k = int(np.argmin(np.abs(self.times - s)))
-        if abs(self.times[k] - s) > tol:
-            raise ConfigError(f"time {s:g} is not a node of the field's time grid")
-        return k
+    def time_index(self, s):
+        return node_index(self.times, s)
 
     def at(self, s, x, i):
         """Bilinear interpolation in (s, x) for regime label i."""
@@ -137,12 +139,6 @@ class ValueField:
         lo = np.interp(x, self.grid.x, self.values[k, :, i - 1])
         hi = np.interp(x, self.grid.x, self.values[k + 1, :, i - 1])
         return (1 - ws) * lo + ws * hi
-
-    def dx(self):
-        return d1(self.values, self.grid.dx, axis=1)
-
-    def dxx(self):
-        return d2(self.values, self.grid.dx, axis=1)
 
     def sup_diff(self, other, interior=None):
         """Sup-norm difference over an optional interior node mask."""

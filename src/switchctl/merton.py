@@ -85,8 +85,6 @@ class PhiSolution:
     """phi tables on a shared time grid (NaN where a row is undefined)."""
 
     times: np.ndarray
-    tc: np.ndarray = None          # (n, m)
-    pre: dict = field(default_factory=dict)    # tau -> (n, m), NaN before tau
     eq: np.ndarray = None          # (n, n, m) triangular rows
     eq_diag: np.ndarray = None     # (n, m)
     iterations: list = field(default_factory=list)

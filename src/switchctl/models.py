@@ -13,7 +13,7 @@ import numpy as np
 
 from . import merton as merton_mod
 from .errors import ConfigError
-from .fields import BC_DIRICHLET, BC_EXTRAPOLATE, SpatialGrid
+from .fields import BC_DIRICHLET, BC_EXTRAPOLATE, SpatialGrid, node_index
 from .pde import ControlSet, HJBProblem
 from .sde import ControlledDynamics
 from .switching import LevyMeasure, RegimeGeometry, rate_matrix_table
@@ -151,12 +151,12 @@ class ControlModel:
             control_names=self.control_names)
 
 
-def toy_anchored_model(time_inconsistent=True, state_dependent_q=True):
+def toy_anchored_model(time_inconsistent=True):
     """Bounded-control test model: dX = u ds + 0.4 dW, cost u^2 + w(tau) x^2.
 
     The anchor weight w(tau) = 1 + 0.5 tau makes it time-inconsistent;
     with ``time_inconsistent=False`` the weight is frozen at one.  Q(x)
-    comes from the tanh geometry unless ``state_dependent_q`` is False.
+    comes from the tanh geometry.
     """
     def weight(tau):
         return 1.0 + (0.5 * tau if time_inconsistent else 0.0)
@@ -167,9 +167,6 @@ def toy_anchored_model(time_inconsistent=True, state_dependent_q=True):
     def h(tau, x, i):
         return weight(tau) * np.asarray(x, dtype=float) ** 2
 
-    geometry = tanh_threshold_geometry() if state_dependent_q else None
-    levy = uniform_mark_density() if state_dependent_q else None
-    q_const = None if state_dependent_q else np.array([[-0.2, 0.2], [0.2, -0.2]])
     dynamics = ControlledDynamics(
         drift=lambda s, x, i, u: u[:, 0],
         diffusion=lambda s, x, i, u: np.full_like(x, 0.4),
@@ -181,7 +178,7 @@ def toy_anchored_model(time_inconsistent=True, state_dependent_q=True):
         g=g, h=h,
         control_set=ControlSet(lo=-1.0, hi=1.0),
         T=1.0, dynamics=dynamics,
-        q_const=q_const, geometry=geometry, levy=levy,
+        geometry=tanh_threshold_geometry(), levy=uniform_mark_density(),
         x_domain=(-2.0, 2.0), bc=(BC_EXTRAPOLATE, BC_EXTRAPOLATE))
 
 
@@ -198,27 +195,27 @@ def merton_spec(time_inconsistent=True, kappa=1.0, T=1.0):
         name="merton-ti" if time_inconsistent else "merton-tc")
 
 
-def merton_model(spec, eps_clamp=1e-8, control_cap=100.0, x_domain=(0.5, 2.5)):
+def merton_model(spec, x_domain=(0.5, 2.5)):
     """Minimization adapter for the worked example (values negated).
 
     The analytic minimizer clamps its derivative inputs away from zero
-    by ``eps_clamp`` (the value gradient must stay negative and the
-    curvature positive for the minimization form) and truncates its
-    outputs at ``control_cap``: near a boundary the discrete curvature
-    of an x^gamma profile can cross zero through grid noise, and an
-    uncapped minimizer would answer with an enormous position.  Clamp
-    events are counted on the returned model.
+    by 1e-8 (the value gradient must stay negative and the curvature
+    positive for the minimization form) and truncates its outputs at
+    100: near a boundary the discrete curvature of an x^gamma profile
+    can cross zero through grid noise, and an uncapped minimizer would
+    answer with an enormous position.  Clamp events are counted on the
+    returned model.
     """
     gam = spec.gamma
     model = None  # forward reference for the clamp counter
 
     def psi(tau, s, x, i, v_all, p, pp):
-        p_eff = np.minimum(p, -eps_clamp)
-        pp_eff = np.maximum(pp, eps_clamp)
+        p_eff = np.minimum(p, -1e-8)
+        pp_eff = np.maximum(pp, 1e-8)
         u_raw = -spec.b[i - 1] * p_eff / (spec.sigma[i - 1] ** 2 * pp_eff)
         c_raw = (gam * float(spec.g(tau, s)) / (-p_eff)) ** (1 / (1 - gam))
-        u = np.clip(u_raw, -control_cap, control_cap)
-        c = np.clip(c_raw, 0.0, control_cap)
+        u = np.clip(u_raw, -100.0, 100.0)
+        c = np.clip(c_raw, 0.0, 100.0)
         fired = int(np.sum(p_eff != p) + np.sum(pp_eff != pp)
                     + np.sum(u != u_raw) + np.sum(c != c_raw))
         if fired and model is not None:
@@ -280,9 +277,7 @@ def merton_partition_boundary(model, mirror, grid):
     knots = mirror.knots
 
     def boundary(tau):
-        j = int(np.argmin(np.abs(knots[:-1] - tau)))
-        if abs(knots[j] - tau) > 1e-9:
-            raise ConfigError(f"anchor {tau:g} is not a partition knot")
+        j = node_index(knots[:-1], tau)
         interp = phi_row_interp(mirror.times, mirror.rows[j + 1])
         return ansatz_dirichlet(grid, interp, spec.gamma, sign=-1.0)
 
@@ -295,22 +290,7 @@ def merton_equilibrium_boundary(model, phi_solution, grid):
     times = phi_solution.times
 
     def boundary(tau):
-        t_idx = int(np.argmin(np.abs(times - tau)))
-        if abs(times[t_idx] - tau) > 1e-9:
-            raise ConfigError(f"anchor {tau:g} is not a grid node")
-        interp = phi_row_interp(times, phi_solution.eq[t_idx])
-        return ansatz_dirichlet(grid, interp, spec.gamma, sign=-1.0)
-
-    return boundary
-
-
-def merton_precommitted_boundary(model, grid, times):
-    """Anchored Dirichlet data from the pre-committed system."""
-    spec = model.spec
-
-    def boundary(tau):
-        rows = merton_mod.solve_precommitted(spec, tau, times)
-        interp = phi_row_interp(times, rows)
+        interp = phi_row_interp(times, phi_solution.eq[node_index(times, tau)])
         return ansatz_dirichlet(grid, interp, spec.gamma, sign=-1.0)
 
     return boundary

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .fields import FeedbackStrategy, TwoTimeField, ValueField
+from .fields import FeedbackStrategy, TwoTimeField, ValueField, node_index
 from .pde import solve_hjb, solve_representation
 
 
@@ -51,14 +51,7 @@ class Partition:
         return float(self.knots[j])
 
     def knot_indices(self, times):
-        idx = []
-        for t in self.knots:
-            j = int(np.argmin(np.abs(times - t)))
-            if abs(times[j] - t) > 1e-9:
-                raise ConfigError(
-                    f"partition knot {t:g} is not a node of the time grid")
-            idx.append(j)
-        return idx
+        return [node_index(times, t) for t in self.knots]
 
 
 @dataclass
@@ -143,7 +136,7 @@ def run_cycles(model, partition, grid, times, boundary=None):
 
 
 def refine_and_compare(model, partitions, grid, times, boundary=None,
-                       equilibrium=None, buffer_frac=None):
+                       equilibrium=None):
     """Convergence table across partitions of decreasing mesh.
 
     Each row reports the sup-norm distance of the concatenated value and
@@ -151,7 +144,7 @@ def refine_and_compare(model, partitions, grid, times, boundary=None,
     and, when an equilibrium solution is supplied, the distance to its
     diagonal value and strategy.
     """
-    interior = grid.interior_mask(buffer_frac)
+    interior = grid.interior_mask()
     table = []
     prev = None
     for part in partitions:

@@ -11,14 +11,16 @@ Heun-corrected: a predictor step uses their values at the known level,
 the corrector re-evaluates them on the predicted field and averages,
 which restores second-order accuracy in time without an m-coupled
 implicit solve.  The explicit coupling needs dt * max|q_ii| < 1; the
-solver enforces the configured bound.
+solver enforces it.
 
 Every solve takes this step through one kernel, ``_step``, on R rows
 that share the coefficients and differ in anchor, terminal and Dirichlet
-data.  solve_linear_parabolic and solve_hjb march one row,
-solve_rows_batch marches a batch of anchor rows (the equilibrium march
-takes each of its steps through it on a two-node window), and
-solve_representation is its one-row case.
+data.  solve_linear_parabolic marches one row under prescribed
+coefficients.  Every controlled solve goes through the one backward
+march, solve_rows_batch, which freezes the controls a caller's callback
+returns at each level: solve_representation passes the node values of a
+given strategy, solve_hjb the minimizer on its own row, and the
+equilibrium solver the minimizer on the diagonal.
 
 The HJB variant picks the control at the known time level (analytic
 minimizer when supplied, otherwise a deterministic grid search with ties
@@ -76,7 +78,6 @@ class LinearPDEProblem:
     terminal: np.ndarray = None         # (n_x, m)
     terminal_fn: callable = None        # h(x, i), used by the kernel oracle
     dirichlet: callable = None          # dirichlet(s, i) -> (left, right)
-    stability_bound: float = 1.0
 
 
 @dataclass
@@ -102,7 +103,6 @@ class HJBProblem:
     dirichlet: callable = None
     control_dim: int = 1
     control_names: list = None
-    stability_bound: float = 1.0
 
 
 @dataclass
@@ -111,14 +111,14 @@ class HJBSolution:
     strategy: FeedbackStrategy
 
 
-def _check_stability(q_table, times, bound):
+def _check_stability(q_table, times):
     if q_table is None or len(times) < 2:
         return   # a one-node window takes no step
     dt_max = float(np.max(np.diff(times)))
     qmax = float(np.max(np.abs(np.einsum("xii->xi", q_table))))
-    if dt_max * qmax >= bound:
+    if dt_max * qmax >= 1.0:
         raise ConfigError(
-            f"explicit regime coupling needs dt*max|q_ii| < {bound:g}; "
+            f"explicit regime coupling needs dt*max|q_ii| < 1; "
             f"got {dt_max * qmax:g} (refine the time grid)")
 
 
@@ -208,7 +208,7 @@ def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
 def solve_linear_parabolic(problem, times):
     """Backward solve of a closed linear system; returns the full field."""
     times = np.asarray(times, dtype=float)
-    _check_stability(problem.q_table, times, problem.stability_bound)
+    _check_stability(problem.q_table, times)
     grid = problem.grid
     x = grid.x
     m = problem.m
@@ -300,53 +300,27 @@ def controls_on_grid(problem, s, v_all):
     return out
 
 
-def _frozen(problem, u_star, s_lo, s_hi, anchors):
-    """a, beta and the anchored g source of one step, controls frozen at
-    ``u_star`` (n_x, m, control_dim), for one row per anchor."""
-    x = problem.grid.x
-    m = problem.m
-    s_mid = 0.5 * (s_lo + s_hi)
-
-    def frozen(fn, s):
-        return _by_regime(m, x, lambda lab: fn(s, x, lab, u_star[:, lab - 1]))
-
-    a = 0.5 * frozen(problem.sigma, s_mid)**2
-    beta = frozen(problem.b, s_mid)
-
-    def sources(s, v, qv):
-        sg = frozen(problem.sigma, s)
-        vx = d1(v, problem.grid.dx, axis=1)
-        src = np.empty_like(v)
-        for r, tau in enumerate(anchors):
-            for i in range(m):
-                src[r, :, i] = problem.g(tau, s, x, i + 1, v[r, :, i],
-                                         vx[r, :, i] * sg[:, i], qv[r, :, i],
-                                         u_star[:, i])
-        return src
-
-    return a, beta, sources
-
-
 def solve_hjb(problem, times):
-    """Backward HJB solve; returns the value field and the strategy field."""
+    """Backward HJB solve; returns the value field and the strategy field.
+
+    The march freezes, at each level, the minimizer on the row itself:
+    policy-evaluation splitting.
+    """
     times = np.asarray(times, dtype=float)
-    _check_stability(problem.q_table, times, problem.stability_bound)
-    grid = problem.grid
-    m = problem.m
-    values = np.empty((len(times), grid.n_x, m))
-    controls = np.empty((len(times), grid.n_x, m, problem.control_dim))
     if problem.terminal is None:
         raise ConfigError("HJB problem needs terminal data")
+    grid = problem.grid
+    values = np.empty((len(times), grid.n_x, problem.m))
     values[-1] = problem.terminal
-    controls[-1] = controls_on_grid(problem, times[-1], values[-1])
-    for k in range(len(times) - 2, -1, -1):
-        s_lo, s_hi = times[k], times[k + 1]
-        a, beta, sources = _frozen(problem, controls[k + 1], s_lo, s_hi,
-                                   [problem.anchor])
-        values[k] = _step(values[k + 1][None], s_lo, s_hi, grid, a, beta,
-                          problem.q_table, sources,
-                          _edges(grid, [problem.dirichlet], s_lo, m))[0]
-        controls[k] = controls_on_grid(problem, s_lo, values[k])
+    controls = np.empty(values.shape + (problem.control_dim,))
+
+    def minimizer(k):
+        controls[k] = controls_on_grid(problem, times[k], values[k])
+        return controls[k]
+
+    solve_rows_batch(problem, times, minimizer, [problem.anchor], values[None],
+                     [problem.dirichlet])
+    minimizer(0)
     value = ValueField(times, grid, values)
     cs = problem.control_set
     bounds = [(cs.lo, cs.hi)] * problem.control_dim if cs is not None else None
@@ -377,48 +351,77 @@ def solve_representation(problem, times, strategy):
     it is evaluated at the known time level of each step and frozen, the
     exact counterpart of the policy-evaluation splitting in solve_hjb.
     Solving with the strategy returned by solve_hjb reproduces its value
-    field bit for bit.  This is the one-row case of solve_rows_batch.
-    """
-    if problem.terminal is None:
-        raise ConfigError("representation problem needs terminal data")
-    values = solve_rows_batch(problem, times, strategy, [problem.anchor],
-                              np.asarray(problem.terminal)[None],
-                              [problem.dirichlet])[0]
-    return ValueField(np.asarray(times, dtype=float), problem.grid, values)
-
-
-def solve_rows_batch(problem, times, strategy, anchors, terminals,
-                     dirichlet_fns=None, active_from=None):
-    """Batch of representation solves that share coefficients and strategy.
-
-    The rows differ only in the anchor entering the source, the terminal
-    data and (optionally) per-row Dirichlet data, so each step solves all
-    active rows as right-hand sides of one banded matrix per regime.
-    ``active_from[r]`` is the lowest time index row r reaches; below it
-    the output stays NaN.  Returns an array (n_rows, n_t, n_x, m).
+    field bit for bit.  This is a one-row solve_rows_batch.
     """
     times = np.asarray(times, dtype=float)
-    _check_stability(problem.q_table, times, problem.stability_bound)
+    if problem.terminal is None:
+        raise ConfigError("representation problem needs terminal data")
     grid = problem.grid
     m = problem.m
-    n_t = len(times)
+    values = np.empty((len(times), grid.n_x, m))
+    values[-1] = problem.terminal
+    solve_rows_batch(
+        problem, times,
+        lambda k: _strategy_nodes(strategy, times[k], grid, m,
+                                  problem.control_dim),
+        [problem.anchor], values[None], [problem.dirichlet])
+    return ValueField(times, grid, values)
+
+
+def solve_rows_batch(problem, times, controls, anchors, rows,
+                     dirichlet_fns=None, active_from=None):
+    """The backward march: a batch of anchor rows under per-level controls.
+
+    ``rows`` is a caller-owned (R, n_t, n_x, m) array with each row's
+    terminal data at ``[:, -1]``; the march steps it down in place.  The
+    rows share the coefficients and differ only in the anchor entering
+    g, the terminal data and (optionally) the Dirichlet data
+    ``dirichlet_fns[r]``.  ``active_from[r]`` is the lowest time index
+    row r reaches; nothing below it is written.
+
+    ``controls(k)`` returns the (n_x, m, control_dim) controls that stay
+    frozen over the step times[k] -> times[k-1].  It is called once per
+    level that some row steps from, after every row holds level k, so it
+    may read the rows.  Each step solves all active rows as right-hand
+    sides of one banded matrix per regime.
+    """
+    times = np.asarray(times, dtype=float)
+    _check_stability(problem.q_table, times)
+    grid = problem.grid
+    x = grid.x
+    m = problem.m
     anchors = np.asarray(anchors, dtype=float)
     active_from = np.zeros(len(anchors), dtype=np.int64) if active_from is None \
         else np.asarray(active_from, dtype=np.int64)
-    out = np.full((len(anchors), n_t, grid.n_x, m), np.nan)
-    out[:, -1] = terminals
-    for k in range(n_t - 1, 0, -1):
+
+    def frozen(fn, s, u):
+        return _by_regime(m, x, lambda lab: fn(s, x, lab, u[:, lab - 1]))
+
+    for k in range(len(times) - 1, 0, -1):
         s_hi, s_lo = times[k], times[k - 1]
-        act = np.where(active_from <= k - 1)[0]
+        act = np.flatnonzero(active_from <= k - 1)
         if len(act) == 0:
             continue
-        u_star = _strategy_nodes(strategy, s_hi, grid, m, problem.control_dim)
-        a, beta, sources = _frozen(problem, u_star, s_lo, s_hi, anchors[act])
+        u_star = controls(k)
+        s_mid = 0.5 * (s_lo + s_hi)
+        a = 0.5 * frozen(problem.sigma, s_mid, u_star)**2
+        beta = frozen(problem.b, s_mid, u_star)
+
+        def sources(s, v, qv):
+            sg = frozen(problem.sigma, s, u_star)
+            vx = d1(v, grid.dx, axis=1)
+            src = np.empty_like(v)
+            for r, tau in enumerate(anchors[act]):
+                for i in range(m):
+                    src[r, :, i] = problem.g(tau, s, x, i + 1, v[r, :, i],
+                                             vx[r, :, i] * sg[:, i],
+                                             qv[r, :, i], u_star[:, i])
+            return src
+
         fns = None if dirichlet_fns is None else [dirichlet_fns[r] for r in act]
-        out[act, k - 1] = _step(out[act, k], s_lo, s_hi, grid, a, beta,
-                                problem.q_table, sources,
-                                _edges(grid, fns, s_lo, m))
-    return out
+        rows[act, k - 1] = _step(rows[act, k], s_lo, s_hi, grid, a, beta,
+                                 problem.q_table, sources,
+                                 _edges(grid, fns, s_lo, m))
 
 
 def apply_generator(fld, s_idx, x_idx, i, u, dynamics, q_table):
@@ -444,13 +447,14 @@ def apply_generator(fld, s_idx, x_idx, i, u, dynamics, q_table):
     return 0.5 * sg**2 * d2v + b * dv + qv
 
 
-def kernel_oracle(problem, times, refine=8, pad_sigmas=8.0):
+def kernel_oracle(problem, times):
     """Gaussian-kernel solution for constant-coefficient heat problems.
 
     Requires constant diffusion per regime, zero drift, zero source and
     zero coupling; the terminal datum must be supplied as a callable
     ``terminal_fn(x, i)`` defined beyond the grid (integration uses a
-    padded, refined quadrature grid).
+    quadrature grid eight times finer, padded by eight kernel standard
+    deviations).
     """
     times = np.asarray(times, dtype=float)
     grid = problem.grid
@@ -474,8 +478,8 @@ def kernel_oracle(problem, times, refine=8, pad_sigmas=8.0):
     T = times[-1]
     values = np.empty((len(times), grid.n_x, problem.m))
     for i in range(problem.m):
-        pad = pad_sigmas * np.sqrt(max(2 * a_const[i] * (T - times[0]), 0.0)) + grid.dx
-        fine_dx = grid.dx / refine
+        pad = 8.0 * np.sqrt(max(2 * a_const[i] * (T - times[0]), 0.0)) + grid.dx
+        fine_dx = grid.dx / 8
         y = np.arange(grid.x_min - pad, grid.x_max + pad + fine_dx / 2, fine_dx)
         hy = np.asarray(problem.terminal_fn(y, i + 1), dtype=float)
         dy = y[1] - y[0]

@@ -38,13 +38,11 @@ class RegimeGeometry:
         constants).  Row i must satisfy beta_{i,i-1} = beta_ii.
     beta0 : float
         Mark-space half width; all thresholds must lie in [-beta0, beta0].
-    state_domain : (lo, hi)
-        Interval of states over which the ordering is checked.
-    n_check : int
-        Number of sample points of the dense validation grid.
+
+    The ordering is checked on 201 states evenly spaced over [-5, 5].
     """
 
-    def __init__(self, rows, beta0, state_domain=(-5.0, 5.0), n_check=201):
+    def __init__(self, rows, beta0):
         self.m = len(rows)
         if self.m < 1:
             raise GeometryError("at least one regime is required")
@@ -56,8 +54,7 @@ class RegimeGeometry:
         if self.beta0 <= 0:
             raise GeometryError("beta0 must be positive")
         self.rows = [[_as_callable(f) for f in row] for row in rows]
-        self.state_domain = (float(state_domain[0]), float(state_domain[1]))
-        self._validate(np.linspace(*self.state_domain, n_check))
+        self._validate(np.linspace(-5.0, 5.0, 201))
 
     def threshold(self, i, j, x):
         """beta_ij(x) for regime label i in 1..m and j in 0..m."""
@@ -154,11 +151,11 @@ class LevyMeasure:
     deterministic function of the underlying random stream.
     """
 
-    def __init__(self, density, beta0, interval_mass_bound=None, n_cdf=4097):
+    def __init__(self, density, beta0, interval_mass_bound=None):
         self.density = _as_callable(density)
         self.beta0 = float(beta0)
         self.interval_mass_bound = interval_mass_bound
-        grid = np.linspace(-self.beta0, self.beta0, n_cdf)
+        grid = np.linspace(-self.beta0, self.beta0, 4097)
         dens = np.asarray(self.density(grid), dtype=float)
         if np.any(dens < 0):
             raise NumericError("mark density must be nonnegative")
@@ -191,7 +188,7 @@ class LevyMeasure:
         return np.interp(u, self._cdf, self._cdf_grid)
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth=48):
+def _adaptive_simpson(f, a, b, tol):
     def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
@@ -201,7 +198,7 @@ def _adaptive_simpson(f, a, b, tol, max_depth=48):
         flm, frm = float(f(lm)), float(f(rm))
         left = simpson(lo, mid, flo, flm, fmid)
         right = simpson(mid, hi, fmid, frm, fhi)
-        if depth >= max_depth:
+        if depth >= 48:
             raise NumericError(
                 f"quadrature failed to converge on [{lo:g}, {hi:g}] at tol {tol:g}")
         if abs(left + right - whole) <= 15.0 * tol:
@@ -239,18 +236,18 @@ def rate_matrix_table(geometry, levy, xs):
     return np.stack([rate_matrix(geometry, levy, float(x)) for x in xs])
 
 
-def interval_measure_gap(geometry, levy, i, j, x, delta, n_samples=64):
+def interval_measure_gap(geometry, levy, i, j, x, delta):
     """Mass of (Delta^delta \\ Delta) and (Delta \\ Delta^-delta) at x.
 
     The inflated/deflated intervals extremize the endpoints over the
-    ball |y - x| <= delta, searched on ``n_samples`` points.  Used to
+    ball |y - x| <= delta, searched on 64 points.  Used to
     estimate the Lipschitz constant of x -> pi(Delta_ij(x)) empirically.
     """
     if delta < 0:
         raise GeometryError("delta must be nonnegative")
     if delta == 0:
         return (0.0, 0.0)
-    ys = np.linspace(x - delta, x + delta, n_samples)
+    ys = np.linspace(x - delta, x + delta, 64)
     lo_all = geometry.threshold(i, j - 1, ys)
     hi_all = geometry.threshold(i, j, ys)
     lo = float(geometry.threshold(i, j - 1, x))

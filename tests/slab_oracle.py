@@ -74,6 +74,11 @@ def _solve_with_slab(model, grid, times, tol, max_sweeps, slab, boundary, log):
                                 bounds=[(cs.lo, cs.hi)] * model.control_dim,
                                 names=model.control_names)
 
+    def strategy_nodes(k0):
+        """Controls of the strategy view at the nodes of times[k0:]."""
+        view = strategy_view()
+        return lambda k: view.node_values(k0 + k)
+
     b_idx = n_t - 1
     while b_idx > 0:
         a_idx = max(0, b_idx - slab_steps)
@@ -81,26 +86,22 @@ def _solve_with_slab(model, grid, times, tol, max_sweeps, slab, boundary, log):
         anchors = times[rows]
         dirichlet_fns = [boundary(float(t)) for t in anchors] \
             if boundary is not None else None
-        h_rows = np.stack([model.terminal_values(float(t), grid)
-                           for t in anchors])
+        block = theta.values[a_idx:b_idx]     # this slab's rows, in place
+        block[:, -1] = np.stack([model.terminal_values(float(t), grid)
+                                 for t in anchors])
         # tails of this slab's rows, solved once against the frozen strategy
         if b_idx < n_t - 1:
-            tails = solve_rows_batch(template, times[b_idx:], strategy_view(),
-                                     anchors, h_rows, dirichlet_fns)
-            theta.values[rows, b_idx:] = tails
-            terminals = theta.values[rows, b_idx]
-        else:
-            terminals = h_rows
+            solve_rows_batch(template, times[b_idx:], strategy_nodes(b_idx),
+                             anchors, block[:, b_idx:], dirichlet_fns)
         active_from = rows - a_idx
         sweep = 0
         prev_change = np.inf
         while True:
             sweep += 1
-            segs = solve_rows_batch(template, times[a_idx:b_idx + 1],
-                                    strategy_view(), anchors, terminals,
-                                    dirichlet_fns, active_from=active_from)
-            for r, tau_idx in enumerate(rows):
-                theta.values[tau_idx, tau_idx:b_idx + 1] = segs[r, r:]
+            solve_rows_batch(template, times[a_idx:b_idx + 1],
+                             strategy_nodes(a_idx), anchors,
+                             block[:, a_idx:b_idx + 1], dirichlet_fns,
+                             active_from=active_from)
             new_diag = theta.values[rows, rows]
             change = float(np.max(np.abs(new_diag - diag[a_idx:b_idx])))
             log.append({"sweep": sweep, "slab_end": float(times[b_idx]),

@@ -62,6 +62,19 @@ def test_log_nonpositive():
         ev("log(x)", x=-1.0)
 
 
+def test_power_is_real_and_finite_on_scalars_and_arrays():
+    # '^' and pow share one path: no complex result, no bare OverflowError
+    for text in ("x^0.5", "pow(x, 0.5)"):
+        for x in (-4.0, np.array([1.0, -4.0])):
+            with pytest.raises(NumericError, match="non-finite result"):
+                ev(text, x=x)
+    for text in ("x^400", "pow(x, 400)"):
+        with pytest.raises(NumericError, match="non-finite result"):
+            ev(text, x=10.0)
+    assert ev("x^0.5", x=4.0) == 2.0
+    assert ev("x^-1", x=2) == 0.5
+
+
 def test_syntax_error_offset_and_caret():
     with pytest.raises(ExpressionError) as err:
         parse("1 + * 2")

@@ -492,8 +492,10 @@ def test_rows_batch_rows_equal_representation(bc):
                           for tau in anchors])
     fns = [row_dirichlet(tau) for tau in anchors] \
         if "dirichlet" in grid.bc else None
-    batch = solve_rows_batch(problem, times, strategy, anchors, terminals,
-                             fns, active_from=active_from)
+    batch = np.full((len(anchors), len(times), grid.n_x, 2), np.nan)
+    batch[:, -1] = terminals
+    solve_rows_batch(problem, times, strategy.node_values, anchors, batch,
+                     fns, active_from=active_from)
     assert batch.shape == (len(anchors), len(times), grid.n_x, 2)
     for r, (tau, k0) in enumerate(zip(anchors, active_from)):
         row = replace(problem, anchor=tau, terminal=terminals[r],
@@ -528,9 +530,10 @@ def test_dirichlet_data_read_once_per_row_regime_step():
 
     active_from = np.array([0, 3, 7])
     fns = [counting(row_dirichlet(tau)) for tau in times[active_from]]
-    solve_rows_batch(problem, times, sol.strategy, times[active_from],
-                     np.stack([problem.terminal] * 3), fns,
-                     active_from=active_from)
+    rows = np.empty((3, len(times), grid.n_x, 2))
+    rows[:, -1] = problem.terminal
+    solve_rows_batch(problem, times, sol.strategy.node_values,
+                     times[active_from], rows, fns, active_from=active_from)
     assert [fn.calls for fn in fns] == [(n_steps - k) * 2 for k in active_from]
 
 
@@ -540,13 +543,14 @@ def test_dirichlet_edge_without_data_rejected():
     problem = anchored_hjb(grid)
     linear = LinearPDEProblem(a=const(0.05), beta=const(0.0), grid=grid, m=2,
                               terminal=problem.terminal)
-    def strategy(s, x, i):
-        return np.zeros((len(x), 1))
+    def controls(k):
+        return np.zeros((grid.n_x, 2, 1))
 
+    rows = np.empty((1, len(times), grid.n_x, 2))
+    rows[:, -1] = problem.terminal
     calls = [lambda: solve_linear_parabolic(linear, times),
              lambda: solve_hjb(problem, times),
-             lambda: solve_rows_batch(problem, times, strategy, [0.0],
-                                      problem.terminal[None])]
+             lambda: solve_rows_batch(problem, times, controls, [0.0], rows)]
     for call in calls:
         with pytest.raises(ConfigError, match="dirichlet boundary requires data"):
             call()
