@@ -326,7 +326,10 @@ def _spline_feedback(spec, times, phi, weight):
     """Feedback (u, c) = (frac x, (weight(s) / phi(s))^(1/(1-gamma)) x).
 
     ``phi`` (len(times), m) is read between nodes by a cubic spline per
-    regime; the investment leg is the same in every variant.
+    regime; the investment leg is the same in every variant.  At a scalar
+    ``s`` the weight, the spline and the power run once, on a one-element
+    array (the same numpy loops as per point, so the same bits), and the
+    rate is broadcast over ``x``.
     """
     splines = [CubicSpline(times, phi[:, i]) for i in range(spec.m)]
     frac = spec.investment_fraction()
@@ -334,7 +337,7 @@ def _spline_feedback(spec, times, phi, weight):
 
     def policy(s, x, i):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        s_arr = np.broadcast_to(np.asarray(s, dtype=float), x.shape)
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         w = np.asarray(weight(s_arr), dtype=float)
         out = np.empty((x.shape[0], 2))
         out[:, 0] = frac[i - 1] * x
@@ -377,25 +380,24 @@ def monte_carlo_payoff(spec, policy, t, x, i, n_paths, seed, h_step,
 
     Returns (estimate, standard error) of
     E[int_t^T g(t,s) c(s)^gamma ds + h(t) X(T)^gamma] with the running
-    integral accumulated by the trapezoid rule on the base grid.
+    integral accumulated by the trapezoid rule on the base grid, from the
+    consumption the simulation evaluated at each node.
     """
+    if n_paths < 2:
+        raise ConfigError("the payoff standard error needs n_paths >= 2")
+    if np.any(np.asarray(x) <= 0):
+        raise DomainError("wealth must be positive")
     dyn = wealth_dynamics(spec)
     gam = spec.gamma
     acc = np.zeros(n_paths)
     prev = np.zeros(n_paths)
     state = {}
 
-    def hook(k, s, xs, alphas, lo, hi):
+    def hook(k, s, xs, alphas, lo, hi, u):
         if np.any(xs <= 0):
             raise ResolutionError(
                 "wealth hit zero during simulation; use a smaller step h")
-        integrand = np.empty(hi - lo)
-        for lab in range(1, spec.m + 1):
-            mask = alphas == lab
-            if not np.any(mask):
-                continue
-            c = policy(s, xs[mask], lab)[:, 1]
-            integrand[mask] = float(spec.g(t, s)) * c**gam
+        integrand = float(spec.g(t, s)) * u[:, 1]**gam
         if k > 0:
             ds = s - state["s_prev"]
             acc[lo:hi] += 0.5 * ds * (prev[lo:hi] + integrand)

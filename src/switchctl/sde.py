@@ -24,6 +24,15 @@ advances K state copies of each path (K = 1 for ensembles and single
 paths, K = 2 for the common-random-number coupling), and all copies of
 path p consume path p's stream.  ``simulate_path`` records the base
 nodes and the regime-changing jumps in event order as its merged grid.
+
+The loop is node-synchronous: every path sits at base node s_k when
+interval k starts.  The controls are evaluated there once per regime at
+the scalar s_k, handed to the node hooks, and used for one sub-step of
+every path, to its next jump or to s_{k+1}; only paths that jumped take
+further sub-steps.  Paths are gathered by integer index arrays.  Each
+path takes the same sub-steps with the same normals whatever the
+grouping, so with elementwise coefficients and policies the outputs do
+not depend on it.
 """
 
 from dataclasses import dataclass
@@ -223,20 +232,15 @@ def _pregenerate(seed, path_indices, t0, t_end, n_steps, with_jumps):
     return jt_pad[:, :width], mu_pad[:, :width], n_jumps, normals[:, :n_steps + width]
 
 
-def _em_update(dynamics, policy, s, x, alpha, dt, z):
-    """One Euler-Maruyama sub-step for per-path arrays (s may be an array)."""
-    out = x.copy()
-    sqdt = np.sqrt(dt)
-    for lab in range(1, dynamics.m + 1):
-        mask = alpha == lab
-        if not np.any(mask):
-            continue
-        ss = s[mask] if np.ndim(s) else s
-        u = policy(ss, x[mask], lab)
-        b = np.asarray(dynamics.drift(ss, x[mask], lab, u), dtype=float)
-        sg = np.asarray(dynamics.diffusion(ss, x[mask], lab, u), dtype=float)
-        out[mask] = x[mask] + b * dt[mask] + sg * sqdt[mask] * z[mask]
-    return out
+def _em_update(dynamics, s, x, lab, u, dt, z):
+    """One Euler-Maruyama sub-step of paths all in regime ``lab``.
+
+    ``s`` is a scalar or one time per path; ``x``, ``u``, ``dt`` and ``z``
+    hold the paths' states, controls, step lengths and normals.
+    """
+    b = np.asarray(dynamics.drift(s, x, lab, u), dtype=float)
+    sg = np.asarray(dynamics.diffusion(s, x, lab, u), dtype=float)
+    return x + b * dt + sg * np.sqrt(dt) * z
 
 
 def _base_nodes(t0, t_end, h):
@@ -253,60 +257,100 @@ def _check_chunk_size(chunk_size):
         raise ConfigError("chunk_size must be >= 1")
 
 
+def _check_start_regimes(i0, m):
+    """Reject start regimes outside 1..m (scalar or per path)."""
+    i0 = np.asarray(i0)
+    ok = (i0 >= 1) & (i0 <= m) & (i0 == np.floor(i0))
+    if not ok.all():
+        raise ConfigError(f"start regime {i0[~ok].ravel()[0].item()!r} "
+                          f"is not a regime label in 1..{m}")
+
+
 def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
            on_node=None):
     """Walk K state copies of n paths over the merged Euler/jump grid, in place.
 
     ``x`` and ``alpha`` are (K, n); every copy of path p consumes path p's
     jump times, marks and normals from ``noise``, the output of
-    ``_pregenerate``.  ``on_jump(rows, s, theta)`` runs after the regimes
-    of ``rows`` updated at their jump times ``s``; ``on_node(k, s)`` runs
-    at every base node, k = 0 included.
+    ``_pregenerate``.
+
+    Every path sits at base node s_k when interval k starts, so the
+    controls are evaluated there once per copy and regime, at the scalar
+    s_k, and every path takes its first sub-step with them: to its next
+    jump or to s_{k+1}.  Only paths that jump take further sub-steps, each
+    from its own jump time.  ``on_node(k, s, u)`` runs at every base node,
+    k = 0 and the last included, with the (K, n, control_dim) node
+    controls ``u``; ``on_jump(rows, s, theta)`` runs after the regimes of
+    ``rows`` updated at their jump times ``s``.
     """
     jt, mu, _n_jumps, normals = noise
-    n = x.shape[1]
-    rows = np.arange(n)
+    n_copies, n = x.shape
+    labels = range(1, dynamics.m + 1)
+    paths = np.arange(n)
     ptr = np.zeros(n, dtype=np.int64)      # next normal to consume
     jptr = np.zeros(n, dtype=np.int64)     # next jump to process
-    tcur = np.full(n, nodes[0])
+    jnext = jt[:, 0].copy()                # time of that jump
+    u = np.empty((n_copies, n, dynamics.control_dim))
 
-    def advance(mv, dt):
-        z = normals[mv, ptr[mv]]
-        for xc, ac in zip(x, alpha):     # row views keep the indexing 1-D
-            xc[mv] = _em_update(dynamics, pol, tcur[mv], xc[mv], ac[mv], dt, z)
-        ptr[mv] += 1
+    def node_controls(s):
+        groups = []
+        for c in range(n_copies):
+            for lab in labels:
+                idx = np.flatnonzero(alpha[c] == lab)
+                if idx.size:
+                    xr = x[c, idx]
+                    ur = pol(s, xr, lab)
+                    u[c, idx] = ur
+                    groups.append((c, lab, idx, xr, ur))
+        return groups
 
-    if on_node is not None:
-        on_node(0, nodes[0])
+    def jump_substeps(rows, s, dt):
+        # paths past a jump, each from its own time s
+        z = normals[rows, ptr[rows]]
+        for xc, ac in zip(x, alpha):
+            a = ac[rows]
+            for lab in labels:
+                sel = np.flatnonzero(a == lab)
+                if sel.size:
+                    r = rows[sel]
+                    xr = xc[r]
+                    xc[r] = _em_update(dynamics, s[sel], xr, lab, pol(s[sel], xr, lab),
+                                       dt[sel], z[sel])
+        ptr[rows] += 1
+
     for k in range(len(nodes) - 1):
-        t_next = nodes[k + 1]
-        while True:
-            jnext = jt[rows, jptr]
-            active = jnext <= t_next
-            if not np.any(active):
-                break
-            sub = np.where(active)[0]
+        s, t_next = nodes[k], nodes[k + 1]
+        groups = node_controls(s)
+        if on_node is not None:
+            on_node(k, s, u)
+        dt = np.minimum(jnext, t_next) - s
+        z = normals[paths, ptr]
+        for c, lab, idx, xr, ur in groups:
+            x[c, idx] = _em_update(dynamics, s, xr, lab, ur, dt[idx], z[idx])
+        # dt = 0 only for a jump at s_k itself: that step leaves x as it is
+        # and must not consume the path's normal
+        ptr += dt > 0
+        sub = np.flatnonzero(jnext <= t_next)
+        while sub.size:
             s_jump = jnext[sub]
-            dt = s_jump - tcur[sub]
-            move = dt > 0
-            if np.any(move):
-                advance(sub[move], dt[move])
             theta = levy.sample_from_uniform(mu[sub, jptr[sub]])
             for xc, ac in zip(x, alpha):
                 ac[sub] = geometry.mark_to_jump_array(xc[sub], ac[sub], theta)
             if on_jump is not None:
                 on_jump(sub, s_jump, theta)
-            tcur[sub] = s_jump
             jptr[sub] += 1
-        dt = t_next - tcur
-        move = dt > 0
-        if np.any(move):
-            advance(np.where(move)[0], dt[move])
-        tcur[:] = t_next
+            after = jt[sub, jptr[sub]]
+            jnext[sub] = after
+            dt = np.minimum(after, t_next) - s_jump
+            moving = dt > 0
+            if moving.any():
+                jump_substeps(sub[moving], s_jump[moving], dt[moving])
+            sub = sub[after <= t_next]
         if not np.all(np.isfinite(x)):
             raise NumericError(f"state blew up at step {k + 1} (t={t_next:g})")
-        if on_node is not None:
-            on_node(k + 1, t_next)
+    if on_node is not None:
+        node_controls(nodes[-1])
+        on_node(len(nodes) - 1, nodes[-1], u)
 
 
 def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
@@ -315,12 +359,15 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
 
     ``h`` is the base Euler step (snapped so the horizon is an integer
     number of steps); jump times are inserted as extra nodes.  ``x0`` and
-    ``i0`` may be scalars or per-path arrays.  ``node_hook(k, s, X, alpha,
-    lo, hi)`` is called after every base node with the chunk's global
-    path range [lo, hi).
+    ``i0`` may be scalars or per-path arrays; ``i0`` must lie in 1..m.
+    ``node_hook(k, s, X, alpha, lo, hi, u)`` is called at every base node
+    with the chunk's global path range [lo, hi) and the chunk's controls
+    ``u`` (hi - lo, control_dim) at that node, the ones the next Euler
+    sub-step uses.
     """
     _check_chunk_size(chunk_size)
     t0, x0, i0 = init
+    _check_start_regimes(i0, dynamics.m)
     nodes = _base_nodes(t0, t_end, h)
     n_steps = len(nodes) - 1
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,)).copy()
@@ -343,12 +390,12 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
         x = x0[None, lo:hi].copy()
         alpha = i0[None, lo:hi].copy()
 
-        def on_node(k, s):
+        def on_node(k, s, u):
             if record_nodes:
                 res.states[lo:hi, k] = x[0]
                 res.regimes[lo:hi, k] = alpha[0]
             if node_hook is not None:
-                node_hook(k, s, x[0], alpha[0], lo, hi)
+                node_hook(k, s, x[0], alpha[0], lo, hi, u[0])
 
         _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_node=on_node)
         res.state_T[lo:hi] = x[0]
@@ -364,6 +411,7 @@ def simulate_path(dynamics, geometry, levy, init, policy, h, t_end, seed,
     regime, recorded in event order.
     """
     t0, x0, i0 = init
+    _check_start_regimes(i0, dynamics.m)
     nodes = _base_nodes(t0, t_end, h)
     noise = _pregenerate(seed, np.array([path_index]), t0, t_end, len(nodes) - 1,
                          geometry is not None)
@@ -385,7 +433,7 @@ def simulate_path(dynamics, geometry, levy, init, policy, h, t_end, seed,
 
     _march(dynamics, geometry, levy, _as_policy(policy, dynamics.control_dim),
            nodes, noise, x, alpha, on_jump=on_jump,
-           on_node=lambda k, s: record(s))
+           on_node=lambda k, s, u: record(s))
     return Path(times=np.asarray(times), states=np.asarray(states),
                 regimes=np.asarray(regimes, dtype=np.int64),
                 jumps=jumps, seed=seed, path_index=path_index)
@@ -432,6 +480,7 @@ def coupled_pair_divergence(dynamics, geometry, levy, strategy, xi1, xi2, i,
     E[sup_{s<=T} |X1 - X2|^2 on full agreement]).
     """
     _check_chunk_size(chunk_size)
+    _check_start_regimes(i, dynamics.m)
     nodes = _base_nodes(t0, t_end, h)
     pol = _as_policy(strategy, dynamics.control_dim)
     split = 0
@@ -450,7 +499,7 @@ def coupled_pair_divergence(dynamics, geometry, levy, strategy, xi1, xi2, i,
             agree[rows] &= alpha[0, rows] == alpha[1, rows]
             supsq[rows] = np.maximum(supsq[rows], (x[0, rows] - x[1, rows]) ** 2)
 
-        def on_node(k, s):
+        def on_node(k, s, u):
             np.maximum(supsq, (x[0] - x[1]) ** 2, out=supsq)
 
         _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha,

@@ -157,6 +157,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "preset" in err["message"]
 
 
+def test_simulate_start_regime_outside_labels_exit_2(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "sim", SIM_CFG.replace("i0 = 1", "i0 = 5"),
+                        ("simulate",))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "start regime 5" in err["message"]
+    assert not (out / "path.csv").exists()
+
+
 def test_dry_run_prints_plan_and_writes_nothing(tmp_path, capsys):
     cfg = tmp_path / "plan.ini"
     cfg.write_text(EQ_CFG)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from switchctl import merton
 from switchctl.errors import ConfigError, DomainError
 from switchctl.fields import time_grid
 from switchctl.merton import (MertonSpec, anchored_policy, equilibrium_policy,
@@ -10,6 +11,7 @@ from switchctl.merton import (MertonSpec, anchored_policy, equilibrium_policy,
                               wealth_dynamics)
 from switchctl.models import (constant_rate_geometry, merton_spec,
                               uniform_mark_density)
+from switchctl.sde import simulate_ensemble
 
 
 def single_regime_spec(g0=0.0, h0=2.0):
@@ -256,3 +258,85 @@ def test_mc_wealth_crossing_zero_reports_resolution():
         monte_carlo_payoff(spec, greedy, 0.0, 1.0, 1, n_paths=50, seed=1,
                            h_step=0.25, geometry=geo,
                            levy=uniform_mark_density())
+
+
+def small_equilibrium_policy():
+    spec = hyperbolic_spec()
+    sol = solve_equilibrium_ode(spec, time_grid(0.0, spec.T, 100))
+    return spec, sol, equilibrium_policy(spec, sol)
+
+
+def small_payoff(spec, pol, t, x, i, n_paths=512):
+    return monte_carlo_payoff(spec, pol, t, x, i, n_paths=n_paths, seed=2024,
+                              h_step=1e-2, geometry=constant_rate_geometry(spec.q),
+                              levy=uniform_mark_density())
+
+
+def test_spline_policy_scalar_s_is_bitwise_the_broadcast_policy():
+    spec, sol, pol = small_equilibrium_policy()
+    knots = sol.times[::7]
+    mids = 0.5 * (sol.times[:-1] + sol.times[1:])[::9]
+    x = np.linspace(0.05, 3.0, 37)
+    for s in [*knots, *mids, spec.T]:
+        for i in (1, 2):
+            got = pol(s, x, i)
+            want = pol(np.full(x.shape, s), x, i)
+            assert got.shape == want.shape == (len(x), 2)
+            assert np.array_equal(got, want), (s, i)
+
+
+def test_mc_payoff_pinned_bitwise():
+    # recorded before the node-synchronous march (x86-64, AVX-512, numpy
+    # 2.4.6); a regrouping of paths must not change a single bit
+    spec, _, pol = small_equilibrium_policy()
+    assert small_payoff(spec, pol, 0.0, 1.0, 1) == (1.2915099641894878,
+                                                    0.02264984923045578)
+    assert small_payoff(spec, pol, 0.25, 0.8, 2) == (1.0646699835938023,
+                                                     0.007640594162161918)
+
+
+def test_mc_payoff_one_policy_call_per_node_and_regime(monkeypatch):
+    spec, _, pol = small_equilibrium_policy()
+    calls, in_hook = {}, [False]
+
+    def counting(s, x, i):
+        assert not in_hook[0], "the node hook called the policy"
+        if np.ndim(s) == 0:
+            calls[(float(s), i)] = calls.get((float(s), i), 0) + 1
+        return pol(s, x, i)
+
+    def traced_ensemble(*args, node_hook, **kw):
+        def hook(*a):
+            in_hook[0] = True
+            try:
+                node_hook(*a)
+            finally:
+                in_hook[0] = False
+        return simulate_ensemble(*args, node_hook=hook, **kw)
+
+    monkeypatch.setattr(merton, "simulate_ensemble", traced_ensemble)
+    small_payoff(spec, counting, 0.0, 1.0, 1, n_paths=300)
+    nodes = {s for s, _ in calls}
+    assert len(nodes) == 101                       # every base node, T included
+    assert max(calls.values()) == 1
+
+
+def test_mc_payoff_needs_two_paths():
+    spec, _, pol = small_equilibrium_policy()
+    for n in (0, 1):
+        with pytest.raises(ConfigError, match="n_paths"):
+            small_payoff(spec, pol, 0.0, 1.0, 1, n_paths=n)
+
+
+def test_mc_payoff_rejects_nonpositive_start_wealth():
+    spec, _, pol = small_equilibrium_policy()
+    for x0 in (0.0, -0.5):
+        with pytest.raises(DomainError, match="wealth must be positive"):
+            small_payoff(spec, pol, 0.0, x0, 1)
+
+
+def test_mc_payoff_rejects_unknown_start_regime():
+    spec, _, pol = small_equilibrium_policy()
+    for i0 in (0, 3):
+        with pytest.raises(ConfigError, match="regime"):
+            small_payoff(spec, pol, 0.0, 1.0, i0)

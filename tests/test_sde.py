@@ -306,3 +306,60 @@ def test_chunk_size_must_be_positive(chunk_size):
         coupled_pair_divergence(drifted(), tanh_geometry(), uniform_levy(), None,
                                 0.5, 0.6, 1, n_paths=5, seed=4, h=0.05,
                                 t_end=1.0, chunk_size=chunk_size)
+
+
+@pytest.mark.parametrize("i0", [0, 3, -1, 1.5])
+def test_start_regime_outside_labels_rejected(i0):
+    kw = dict(h=0.1, t_end=1.0, seed=0)
+    with pytest.raises(ConfigError, match="regime"):
+        simulate_ensemble(drifted(), tanh_geometry(), uniform_levy(), (0.0, 0.0, i0),
+                          None, n_paths=4, **kw)
+    with pytest.raises(ConfigError, match="regime"):
+        simulate_ensemble(drifted(), tanh_geometry(), uniform_levy(),
+                          (0.0, 0.0, np.array([1, 2, i0, 1])), None, n_paths=4, **kw)
+    with pytest.raises(ConfigError, match="regime"):
+        simulate_path(drifted(), tanh_geometry(), uniform_levy(), (0.0, 0.0, i0),
+                      None, **kw)
+    with pytest.raises(ConfigError, match="regime"):
+        coupled_pair_divergence(drifted(), tanh_geometry(), uniform_levy(), None,
+                                0.5, 0.6, i0, n_paths=4, seed=0, h=0.1, t_end=1.0)
+
+
+def test_node_hook_sees_the_controls_of_the_next_step():
+    seen = []
+
+    def policy(s, x, i):
+        return np.stack([x + s, np.full(len(x), float(i))], axis=1)
+
+    def hook(k, s, xs, alphas, lo, hi, u):
+        assert u.shape == (hi - lo, 2)
+        assert np.array_equal(u[:, 0], xs + s)
+        assert np.array_equal(u[:, 1], alphas)
+        seen.append(k)
+
+    two_dim = ControlledDynamics(drift=lambda s, x, i, u: u[:, 0] - x - s,
+                                 diffusion=lambda s, x, i, u: 0.1 * u[:, 1],
+                                 m=2, control_dim=2)
+    simulate_ensemble(two_dim, tanh_geometry(), uniform_levy(),
+                      (0.0, np.linspace(-1, 1, 50), np.arange(50) % 2 + 1), policy,
+                      h=0.1, t_end=3.0, n_paths=50, seed=3, node_hook=hook,
+                      chunk_size=20)
+    assert seen == list(range(31)) * 3
+
+
+def test_jump_at_start_node_consumes_no_normal():
+    # a jump exactly at s_0 is a zero-length sub-step: the path's first
+    # normal must go to the step after the jump
+    nodes = np.linspace(0.0, 1.0, 5)
+    z = np.array([[0.3, -1.2, 0.7, 2.0, 0.0, 0.0]])
+    noise = (np.array([[0.0, np.inf]]), np.array([[0.5, 0.0]]), np.array([1]), z)
+    x = np.full((1, 1), 0.25)
+    alpha = np.ones((1, 1), dtype=np.int64)
+    jumps = []
+    sde._march(dyn(0.0, 1.0), empty_geometry(), uniform_levy(), sde._as_policy(None),
+               nodes, noise, x, alpha, on_jump=lambda rows, s, th: jumps.append(s[0]))
+    want = 0.25
+    for zk in z[0, :4]:
+        want = want + 0.0 + 0.5 * zk
+    assert jumps == [0.0]
+    assert x[0, 0] == want
