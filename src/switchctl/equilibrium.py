@@ -101,41 +101,43 @@ def residual(model, solution):
 
     For every anchor row and interior node the residual couples the
     forward time difference with the average of the Hamiltonian at the
-    two levels, evaluated along the stored diagonal strategy.
+    two levels, evaluated along the stored diagonal strategy.  Rows
+    0..k share the level-k controls, so the Hamiltonian is evaluated
+    once per level and regime over all of them.
     """
     theta = solution.theta
     times = theta.times
     grid = theta.grid
-    m = theta.m
+    rows = theta.values
     q_table = model.q_table(grid)
     interior = grid.interior_mask()
     interior[0] = interior[-1] = False
     controls = solution.strategy.values
     worst = 0.0
 
-    def hamiltonian(tau, k, v_all):
-        vx = d1(v_all, grid.dx, axis=0)
-        vxx = d2(v_all, grid.dx, axis=0)
-        qv = _qv(q_table, v_all)
+    def hamiltonian(k, n_rows):
+        """Rows 0..n_rows-1 at level k: (n_rows, n_x, m)."""
+        v = rows[:n_rows, k]
+        vx = d1(v, grid.dx, axis=1)
+        vxx = d2(v, grid.dx, axis=1)
+        qv = _qv(q_table, v)
+        tau = times[:n_rows, None]
         s = float(times[k])
-        return np.stack([_hamiltonian(model, tau, s, grid.x, i + 1, v_all[:, i],
-                                      vx[:, i], vxx[:, i], qv[:, i],
+        return np.stack([_hamiltonian(model, tau, s, grid.x, i + 1, v[..., i],
+                                      vx[..., i], vxx[..., i], qv[..., i],
                                       controls[k, :, i, :])
-                         for i in range(m)], axis=1)
+                         for i in range(theta.m)], axis=-1)
 
-    for tau_idx in range(len(times) - 1):
-        tau = float(times[tau_idx])
-        ham_hi = None
-        for k in range(len(times) - 2, tau_idx - 1, -1):
-            v_hi = theta.values[tau_idx, k + 1]
-            v_lo = theta.values[tau_idx, k]
-            if ham_hi is None:
-                ham_hi = hamiltonian(tau, k + 1, v_hi)
-            ham_lo = hamiltonian(tau, k, v_lo)
-            dt = times[k + 1] - times[k]
-            res = (v_hi - v_lo) / dt + 0.5 * (ham_hi + ham_lo)
-            worst = max(worst, float(np.max(np.abs(res[interior]))))
-            ham_hi = ham_lo
+    ham_hi = None
+    for k in range(len(times) - 2, -1, -1):
+        if ham_hi is None:
+            ham_hi = hamiltonian(k + 1, k + 1)
+        ham_lo = hamiltonian(k, k + 1)
+        dt = times[k + 1] - times[k]
+        res = (rows[:k + 1, k + 1] - rows[:k + 1, k]) / dt \
+            + 0.5 * (ham_hi[:k + 1] + ham_lo)
+        worst = max(worst, float(np.max(np.abs(res[:, interior]))))
+        ham_hi = ham_lo
     return worst
 
 

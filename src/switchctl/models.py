@@ -99,14 +99,17 @@ class ControlModel:
     b, sigma and g are evaluated pointwise along the leading axis of x
     and u (u is (n, control_dim)) for any length n: the grid-search
     minimizer calls them on n_u * n_x stacked nodes, so a callable that
-    ignores its input length is rejected with a ConfigError.
+    ignores its input length is rejected with a ConfigError.  g is also
+    evaluated for R anchor rows at once, with tau an (R, 1) column and
+    y, z, qv (R, n_x), and must broadcast to (R, n_x) there (see
+    pde.HJBProblem); its output is rejected with a ConfigError if not.
     """
 
     name: str
     m: int
     b: callable                   # b(s, x, i, u) -> (n,)
     sigma: callable                # sigma(s, x, i, u) -> (n,)
-    g: callable                    # g(tau, s, x, i, y, z, qv, u) -> (n,)
+    g: callable                    # g(tau, s, x, i, y, z, qv, u) -> (n,) or (R, n_x)
     h: callable                    # h(tau, x, i) -> (n,)
     control_set: ControlSet
     T: float
@@ -230,7 +233,7 @@ def merton_model(spec, x_domain=(0.5, 2.5)):
 
     def g(tau, s, x, i, y, z, qv, u):
         c = np.maximum(u[:, 1], 0.0)
-        return -float(spec.g(tau, s)) * c**gam
+        return -np.asarray(spec.g(tau, s), dtype=float) * c**gam
 
     def h(tau, x, i):
         return -float(spec.h(tau)) * np.asarray(x, dtype=float) ** gam

@@ -15,7 +15,11 @@ solver enforces it.
 
 Every solve takes this step through one kernel, ``_step``, on R rows
 that share the coefficients and differ in anchor, terminal and Dirichlet
-data.  solve_linear_parabolic marches one row under prescribed
+data.  The row axis is the vectorized one: a step makes one LAPACK
+factorization of the m regimes' banded matrices, stacked
+block-diagonally, and two back-substitutions (predictor, corrector) with
+all R rows as right-hand sides, and the source calls g once per regime
+for all rows.  solve_linear_parabolic marches one row under prescribed
 coefficients.  Every controlled solve goes through the one backward
 march, solve_rows_batch, which freezes the controls a caller's callback
 returns at each level: solve_representation passes the node values of a
@@ -36,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigError, DomainError, NumericError
 from .fields import (BC_EXTRAPOLATE, FeedbackStrategy, ValueField, d1, d2)
@@ -87,12 +91,16 @@ class HJBProblem:
     b, sigma and g must be pointwise along the leading axis of x and u
     (u is (n, control_dim)) for any length n, not only n_x: the grid
     search evaluates them on n_u * n_x stacked nodes, with a few
-    n_u * n_x float64 temporaries per regime.
+    n_u * n_x float64 temporaries per regime.  g must also broadcast
+    over anchor rows: the march and the residual call it once per regime
+    for R rows, with tau an (R, 1) column, x (n_x,), y, z and qv
+    (R, n_x) and u (n_x, control_dim), and read the output broadcast to
+    (R, n_x); a g that ignores tau may return (n_x,).
     """
 
     b: callable                 # b(s, x, i, u) -> (n,)
     sigma: callable             # sigma(s, x, i, u) -> (n,)
-    g: callable                 # g(tau, s, x, i, y, z, qv, u) -> (n,)
+    g: callable                 # g(tau, s, x, i, y, z, qv, u) -> (n,) or (R, n_x)
     anchor: float
     control_set: ControlSet
     grid: object
@@ -123,27 +131,39 @@ def _check_stability(q_table, times):
 
 
 def _qv(q_table, v):
-    """[Q(x) v(x, .)]_i on the grid; ``v`` is (..., n_x, m)."""
-    if q_table is None:
-        return np.zeros_like(v)
-    return np.einsum("xij,...xj->...xi", q_table, v)
+    """[Q(x) v(x, .)]_i on the grid; ``v`` is (..., n_x, m).
+
+    The sum over j runs in order from zero, one whole-array product per
+    j: for m <= 2 that is the one rounding of the exact sum, the value
+    np.einsum gives, at a fraction of its cost on a batch of rows.
+    """
+    out = np.zeros(v.shape)
+    if q_table is not None:
+        for j in range(v.shape[-1]):
+            out += q_table[:, :, j] * v[..., j, None]
+    return out
 
 
-def _implicit_matrix(a_i, beta_i, dt, dx, bc, n_x):
-    """(2,2)-banded matrix of I - dt/2 (a D2 + beta D1) with BC rows."""
-    lower = -0.5 * dt * (a_i / dx**2 - beta_i / (2 * dx))
-    diag = 1.0 + dt * a_i / dx**2
-    upper = -0.5 * dt * (a_i / dx**2 + beta_i / (2 * dx))
-    ab = np.zeros((5, n_x))
-    ab[2, :] = diag
-    ab[1, 1:] = upper[:-1]       # A[j, j+1]
-    ab[3, :-1] = lower[1:]       # A[j, j-1]
+def _implicit_bands(a, beta, dt, dx, bc):
+    """I - dt/2 (a D2 + beta D1) with BC rows, for all regimes at once.
+
+    ``a`` and ``beta`` are (n_x, m).  The m (2,2)-banded matrices sit
+    block-diagonally in one (7, m*n_x) Fortran-ordered array in LAPACK's
+    gbtrf layout: A[j, j+d] in row 4 - d, rows 0-1 free for the fill-in
+    of pivoting.  The entries coupling two blocks are zero.
+    """
+    n_x, m = a.shape
+    a, beta = a.T, beta.T
+    ab = np.zeros((m, n_x, 7))          # memory order of the (7, m*n_x) array
+    ab[:, :, 4] = 1.0 + dt * a / dx**2
+    ab[:, 1:, 3] = (-0.5 * dt * (a / dx**2 + beta / (2 * dx)))[:, :-1]  # A[j, j+1]
+    ab[:, :-1, 5] = (-0.5 * dt * (a / dx**2 - beta / (2 * dx)))[:, 1:]  # A[j, j-1]
     # boundary rows: identity (Dirichlet) or a vanishing second difference
     extrapolate = [edge == BC_EXTRAPOLATE for edge in bc]
-    ab[2, [0, -1]] = 1.0
-    ab[1, 1], ab[0, 2] = (-2.0, 1.0) if extrapolate[0] else (0.0, 0.0)
-    ab[3, -2], ab[4, -3] = (-2.0, 1.0) if extrapolate[1] else (0.0, 0.0)
-    return ab
+    ab[:, [0, -1], 4] = 1.0
+    ab[:, 1, 3], ab[:, 2, 2] = (-2.0, 1.0) if extrapolate[0] else (0.0, 0.0)
+    ab[:, -2, 5], ab[:, -3, 6] = (-2.0, 1.0) if extrapolate[1] else (0.0, 0.0)
+    return ab.reshape(m * n_x, 7).T
 
 
 def _by_regime(m, x, fn):
@@ -167,31 +187,36 @@ def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
 
     ``v_next`` is (R, n_x, m); the rows share ``a`` and ``beta`` ((n_x, m)
     at the mid time) and differ in ``sources(s, v, qv)`` -> (R, n_x, m)
-    and in ``edges``, their (R, m, 2) Dirichlet data at s_lo.  Each
-    regime's banded matrix is assembled once and solved for all R rows,
-    in the predictor and again in the corrector.
+    and in ``edges``, their (R, m, 2) Dirichlet data at s_lo.  The m
+    regimes' banded matrices, stacked block-diagonally, take one LAPACK
+    factorization (dgbtrf) per step and two back-substitutions (dgbtrs),
+    predictor and corrector, with the R rows as right-hand sides.
+    Partial pivoting never leaves a block, so each regime's solution is
+    the one of its own matrix.
     """
     dt = s_hi - s_lo
     dx = grid.dx
+    n_rows, n_x, m = v_next.shape
     lap = (v_next[:, 2:] - 2 * v_next[:, 1:-1] + v_next[:, :-2]) / dx**2
     grad = (v_next[:, 2:] - v_next[:, :-2]) / (2 * dx)
     expl = v_next.copy()
     expl[:, 1:-1] += 0.5 * dt * (a[1:-1] * lap + beta[1:-1] * grad)
     for edge, j in ((0, 0), (1, -1)):
         expl[:, j] = 0.0 if grid.bc[edge] == BC_EXTRAPOLATE else edges[:, :, edge]
-    mats = [_implicit_matrix(a[:, i], beta[:, i], dt, dx, grid.bc, grid.n_x)
-            for i in range(a.shape[1])]
+    lu, piv, info = dgbtrf(_implicit_bands(a, beta, dt, dx, grid.bc), 2, 2,
+                           overwrite_ab=1)
+    if info != 0:
+        raise NumericError(f"banded factorization failed at s={s_lo:g} "
+                           f"(LAPACK info {info})")
 
     def solve(expl_extra):
         rhs = expl.copy()
         rhs[:, 1:-1] += dt * expl_extra[:, 1:-1]
-        out = np.empty_like(rhs)
-        for i, ab in enumerate(mats):
-            try:
-                out[:, :, i] = solve_banded((2, 2), ab, rhs[:, :, i].T).T
-            except Exception as exc:  # LinAlgError and friends
-                raise NumericError(f"linear solve failed at s={s_lo:g}: {exc}")
-        return out
+        # (R, n_x, m) -> the Fortran-ordered (m*n_x, R) right-hand sides
+        rhs = np.ascontiguousarray(rhs.transpose(0, 2, 1)).reshape(n_rows, -1).T
+        out = dgbtrs(lu, 2, 2, rhs, piv, overwrite_b=1)[0]
+        return np.ascontiguousarray(
+            out.T.reshape(n_rows, m, n_x).transpose(0, 2, 1))
 
     qv1 = _qv(q_table, v_next)
     src1 = sources(s_hi, v_next, qv1)
@@ -236,23 +261,26 @@ def solve_linear_parabolic(problem, times):
 
 
 def _pointwise(name, out, shape):
-    """A model callable's output broadcast to the stacked node shape."""
+    """A model callable's output broadcast to the node shape."""
     try:
         return out if np.shape(out) == shape else np.broadcast_to(out, shape)
     except ValueError:
         raise ConfigError(f"model callable {name} returned shape "
-                          f"{np.shape(out)} on {shape[0]} stacked nodes; it "
-                          f"must be pointwise along x and u") from None
+                          f"{np.shape(out)} on nodes of shape {shape}; it "
+                          f"must be pointwise along x and u and broadcast "
+                          f"over anchor rows") from None
 
 
 def _hamiltonian(coeffs, tau, s, x, lab, y, p, pp, qv, u):
     """p b + 0.5 sigma^2 pp + qv + g of regime ``lab`` at a stack of nodes.
 
-    ``coeffs`` carries the callables b, sigma and g; ``x``, ``y`` (the
-    value), ``p``, ``pp``, ``qv`` are (n,) and ``u`` is (n, control_dim)
-    for any stack length n.
+    ``coeffs`` carries the callables b, sigma and g.  ``x`` is (n,) and
+    ``u`` is (n, control_dim) for any stack length n; ``y`` (the value),
+    ``p``, ``pp`` and ``qv`` are (n,), or (R, n) for R anchor rows with
+    ``tau`` an (R, 1) column.  The result has the broadcast shape of x
+    and y.
     """
-    shape = x.shape
+    shape = np.broadcast_shapes(x.shape, y.shape)
     b = _pointwise("b", coeffs.b(s, x, lab, u), shape)
     sg = _pointwise("sigma", coeffs.sigma(s, x, lab, u), shape)
     return (p * b + 0.5 * sg**2 * pp + qv
@@ -382,8 +410,10 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
     ``controls(k)`` returns the (n_x, m, control_dim) controls that stay
     frozen over the step times[k] -> times[k-1].  It is called once per
     level that some row steps from, after every row holds level k, so it
-    may read the rows.  Each step solves all active rows as right-hand
-    sides of one banded matrix per regime.
+    may read the rows.  Each step factorizes the regimes' stacked banded
+    matrices once and solves all active rows as its right-hand sides;
+    the source calls g once per regime and stage for all active rows,
+    with their anchors as an (R, 1) column (see HJBProblem).
     """
     times = np.asarray(times, dtype=float)
     _check_stability(problem.q_table, times)
@@ -403,20 +433,16 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
         if len(act) == 0:
             continue
         u_star = controls(k)
+        tau = anchors[act, None]
         s_mid = 0.5 * (s_lo + s_hi)
         a = 0.5 * frozen(problem.sigma, s_mid, u_star)**2
         beta = frozen(problem.b, s_mid, u_star)
 
         def sources(s, v, qv):
-            sg = frozen(problem.sigma, s, u_star)
-            vx = d1(v, grid.dx, axis=1)
-            src = np.empty_like(v)
-            for r, tau in enumerate(anchors[act]):
-                for i in range(m):
-                    src[r, :, i] = problem.g(tau, s, x, i + 1, v[r, :, i],
-                                             vx[r, :, i] * sg[:, i],
-                                             qv[r, :, i], u_star[:, i])
-            return src
+            z = d1(v, grid.dx, axis=1) * frozen(problem.sigma, s, u_star)
+            return np.stack([_pointwise("g", problem.g(
+                tau, s, x, i + 1, v[..., i], z[..., i], qv[..., i],
+                u_star[:, i]), v.shape[:2]) for i in range(m)], axis=-1)
 
         fns = None if dirichlet_fns is None else [dirichlet_fns[r] for r in act]
         rows[act, k - 1] = _step(rows[act, k], s_lo, s_hi, grid, a, beta,

@@ -257,8 +257,13 @@ def _check_chunk_size(chunk_size):
         raise ConfigError("chunk_size must be >= 1")
 
 
-def _check_start_regimes(i0, m):
-    """Reject start regimes outside 1..m (scalar or per path)."""
+def _check_regimes(i0, dynamics, geometry):
+    """Reject a geometry whose regime count is not the dynamics' m, and
+    start regimes outside 1..m (scalar or per path)."""
+    m = dynamics.m
+    if geometry is not None and geometry.m != m:
+        raise ConfigError(f"the switching geometry has {geometry.m} regimes "
+                          f"but the dynamics have {m}")
     i0 = np.asarray(i0)
     ok = (i0 >= 1) & (i0 <= m) & (i0 == np.floor(i0))
     if not ok.all():
@@ -367,7 +372,7 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
     """
     _check_chunk_size(chunk_size)
     t0, x0, i0 = init
-    _check_start_regimes(i0, dynamics.m)
+    _check_regimes(i0, dynamics, geometry)
     nodes = _base_nodes(t0, t_end, h)
     n_steps = len(nodes) - 1
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,)).copy()
@@ -411,7 +416,7 @@ def simulate_path(dynamics, geometry, levy, init, policy, h, t_end, seed,
     regime, recorded in event order.
     """
     t0, x0, i0 = init
-    _check_start_regimes(i0, dynamics.m)
+    _check_regimes(i0, dynamics, geometry)
     nodes = _base_nodes(t0, t_end, h)
     noise = _pregenerate(seed, np.array([path_index]), t0, t_end, len(nodes) - 1,
                          geometry is not None)
@@ -480,7 +485,7 @@ def coupled_pair_divergence(dynamics, geometry, levy, strategy, xi1, xi2, i,
     E[sup_{s<=T} |X1 - X2|^2 on full agreement]).
     """
     _check_chunk_size(chunk_size)
-    _check_start_regimes(i, dynamics.m)
+    _check_regimes(i, dynamics, geometry)
     nodes = _base_nodes(t0, t_end, h)
     pol = _as_policy(strategy, dynamics.control_dim)
     split = 0

@@ -166,6 +166,31 @@ def test_simulate_start_regime_outside_labels_exit_2(tmp_path, capsys):
     assert not (out / "path.csv").exists()
 
 
+def test_simulate_geometry_regime_count_mismatch_exit_2(tmp_path, capsys):
+    # the 2-regime tanh preset under 1-regime dynamics used to freeze the
+    # path in regime 2 (seed 6 jumps there at t ~ 1.50)
+    cfg = """
+[model]
+geometry = tanh
+regimes = 1
+drift = 0.1*x
+sigma = 0.2
+x0 = 0.5
+i0 = 1
+[grid]
+t_max = 8
+[solver]
+h = 0.05
+[run]
+seed = 6
+"""
+    code, out = run_cli(tmp_path, "sim", cfg, ("simulate",))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "geometry has 2 regimes but the dynamics have 1" in err["message"]
+    assert not (out / "path.csv").exists()
+
+
 def test_dry_run_prints_plan_and_writes_nothing(tmp_path, capsys):
     cfg = tmp_path / "plan.ini"
     cfg.write_text(EQ_CFG)

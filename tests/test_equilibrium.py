@@ -9,7 +9,7 @@ from switchctl.merton import partition_phi
 from switchctl.models import (ControlModel, merton_equilibrium_boundary,
                               merton_partition_boundary)
 from switchctl.partition import Partition, run_cycles
-from switchctl.pde import ControlSet, solve_hjb
+from switchctl.pde import ControlSet, solve_hjb, solve_rows_batch
 
 from slab_oracle import slab_solve
 
@@ -404,3 +404,44 @@ def test_march_fires_no_psi_clamp():
         solve_equilibrium(model, grid, times, boundary=boundary)
     assert model.psi_clamp_count == before
     assert not [w for w in caught if issubclass(w.category, ClampWarning)]
+
+
+def test_residual_equals_per_regime_loop_merton():
+    # the merton-pde benchmark case: merton-ti with the phi Dirichlet edges
+    model, grid, times, boundary = _preset_case("merton-ti", 61, 96)
+    sol = solve_equilibrium(model, grid, times, boundary=boundary)
+    got = residual(model, sol)
+    assert got > 0
+    assert got == reference_residual(model, sol)
+
+
+def test_anchor_free_g_march_rows_are_representation_solves():
+    # g ignores tau and returns one (n_x,) array for every anchor row
+    from switchctl.pde import solve_representation
+    model = affine_model()
+    grid = model.default_grid(21)
+    times = time_grid(0, 1, 24)
+    sol = solve_equilibrium(model, grid, times)
+    for tau_idx in (0, 7, 23, 24):
+        problem = model.hjb_problem(float(times[tau_idx]), grid)
+        row = solve_representation(problem, times[tau_idx:], sol.strategy)
+        assert np.array_equal(row.values, sol.theta.values[tau_idx, tau_idx:])
+    assert residual(model, sol) == reference_residual(model, sol)
+
+
+def test_g_not_broadcasting_over_anchor_rows_rejected(toy_ti):
+    from dataclasses import replace
+    grid = toy_ti.default_grid(21)
+    times = time_grid(0, 1, 8)
+    sol = solve_equilibrium(toy_ti, grid, times)
+    bad = replace(toy_ti, g=lambda tau, s, x, i, y, z, qv, u:
+                  np.zeros(len(x) + 1))
+    problem = bad.hjb_problem(0.0, grid)
+    rows = np.empty((3, len(times), grid.n_x, bad.m))
+    rows[:, -1] = problem.terminal
+    with pytest.raises(ConfigError, match="callable g") as err:
+        solve_rows_batch(problem, times, sol.strategy.node_values,
+                         times[:3], rows)
+    assert err.value.exit_code == 2
+    with pytest.raises(ConfigError, match="callable g"):
+        residual(bad, sol)

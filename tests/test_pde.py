@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from switchctl.errors import ConfigError, DomainError
+from switchctl.errors import ConfigError, DomainError, NumericError
 from switchctl.fields import SpatialGrid, time_grid
 from switchctl.pde import (ControlSet, HJBProblem, LinearPDEProblem,
                            apply_generator, controls_on_grid, kernel_oracle,
@@ -568,3 +568,89 @@ def test_one_node_window_returns_terminal_data():
                 solve_representation(problem, times, strategy)):
         assert fld.values.shape == (1, grid.n_x, 2)
         assert np.array_equal(fld.values[0], problem.terminal)
+
+
+# ---- the stacked banded step against the per-regime oracle -----------------
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [1, 7])
+@pytest.mark.parametrize("bc", ["extrapolate", "dirichlet",
+                                ("dirichlet", "extrapolate")])
+def test_step_equals_per_regime_solve_banded(m, n_rows, bc):
+    from switchctl.pde import _step
+    from step_oracle import step_per_regime
+    grid = SpatialGrid(-2, 2, 33, bc=bc)
+    rng = np.random.default_rng(100 * m + n_rows)
+    a = rng.uniform(0.01, 0.5, size=(grid.n_x, m))
+    beta = rng.normal(0.0, 1.0, size=(grid.n_x, m))
+    q = rng.uniform(0.1, 0.6, size=(grid.n_x, m, m))
+    q[:, np.arange(m), np.arange(m)] = 0.0
+    q[:, np.arange(m), np.arange(m)] = -q.sum(axis=2)
+    v_next = rng.normal(size=(n_rows, grid.n_x, m))
+    edges = rng.normal(size=(n_rows, m, 2))
+    weight = rng.uniform(0.5, 1.5, size=(n_rows, 1, m))
+
+    def sources(s, v, qv):
+        return weight * np.sin(v + s) - 0.3 * qv
+
+    args = (v_next, 0.4, 0.45, grid, a, beta, q, sources, edges)
+    got = _step(*args)
+    assert got.shape == (n_rows, grid.n_x, m)
+    assert np.array_equal(got, step_per_regime(*args))
+
+
+# ---- failures surface as NumericError ---------------------------------------
+
+def test_singular_step_raises_numeric_error():
+    # a = -dx^2/dt zeroes the middle diagonal entry of the second regime's
+    # block: the solve must fail with the step's time in the message
+    from switchctl.pde import _step
+    grid = SpatialGrid(0, 1, 3, bc="dirichlet")
+    a = np.array([[0.1, -0.5]] * 3)          # dx = dt = 0.5: exact zero
+    v = np.ones((2, 3, 2))
+    with pytest.raises(NumericError, match="failed at s=0.25"):
+        _step(v, 0.25, 0.75, grid, a, np.zeros((3, 2)), None,
+              lambda s, v, qv: np.zeros_like(v), np.zeros((2, 2, 2)))
+
+
+def nan_at(fn, j):
+    def wrapped(*args):
+        out = np.array(fn(*args), dtype=float)
+        out[j] = np.nan
+        return out
+    return wrapped
+
+
+def test_nan_coefficient_raises_numeric_error():
+    grid = SpatialGrid(-2, 2, 21)
+    times = time_grid(0, 1, 8)
+    problem = anchored_hjb(grid)
+    linear = LinearPDEProblem(a=nan_at(const(0.05), 7), beta=const(0.1),
+                              grid=grid, m=2, terminal=problem.terminal)
+    with pytest.raises(NumericError):
+        solve_linear_parabolic(linear, times)
+
+    problem.sigma = nan_at(problem.sigma, 7)
+    rows = np.empty((3, len(times), grid.n_x, 2))
+    rows[:, -1] = problem.terminal
+    with pytest.raises(NumericError):
+        solve_rows_batch(problem, times, lambda k: np.zeros((grid.n_x, 2, 1)),
+                         [0.0, 0.3, 0.6], rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_regime_coupling_equals_einsum(m):
+    from switchctl.pde import _qv
+    rng = np.random.default_rng(m)
+    q = rng.normal(size=(17, m, m))
+    q[3] = 0.0
+    v = rng.normal(size=(5, 17, m))
+    v[0, 4] = -0.0
+    want = np.einsum("xij,...xj->...xi", q, v)
+    for got, ref in ((_qv(q, v), want), (_qv(q, v[2]), want[2])):
+        if m <= 2:   # one rounding of the exact sum, signed zeros included
+            assert np.array_equal(got, ref)
+            assert not np.any(np.signbit(got) != np.signbit(ref))
+        else:        # einsum's summation order is its own
+            assert np.allclose(got, ref, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(_qv(None, v), np.zeros_like(v))

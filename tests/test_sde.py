@@ -325,6 +325,26 @@ def test_start_regime_outside_labels_rejected(i0):
                                 0.5, 0.6, i0, n_paths=4, seed=0, h=0.1, t_end=1.0)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_geometry_regime_count_must_match_dynamics(m):
+    kw = dict(h=0.1, t_end=1.0, seed=0)
+    calls = [
+        lambda: simulate_ensemble(drifted(m), tanh_geometry(), uniform_levy(),
+                                  (0.0, 0.0, 1), None, n_paths=4, **kw),
+        lambda: simulate_path(drifted(m), tanh_geometry(), uniform_levy(),
+                              (0.0, 0.0, 1), None, **kw),
+        lambda: coupled_pair_divergence(drifted(m), tanh_geometry(),
+                                        uniform_levy(), None, 0.5, 0.6, 1,
+                                        n_paths=4, seed=0, h=0.1, t_end=1.0),
+        lambda: estimate_transition_rate(drifted(m), tanh_geometry(),
+                                         uniform_levy(), 0.0, 1, 2, 0.01, 10, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match=f"geometry has 2 regimes but "
+                                              f"the dynamics have {m}"):
+            call()
+
+
 def test_node_hook_sees_the_controls_of_the_next_step():
     seen = []
 
