@@ -24,11 +24,11 @@ from .equilibrium import residual as equilibrium_residual
 from .equilibrium import solve_equilibrium
 from .errors import ConfigError, SwitchctlError
 from .expressions import CoefficientExpression
-from .fields import time_grid
+from .fields import time_grid, write_csv
 from .models import (GEOMETRY_PRESETS, MODEL_PRESETS,
                      merton_equilibrium_boundary, merton_partition_boundary,
                      uniform_mark_density)
-from .partition import Partition, run_cycles
+from .partition import Partition, refine_and_compare, run_cycles
 from .sde import ControlledDynamics, estimate_transition_rate, simulate_path
 from .switching import LevyMeasure, RegimeGeometry, rate_matrix
 
@@ -148,17 +148,19 @@ class _Artifacts:
         return manifest
 
 
-def _write_field(art, field, stem, formats):
-    names = []
-    if "csv" in formats:
-        field.to_csv(art.path(f"{stem}.csv"))
-        art.add(f"{stem}.csv")
-        names.append(f"{stem}.csv")
+def _field_names(stem, formats):
+    """Artifact names of a field written in the ``[output] formats``."""
+    names = [f"{stem}.csv"] if "csv" in formats else []
     if "bin" in formats or "binary" in formats:
-        field.to_binary(art.path(f"{stem}.bin"))
-        art.add(f"{stem}.bin")
         names.append(f"{stem}.bin")
     return names
+
+
+def _write_field(art, field, stem, formats):
+    for name in _field_names(stem, formats):
+        write = field.to_csv if name.endswith(".csv") else field.to_binary
+        write(art.path(name))
+        art.add(name)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +298,8 @@ def _run_rates(config, outdir, workers, plan_only):
 
 def _run_partition_solve(config, outdir, workers, plan_only):
     formats = config.get("output", "formats")
-    planned = ["value.csv", "strategy.csv", "convergence.json", "manifest.json"]
+    planned = [*_field_names("value", formats), "strategy.csv",
+               "convergence.json", "manifest.json"]
     if plan_only:
         return planned
     model = _model_from_config(config)
@@ -314,20 +317,9 @@ def _run_partition_solve(config, outdir, workers, plan_only):
         mirror = merton_mod.partition_phi(model.spec, part.knots, times)
         return merton_partition_boundary(model, mirror, grid)
 
-    table = []
-    prev = None
-    final = None
-    for part in parts:
-        sol = run_cycles(model, part, grid, times, boundary=boundary_for(part))
-        row = {"mesh": part.mesh(), "n_players": part.n_players,
-               "sup_diff_V": None, "sup_diff_Psi": None}
-        if prev is not None:
-            interior = grid.interior_mask()
-            row["sup_diff_V"] = sol.value.sup_diff(prev.value, interior)
-            row["sup_diff_Psi"] = sol.strategy.sup_diff(prev.strategy, interior)
-        table.append(row)
-        prev = sol
-        final = sol
+    table, final = refine_and_compare(
+        run_cycles(model, part, grid, times, boundary=boundary_for(part))
+        for part in parts)
     art = _Artifacts(outdir)
     _write_field(art, final.value, "value", formats)
     final.strategy.to_csv(art.path("strategy.csv"))
@@ -339,7 +331,8 @@ def _run_partition_solve(config, outdir, workers, plan_only):
 
 def _run_equilibrium(config, outdir, workers, plan_only):
     formats = config.get("output", "formats")
-    planned = ["value.csv", "strategy.csv", "residual_log.jsonl", "manifest.json"]
+    planned = [*_field_names("value", formats), "strategy.csv",
+               "residual_log.jsonl", "manifest.json"]
     if plan_only:
         return planned
     model = _model_from_config(config)
@@ -373,49 +366,40 @@ def _run_merton(config, outdir, workers, plan_only):
     art = _Artifacts(outdir)
     report = {"variant": variant}
     if variant == "tc":
-        _write_phi_table(art, "phi.csv", times, {0.0: phi_tc})
+        _write_phi_table(art, "phi.csv", [0.0], times, phi_tc[None])
         phi_rows = phi_tc
     elif variant == "pre":
         phi_pre = merton_mod.solve_precommitted(spec, anchor, times)
-        _write_phi_table(art, "phi.csv", times, {anchor: phi_pre})
+        _write_phi_table(art, "phi.csv", [anchor], times, phi_pre[None])
         phi_rows = phi_pre
         report["max_gap_pre_tc"] = float(np.nanmax(np.abs(phi_pre - phi_tc)))
     else:
         sol = merton_mod.solve_equilibrium_ode(spec, times, tol=min(tol, 1e-12))
-        _write_phi_table(art, "phi.csv", times,
-                         {float(times[k]): sol.eq[k] for k in range(len(times))})
+        _write_phi_table(art, "phi.csv", times, times, sol.eq)
         phi_rows = sol.eq_diag
         report["max_gap_eq_tc"] = float(np.nanmax(np.abs(sol.eq_diag - phi_tc)))
         report["rounds"] = len(sol.iterations)
         report["final_change"] = sol.iterations[-1]
-    with open(art.path("strategy.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("s,i,invest_fraction,consume_rate\n")
-        for k, s in enumerate(times):
-            s = float(s)
-            g_weight = float(spec.g(anchor, s)) if variant == "pre" else None
-            for i in range(1, spec.m + 1):
-                if np.isnan(phi_rows[k, i - 1]):
-                    continue
-                u, c = merton_mod.strategies(spec, phi_rows[k, i - 1], s, 1.0, i,
-                                             g_weight=g_weight)
-                fh.write(f"{s!r},{i},{float(u)!r},{float(c)!r}\n")
+    k, i = np.nonzero(~np.isnan(phi_rows))
+    pairs = []
+    for s, label, phi in zip(times[k].tolist(), (i + 1).tolist(), phi_rows[k, i]):
+        g_weight = float(spec.g(anchor, s)) if variant == "pre" else None
+        pairs.append(merton_mod.strategies(spec, phi, s, 1.0, label,
+                                           g_weight=g_weight))
+    u, c = np.array(pairs, dtype=float).reshape(-1, 2).T
+    write_csv(art.path("strategy.csv"), ("s", "i", "invest_fraction", "consume_rate"),
+              (times[k], i + 1, u, c))
     art.add("strategy.csv")
     art.write_json("comparison.json", report)
     art.finish()
     return report
 
 
-def _write_phi_table(art, name, times, rows_by_tau):
-    with open(art.path(name), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tau,s,i,phi\n")
-        for tau in sorted(rows_by_tau):
-            rows = rows_by_tau[tau]
-            for k, s in enumerate(times):
-                for i in range(rows.shape[1]):
-                    val = rows[k, i]
-                    if np.isnan(val):
-                        continue
-                    fh.write(f"{float(tau)!r},{float(s)!r},{i + 1},{float(val)!r}\n")
+def _write_phi_table(art, name, taus, times, phi):
+    """phi[tau_idx, s_idx, i - 1] in long format; NaN entries are dropped."""
+    a, k, i = np.nonzero(~np.isnan(phi))
+    write_csv(art.path(name), ("tau", "s", "i", "phi"),
+              (np.asarray(taus, dtype=float)[a], times[k], i + 1, phi[a, k, i]))
     art.add(name)
 
 
@@ -437,11 +421,8 @@ def _run_verify(config, outdir, workers, plan_only):
         "epsilon": ladder["epsilons"], "min_gain": ladder["min_gains"],
         "intercept_estimate": ladder["intercept"], "anchor": t0})
     gain = ladder["gains"][-1]
-    with open(art.path("gain.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,i,gain\n")
-        for j, x in enumerate(grid.x):
-            for i in range(model.m):
-                fh.write(f"{float(x)!r},{i + 1},{float(gain.gain[j, i])!r}\n")
+    write_csv(art.path("gain.csv"), ("x", "i", "gain"),
+              (grid.x[:, None], np.arange(1, model.m + 1), gain.gain))
     art.add("gain.csv")
     art.finish()
     return {"min_gain": ladder["min_gains"][-1],

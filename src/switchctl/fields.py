@@ -149,12 +149,8 @@ class ValueField:
 
     def to_csv(self, path):
         """Long-format CSV: s, x, i, value. Regime labels are 1..m."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("s,x,i,value\n")
-            for k, s in enumerate(self.times):
-                for j, x in enumerate(self.grid.x):
-                    for i in range(self.m):
-                        fh.write(f"{float(s)!r},{float(x)!r},{i + 1},{float(self.values[k, j, i])!r}\n")
+        write_csv(path, ("s", "x", "i", "value"),
+                  (*_node_columns(self.times, self.grid, self.m), self.values))
 
     def to_binary(self, path):
         """JSON header line + little-endian float64 dump (C order)."""
@@ -255,14 +251,33 @@ class FeedbackStrategy:
         return float(np.max(diff))
 
     def to_csv(self, path):
-        cols = ",".join(self.names)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"s,x,i,{cols}\n")
-            for k, s in enumerate(self.times):
-                for j, x in enumerate(self.grid.x):
-                    for i in range(self.m):
-                        vals = ",".join(repr(float(v)) for v in self.values[k, j, i])
-                        fh.write(f"{float(s)!r},{float(x)!r},{i + 1},{vals}\n")
+        """Long-format CSV: s, x, i, then one column per control component."""
+        write_csv(path, ("s", "x", "i", *self.names),
+                  (*_node_columns(self.times, self.grid, self.m),
+                   *np.moveaxis(self.values, -1, 0)))
+
+
+# lines formatted and written per block: large enough to amortize the
+# per-block numpy calls, small enough that the formatted text stays small
+CSV_BLOCK = 256
+
+
+def write_csv(path, header, columns):
+    """Long-format CSV: the names in ``header``, then one line per element
+    of the broadcast ``columns`` in C order.  Floats are written as
+    ``repr`` of the Python float, integers as integers."""
+    columns = np.broadcast_arrays(*columns)
+    n_lines = columns[0].size
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_lines, CSV_BLOCK):
+            block = zip(*(c.flat[start:start + CSV_BLOCK].tolist() for c in columns))
+            fh.write("".join(",".join(map(repr, line)) + "\n" for line in block))
+
+
+def _node_columns(times, grid, m):
+    """(s, x, regime label) columns that broadcast over (n_t, n_x, m)."""
+    return times[:, None, None], grid.x[:, None], np.arange(1, m + 1)
 
 
 def physical_memory_bytes():

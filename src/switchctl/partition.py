@@ -51,6 +51,11 @@ class Partition:
         return float(self.knots[j])
 
     def knot_indices(self, times):
+        """Time-grid index of each knot; the knots must span the grid."""
+        if abs(self.knots[0] - times[0]) > 1e-9 or abs(self.knots[-1] - times[-1]) > 1e-9:
+            raise ConfigError(
+                f"partition knots {self.knots.tolist()} must run from the time "
+                f"grid's start {times[0]:g} to its end {times[-1]:g}")
         return [node_index(times, t) for t in self.knots]
 
 
@@ -135,21 +140,21 @@ def run_cycles(model, partition, grid, times, boundary=None):
                       strategy=strategy, theta_blocks=blocks, knot_idx=kidx)
 
 
-def refine_and_compare(model, partitions, grid, times, boundary=None,
-                       equilibrium=None):
-    """Convergence table across partitions of decreasing mesh.
+def refine_and_compare(solutions, equilibrium=None):
+    """Convergence table across PiSolutions of decreasing mesh.
 
     Each row reports the sup-norm distance of the concatenated value and
-    the strategy to the previous (coarser) partition over the interior,
+    the strategy to the previous (coarser) solution over the interior,
     and, when an equilibrium solution is supplied, the distance to its
-    diagonal value and strategy.
+    diagonal value and strategy.  ``solutions`` is consumed one at a
+    time, so a generator keeps at most two solutions alive.  Returns
+    ``(table, last solution)``.
     """
-    interior = grid.interior_mask()
     table = []
     prev = None
-    for part in partitions:
-        sol = run_cycles(model, part, grid, times, boundary=boundary)
-        row = {"mesh": part.mesh(), "n_players": part.n_players,
+    for sol in solutions:
+        interior = sol.grid.interior_mask()
+        row = {"mesh": sol.partition.mesh(), "n_players": sol.partition.n_players,
                "sup_diff_V": None, "sup_diff_Psi": None}
         if prev is not None:
             row["sup_diff_V"] = sol.value.sup_diff(prev.value, interior)
@@ -160,4 +165,4 @@ def refine_and_compare(model, partitions, grid, times, boundary=None,
                                                            interior)
         table.append(row)
         prev = sol
-    return table
+    return table, prev

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fields import FeedbackStrategy
+from .fields import FeedbackStrategy, write_csv
 
 _MAX_JUMP_DRAWS = 4096
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -111,10 +111,7 @@ class Path:
     path_index: int
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,X,alpha\n")
-            for t, x, a in zip(self.times, self.states, self.regimes):
-                fh.write(f"{float(t)!r},{float(x)!r},{int(a)}\n")
+        write_csv(path, ("t", "X", "alpha"), (self.times, self.states, self.regimes))
 
     def jump_log(self):
         return [

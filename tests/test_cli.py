@@ -279,6 +279,66 @@ def test_dry_run_all_subcommands(tmp_path, capsys):
         assert not out.exists()
 
 
+SMALL_MERTON_CFG = """
+[model]
+preset = merton-ti
+[grid]
+n_x = 21
+n_t = 16
+[solver]
+partitions = 1, 2
+[run]
+seed = 2
+"""
+
+
+def test_dry_run_plan_names_the_written_artifacts(tmp_path, capsys):
+    configs = {
+        "simulate": SIM_CFG,
+        "rates": RATES_EMPTY_CFG,
+        "partition-solve": SMALL_MERTON_CFG,
+        "equilibrium": SMALL_MERTON_CFG,
+        "merton": SMALL_MERTON_CFG,
+        "verify": VERIFY_CFG.replace("n_x = 41\nn_t = 64", "n_x = 21\nn_t = 32"),
+    }
+    for k, formats in enumerate(("csv", "bin", "csv, bin")):
+        for sub, text in configs.items():
+            cfg = f"{text}\n[output]\nformats = {formats}\n"
+            name = f"{sub}_{k}"
+            assert run_cli(tmp_path, name, cfg, (sub, "--dry-run"))[0] == 0
+            plan = json.loads(capsys.readouterr().out)["artifacts"]
+            code, out = run_cli(tmp_path, name, cfg, (sub,))
+            assert code == 0
+            capsys.readouterr()
+            manifest = json.loads((out / "manifest.json").read_text())
+            written = [a["name"] for a in manifest["artifacts"]]
+            assert sorted(plan) == sorted([*written, "manifest.json"]), (sub, formats)
+
+
+def test_partition_knots_must_span_the_time_grid(tmp_path, capsys):
+    base = """
+[model]
+preset = toy-lq
+[grid]
+n_x = 21
+n_t = 16
+[solver]
+knots = KNOTS
+[run]
+seed = 1
+"""
+    for name, knots in (("late_start", "0.25, 0.5, 1.0"),
+                        ("early_end", "0, 0.25, 0.5")):
+        code, out = run_cli(tmp_path, name, base.replace("KNOTS", knots),
+                            ("partition-solve",))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "partition knots" in err["message"]
+        assert "start 0 to its end 1" in err["message"]
+        assert not (out / "value.csv").exists()
+
+
 def test_nonconvergence_exit_code_4(tmp_path, capsys, monkeypatch):
     # the phi fixed point behind the Dirichlet data, held to one sweep
     import functools

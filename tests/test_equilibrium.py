@@ -276,7 +276,7 @@ def test_compare_matches_refine_table_entry(toy_tc):
     part = Partition.uniform(1.0, 4)
     pi = run_cycles(toy_tc, part, grid, times)
     direct = compare_to_partition(eq, pi)
-    table = refine_and_compare(toy_tc, [part], grid, times, equilibrium=eq)
+    table, _ = refine_and_compare([pi], equilibrium=eq)
     assert table[0]["sup_dist_Psi_eq"] == direct["sup_diff_psi"]
 
 

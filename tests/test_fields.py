@@ -72,6 +72,71 @@ def test_csv_long_format(tmp_path):
     assert float(v) == fld.values[0, 0, 0]
 
 
+# entries whose repr is easy to get wrong: exponent forms, signed zero,
+# non-finite values and the smallest subnormal
+AWKWARD = [1e-05, 1e16, -0.0, np.nan, np.inf, -np.inf, 5e-324]
+
+
+def awkward_grid_values(shape, seed=0):
+    vals = np.random.default_rng(seed).standard_normal(shape)
+    vals.reshape(-1)[:len(AWKWARD)] = AWKWARD
+    vals.reshape(-1)[-len(AWKWARD):] = AWKWARD
+    return vals
+
+
+def awkward_times(n_t):
+    # strictly increasing, starting -0.0, 5e-324, 1e-05 and ending at 1e16
+    return np.concatenate([[-0.0, 5e-324, 1e-05], np.linspace(0.1, 1.0, n_t - 4),
+                           [1e16]])
+
+
+def test_csv_bytes_match_per_line_writers(tmp_path):
+    # 12 x 13 x 2 = 312 lines, more than one CSV_BLOCK
+    from switchctl.fields import CSV_BLOCK
+    from switchctl.sde import Path
+    import csv_oracle
+
+    n_t, n_x, m = 12, 13, 2
+    assert n_t * n_x * m > CSV_BLOCK
+    grid = SpatialGrid(-1, 1, n_x)
+    times = awkward_times(n_t)
+    fld = ValueField(times, grid, awkward_grid_values((n_t, n_x, m)))
+    strat = FeedbackStrategy(times, grid, awkward_grid_values((n_t, n_x, m, 2), 1),
+                             names=["invest", "consume"])
+    n_nodes = 2 * CSV_BLOCK + 3
+    sample = Path(times=np.linspace(0.0, 2.0, n_nodes),
+                  states=awkward_grid_values(n_nodes, 2),
+                  regimes=np.arange(n_nodes, dtype=np.int64) % 3 + 1,
+                  jumps=[], seed=0, path_index=0)
+    for obj, oracle in ((fld, csv_oracle.value_field_csv),
+                        (strat, csv_oracle.strategy_csv),
+                        (sample, csv_oracle.path_csv)):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        obj.to_csv(got)
+        oracle(obj, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_phi_table_bytes_match_per_line_writer(tmp_path):
+    # NaN-prefixed rows, as in the pre-committed and equilibrium tables
+    from switchctl.cli import _Artifacts, _write_phi_table
+    from switchctl.fields import CSV_BLOCK
+    import csv_oracle
+
+    n_t, m = 150, 2
+    times = awkward_times(n_t)
+    phi = awkward_grid_values((3, n_t, m))
+    phi[0, :40] = np.nan
+    phi[1, 1:7, 1] = np.nan
+    taus = [-0.0, 1e-05, 0.25]
+    _write_phi_table(_Artifacts(str(tmp_path)), "got.csv", taus, times, phi)
+    csv_oracle.phi_table_csv(tmp_path / "want.csv", times,
+                             {tau: phi[a] for a, tau in enumerate(taus)})
+    want = (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() == want
+    assert want.count(b"\n") > CSV_BLOCK + 1
+
+
 def test_strategy_clamps_to_bounds():
     grid = SpatialGrid(-1, 1, 5)
     times = time_grid(0, 1, 2)

@@ -172,7 +172,7 @@ def test_refine_identical_partitions_zero(toy_tc):
     times = time_grid(0, 1, 64)
     grid = toy_tc.default_grid(41)
     parts = [Partition.uniform(1.0, 2), Partition.uniform(1.0, 2)]
-    table = refine_and_compare(toy_tc, parts, grid, times)
+    table, _ = refine_and_compare(run_cycles(toy_tc, p, grid, times) for p in parts)
     assert table[1]["sup_diff_V"] == 0.0
     assert table[1]["sup_diff_Psi"] == 0.0
 
@@ -181,7 +181,7 @@ def test_refine_time_consistent_all_small(toy_tc):
     times = time_grid(0, 1, 64)
     grid = toy_tc.default_grid(41)
     parts = [Partition.uniform(1.0, n) for n in (1, 2, 4)]
-    table = refine_and_compare(toy_tc, parts, grid, times)
+    table, _ = refine_and_compare(run_cycles(toy_tc, p, grid, times) for p in parts)
     for row in table[1:]:
         assert row["sup_diff_V"] <= 1e-8
         assert row["sup_diff_Psi"] <= 1e-8

@@ -1,4 +1,4 @@
-"""The benchmark tracer's view of one equilibrium run.
+"""The benchmark tracer's view of one equilibrium and one partition run.
 
 ``perfbench/tracing.py`` counts layers by patching switchctl's public
 functions by module attribute.  A refactor that stops calling a patched
@@ -29,17 +29,23 @@ seed = 1
 """
 
 
-def test_equilibrium_is_one_march(tmp_path):
+def traced_run(tmp_path, subcommand, cfg_text):
+    """One traced CLI run; returns the tracer."""
     cfg = tmp_path / "toy.ini"
-    cfg.write_text(TOY_CFG)
+    cfg.write_text(cfg_text)
     tracer = tracing.Tracer()
 
     def run():
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return cli.main(["equilibrium", str(cfg),
+            return cli.main([subcommand, str(cfg),
                              "--out", str(tmp_path / "out")])
 
     assert tracer.run_op(run) == 0
+    return tracer
+
+
+def test_equilibrium_is_one_march(tmp_path):
+    tracer = traced_run(tmp_path, "equilibrium", TOY_CFG)
     counts = tracer.layer_metrics(tracer.op)
     n_nodes = 17
     assert counts["pde.rows_batch_calls"] == 1
@@ -47,3 +53,15 @@ def test_equilibrium_is_one_march(tmp_path):
     assert counts["pde.row_steps"] == n_nodes * (n_nodes - 1) // 2 == 136
     # one minimizer call per level of the diagonal
     assert counts["pde.minimizer_calls"] == n_nodes == 17
+
+
+def test_partition_solve_cycle_and_write_spans(tmp_path):
+    tracer = traced_run(tmp_path, "partition-solve",
+                        TOY_CFG + "[solver]\npartitions = 1, 2, 4\n")
+    spans = tracer.self_times(tracer.op)
+    counts = tracer.layer_metrics(tracer.op)
+    # one cycle run per partition, players summed over the partitions
+    assert spans["partition.cycles"][1] == 3
+    assert counts["partition.players"] == 1 + 2 + 4
+    # value.csv and strategy.csv
+    assert spans["fields.write"][1] == 2
