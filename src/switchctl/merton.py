@@ -90,15 +90,24 @@ class PhiSolution:
     iterations: list = field(default_factory=list)
 
 
-def _rk4_step(rhs, s_hi, s_lo, y):
-    """One classical RK4 step of y' = rhs(s, y) from s_hi down to s_lo."""
+def _rk4_stages(s_hi, s_lo):
+    """Step dt and the stage times (k1, k2 and k3, k4) from s_hi to s_lo."""
     dt = s_lo - s_hi  # negative
-    k1 = rhs(s_hi, y)
-    k2 = rhs(s_hi + dt / 2, y + dt / 2 * k1)
-    k3 = rhs(s_hi + dt / 2, y + dt / 2 * k2)
-    k4 = rhs(s_lo, y + dt * k3)
+    return dt, (s_hi, s_hi + dt / 2, s_lo)
+
+
+def _rk4_step(rhs, dt, stages, y, s_lo):
+    """One classical RK4 step of y' = rhs(stage, y) over ``dt``, ending at s_lo.
+
+    ``stages`` holds what rhs reads at k1, at k2 and k3, and at k4: the
+    stage times of ``_rk4_stages``, or data tabled on them.
+    """
+    k1 = rhs(stages[0], y)
+    k2 = rhs(stages[1], y + dt / 2 * k1)
+    k3 = rhs(stages[1], y + dt / 2 * k2)
+    k4 = rhs(stages[2], y + dt * k3)
     y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if np.any(y <= 0) or not np.all(np.isfinite(y)):
+    if (y <= 0).any() or not np.isfinite(y).all():
         raise NumericError(
             f"phi integration left the positive cone at s={s_lo:g}; "
             f"the weights do not define a valid problem")
@@ -112,7 +121,8 @@ def _rk4_backward(times, terminal, rhs, k_stop=0):
     out[-1] = terminal
     y = np.asarray(terminal, dtype=float)
     for k in range(n - 1, k_stop, -1):
-        y = _rk4_step(rhs, times[k], times[k - 1], y)
+        dt, stages = _rk4_stages(times[k], times[k - 1])
+        y = _rk4_step(rhs, dt, stages, y, times[k - 1])
         out[k - 1] = y
     return out
 
@@ -142,6 +152,9 @@ def solve_precommitted(spec, tau, times):
     times = np.asarray(times, dtype=float)
     if not 0 <= tau < spec.T:
         raise DomainError("anchor tau must lie in [0, T)")
+    if tau >= times[-1]:
+        raise DomainError(f"anchor tau={tau:g} must lie before the last time "
+                          f"node {times[-1]:g}")
     k_stop = int(np.searchsorted(times, tau - 1e-12))
     hT = float(spec.h(tau)) * np.ones(spec.m)
     return _rk4_backward(times, hT, _optimal_rhs(spec, lambda s: spec.g(tau, s)),
@@ -172,12 +185,6 @@ def solve_proportional_cost(spec, tau, theta, kappa, times, terminal=None,
                          k_stop=k_stop)
 
 
-def _lagrange(nodes, values, s):
-    """Value at ``s`` of the polynomial through (nodes[j], values[j])."""
-    return sum(math.prod((s - t) / (t_j - t) for t in nodes if t != t_j) * v_j
-               for t_j, v_j in zip(nodes, values))
-
-
 def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
     """Two-time family phi(tau, s, i) coupled through its diagonal d(s) = phi(s, s).
 
@@ -188,36 +195,55 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
     of that one row's step fix it to ``tol`` (at most ``max_iter``), then
     rows 0..k-1 take the step once.  ``iterations[j]`` of the returned
     PhiSolution is the largest change any step saw in round j.
+
+    What the grid fixes is tabled once per step: the three stage times,
+    their Lagrange weights, g(s, s) and the column g(tau_j, s) of rows
+    0..k-1.  A round forms each stage's diagonal and its two powers once;
+    the all-rows step reuses those of the converged round.
     """
     times = np.asarray(times, dtype=float)
     n = len(times)
     A = spec.drift_gain()
     gam = spec.gamma
+    p_c, p_g = 1 / (1 - gam), gam / (1 - gam)
+    qT = spec.q.T
     phi = np.full((n, n, spec.m), np.nan)
     phi[:, -1, :] = np.asarray(spec.h(times), dtype=float)[:, None]
     log = []
 
-    def step(k, rows, d_lo):
-        # rows tau_j <= s_{k-1} <= s, so g stays on its domain
-        nodes = times[k - 1:k + 3]
-        diag = [d_lo] + [phi[j, j] for j in range(k, min(k + 3, n))]
-
-        def rhs(s, y):
-            d = _lagrange(nodes, diag, s)
-            if np.any(d <= 0):
-                raise NumericError("diagonal phi left the positive cone")
-            r = float(spec.g(s, s)) / d
-            gres = np.asarray(spec.g(times[rows], s), dtype=float)[:, None]
-            return -(A * y - gam * y * r ** (1 / (1 - gam))
-                     + gres * r ** (gam / (1 - gam)) + y @ spec.q.T)
-
-        return _rk4_step(rhs, times[k], times[k - 1], phi[rows, k])
+    def rhs(stage, y):
+        r_c, g_term = stage   # (g/d)^p_c and g(tau_rows, s) (g/d)^p_g
+        return -(A * y - gam * y * r_c + g_term + y @ qT)
 
     for k in range(n - 1, 0, -1):
+        dt, s_stages = _rk4_stages(times[k], times[k - 1])
+        nodes = times[k - 1:k + 3]
+        known = [phi[j, j] for j in range(k, min(k + 3, n))]
+        weights = [[math.prod((s - t) / (t_j - t) for t in nodes if t != t_j)
+                    for t_j in nodes] for s in s_stages]
+        g_diag = [float(spec.g(s, s)) for s in s_stages]
+        # rows tau_j <= s_{k-1} <= s, so g stays on its domain
+        g_rows = [np.asarray(spec.g(times[:k], s), dtype=float)[:, None]
+                  for s in s_stages]
+
+        def stage_powers(d_lo):
+            out = []
+            for w, g_ss in zip(weights, g_diag):
+                d = w[0] * d_lo      # Lagrange sum, left to right
+                for w_j, d_j in zip(w[1:], known):
+                    d = d + w_j * d_j
+                if (d <= 0).any():
+                    raise NumericError("diagonal phi left the positive cone")
+                r = g_ss / d
+                out.append((r ** p_c, r ** p_g))
+            return out
+
         d_lo = phi[k, k]
         for rnd in range(max_iter):
-            new = step(k, slice(k - 1, k), d_lo)[0]
-            change = float(np.max(np.abs(new - d_lo)))
+            pw = stage_powers(d_lo)
+            stages = [(r_c, g[k - 1:] * r_g) for (r_c, r_g), g in zip(pw, g_rows)]
+            new = _rk4_step(rhs, dt, stages, phi[k - 1:k, k], times[k - 1])[0]
+            change = float(np.abs(new - d_lo).max())
             if rnd == len(log):
                 log.append(change)
             log[rnd] = max(log[rnd], change)
@@ -228,7 +254,8 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
             raise ConvergenceError(
                 f"equilibrium phi diagonal at s={times[k - 1]:g} did not reach "
                 f"{tol:g} in {max_iter} rounds", history=log)
-        phi[:k, k - 1] = step(k, slice(0, k), d_lo)
+        stages = [(r_c, g * r_g) for (r_c, r_g), g in zip(pw, g_rows)]
+        phi[:k, k - 1] = _rk4_step(rhs, dt, stages, phi[:k, k], times[k - 1])
     idx = np.arange(n)
     return PhiSolution(times=times, eq=phi, eq_diag=phi[idx, idx], iterations=log)
 
@@ -250,7 +277,10 @@ def partition_phi(spec, knots, times):
     built strategy on [t_k, T] under the anchor t_{k-1} (a linear
     system), then solves the anchored optimal system on [t_{k-1}, t_k]
     with that terminal, and extends the strategy.  Integration proceeds
-    interval by interval, so no step straddles a strategy kink.
+    interval by interval, so no step straddles a strategy kink.  Each
+    player's consumption rate is tabled once, by one spline call per
+    regime on all the RK4 stage times of its interval, which is where
+    the pricing of the earlier players reads it.
     """
     times = np.asarray(times, dtype=float)
     knots = np.asarray(knots, dtype=float)
@@ -294,13 +324,13 @@ def partition_phi(spec, knots, times):
         if k < N:
             value[b_idx] = rows[k + 1][b_idx]   # right-continuous at knots
 
-        splines = [CubicSpline(seg_times, own[:, i]) for i in range(spec.m)]
-
-        def seg_kappa(s, _sp=splines, _tau=tau):
-            phi = np.array([max(float(sp(s)), 1e-300) for sp in _sp])
-            return (float(spec.g(_tau, s)) / phi) ** (1 / (1 - gam))
-
-        interval_kappa[k - 1] = seg_kappa
+        stage_s = np.ravel([_rk4_stages(seg_times[j], seg_times[j - 1])[1]
+                            for j in range(1, len(seg_times))])
+        phi_s = np.stack([CubicSpline(seg_times, own[:, i])(stage_s)
+                          for i in range(spec.m)], axis=1)
+        g_s = np.asarray(spec.g(tau, stage_s), dtype=float)[:, None]
+        kappa = (g_s / np.maximum(phi_s, 1e-300)) ** (1 / (1 - gam))
+        interval_kappa[k - 1] = dict(zip(stage_s.tolist(), kappa)).__getitem__
     return PartitionPhi(times=times, knots=knots, value=value, rows=rows)
 
 

@@ -374,3 +374,46 @@ def test_oversized_two_time_field_exit_code_2(tmp_path, capsys, monkeypatch):
     assert str(fields.two_time_bytes(1001, 401, 2)) in err["message"]
     assert "n_t=1001" in err["message"] and "n_x=401" in err["message"]
     assert not (out / "verify.json").exists()
+
+
+def test_merton_pre_anchor_past_the_grid_exit_2(tmp_path, capsys):
+    base = """
+[model]
+preset = merton-ti
+[grid]
+n_t = 8
+t_max = 0.5
+[solver]
+variant = pre
+anchor = ANCHOR
+[run]
+seed = 1
+"""
+    code, out = run_cli(tmp_path, "late", base.replace("ANCHOR", "0.75"),
+                        ("merton",))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "tau=0.75" in err["message"] and "node 0.5" in err["message"]
+    assert not (out / "phi.csv").exists()
+    # an off-node anchor inside the grid still runs
+    code, out = run_cli(tmp_path, "inside", base.replace("ANCHOR", "0.3"),
+                        ("merton",))
+    assert code == 0
+    assert (out / "phi.csv").exists()
+
+
+def test_artifact_record_hashes_in_blocks(tmp_path):
+    import hashlib
+    from switchctl.cli import HASH_BLOCK_BYTES, _Artifacts
+    payloads = {"long.bin": bytes(range(256)) * (HASH_BLOCK_BYTES * 7 // 512),
+                "empty.bin": b""}
+    art = _Artifacts(str(tmp_path))
+    for name, data in payloads.items():
+        (tmp_path / name).write_bytes(data)
+        art.add(name)
+    assert len(payloads["long.bin"]) > 3 * HASH_BLOCK_BYTES
+    assert art.records == [
+        {"name": name, "bytes": len(data),
+         "sha256": hashlib.sha256(data).hexdigest()}
+        for name, data in payloads.items()]

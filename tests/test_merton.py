@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from switchctl import merton
-from switchctl.errors import ConfigError, DomainError
+from switchctl.errors import ConfigError, ConvergenceError, DomainError
 from switchctl.fields import time_grid
 from switchctl.merton import (MertonSpec, anchored_policy, equilibrium_policy,
-                              monte_carlo_payoff, solve_equilibrium_ode,
+                              monte_carlo_payoff, partition_phi,
+                              solve_equilibrium_ode,
                               solve_precommitted, solve_proportional_cost,
                               solve_time_consistent, strategies,
                               wealth_dynamics)
 from switchctl.models import (constant_rate_geometry, merton_spec,
                               uniform_mark_density)
+from switchctl.partition import Partition
 from switchctl.sde import simulate_ensemble
+
+import phi_oracle
 
 
 def single_regime_spec(g0=0.0, h0=2.0):
@@ -340,3 +344,62 @@ def test_mc_payoff_rejects_unknown_start_regime():
     for i0 in (0, 3):
         with pytest.raises(ConfigError, match="regime"):
             small_payoff(spec, pol, 0.0, 1.0, i0)
+
+
+def test_precommitted_anchor_at_or_past_the_last_node_rejected():
+    # the grid ends at 0.5, before T = 1: no step is left below the anchor
+    spec = hyperbolic_spec()
+    times = time_grid(0.0, 0.5, 8)
+    for tau in (0.5, 0.75):
+        with pytest.raises(DomainError, match=f"tau={tau:g}.*last time node 0.5"):
+            solve_precommitted(spec, tau, times)
+    off_node = solve_precommitted(spec, 0.3, times)
+    assert np.isnan(off_node[:5]).all() and np.isfinite(off_node[5:]).all()
+
+
+# ---- stage tables against the per-stage-call oracle ---------------------------
+
+@pytest.mark.parametrize("n_steps", [800, 96, 2, 1])
+def test_equilibrium_ode_matches_per_stage_oracle(n_steps):
+    spec = hyperbolic_spec()
+    times = time_grid(0.0, spec.T, n_steps)
+    got = solve_equilibrium_ode(spec, times, tol=1e-13)
+    want = phi_oracle.solve_equilibrium_ode(spec, times, tol=1e-13)
+    assert np.array_equal(got.eq, want.eq, equal_nan=True)
+    assert np.array_equal(got.eq_diag, want.eq_diag)
+    assert got.iterations == want.iterations
+
+
+def test_equilibrium_ode_matches_per_stage_oracle_anchor_free():
+    spec = anchor_free_spec()
+    times = time_grid(0.0, spec.T, 64)
+    got = solve_equilibrium_ode(spec, times, tol=1e-12)
+    want = phi_oracle.solve_equilibrium_ode(spec, times, tol=1e-12)
+    assert np.array_equal(got.eq, want.eq, equal_nan=True)
+    assert got.iterations == want.iterations
+
+
+def test_equilibrium_ode_nonconvergence_matches_oracle():
+    spec = hyperbolic_spec()
+    times = time_grid(0.0, spec.T, 96)
+    errors = []
+    for solve in (solve_equilibrium_ode, phi_oracle.solve_equilibrium_ode):
+        with pytest.raises(ConvergenceError) as info:
+            solve(spec, times, tol=1e-13, max_iter=1)
+        errors.append(info.value)
+    got, want = errors
+    assert str(got) == str(want)
+    assert got.history == want.history
+
+
+@pytest.mark.parametrize("n_players", [4, 8])
+def test_partition_phi_matches_per_stage_oracle(n_players):
+    spec = hyperbolic_spec()
+    times = time_grid(0.0, spec.T, 96)
+    knots = Partition.uniform(spec.T, n_players).knots
+    got = partition_phi(spec, knots, times)
+    want = phi_oracle.partition_phi(spec, knots, times)
+    assert np.array_equal(got.value, want.value, equal_nan=True)
+    assert got.rows.keys() == want.rows.keys()
+    for k in want.rows:
+        assert np.array_equal(got.rows[k], want.rows[k], equal_nan=True), k

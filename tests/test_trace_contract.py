@@ -65,3 +65,34 @@ def test_partition_solve_cycle_and_write_spans(tmp_path):
     assert counts["partition.players"] == 1 + 2 + 4
     # value.csv and strategy.csv
     assert spans["fields.write"][1] == 2
+
+
+MERTON_CFG = """
+[model]
+preset = merton-ti
+[grid]
+n_x = 21
+n_t = 16
+[solver]
+partitions = 1, 2
+variant = eq
+[run]
+seed = 2
+"""
+
+
+def test_phi_layer_spans(tmp_path):
+    # one phi solve per run, traced through the patched module names
+    for subcommand in ("merton", "equilibrium"):
+        tracer = traced_run(tmp_path, subcommand, MERTON_CFG)
+        spans = tracer.self_times(tracer.op)
+        counts = tracer.layer_metrics(tracer.op)
+        assert spans["merton.phi_ode"][1] == 1
+        assert "merton.partition_phi" not in spans
+        # rounds of the 16-step march at tol 1e-12
+        assert counts["merton.phi_iterations"] == 5
+    tracer = traced_run(tmp_path, "partition-solve", MERTON_CFG)
+    spans = tracer.self_times(tracer.op)
+    # one ODE mirror per partition, and no equilibrium phi solve
+    assert spans["merton.partition_phi"][1] == 2
+    assert "merton.phi_ode" not in spans
