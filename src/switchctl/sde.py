@@ -14,10 +14,20 @@ through the mark CDF), and one standard normal per sub-interval of its
 merged grid.  Ensembles are therefore order-independent across paths
 and bit-reproducible for a fixed seed.
 
-The contract is per path; the implementation is per chunk.
-``_pregenerate`` builds one generator per chunk and, before each path
-draws, re-keys it into exactly the state of a fresh
-``Philox(key=[s, p])``, so no Philox is constructed per path.
+The contract is per path; the implementation is per chunk and block.
+``_Noise`` builds one generator per chunk and, before each path draws,
+sets it to exactly the state of a fresh ``Philox(key=[s, p])``, so no
+Philox is constructed per path.  Jump times and marks are drawn for the
+whole horizon.  Normals are drawn B base steps at a time into a
+time-major window of the chunk's paths, with B set by the window's byte
+budget (512 steps at 8192 paths), and each path's stream is paused
+between blocks.  A block draws one normal per base step and per jump up
+to its end node, which bounds what the path consumes there; a normal
+that a zero-length sub-step (a jump at a node, two jumps at one time)
+left unconsumed carries over to the next block.  Drawing a stream in
+pieces yields the same values as drawing it at once, so every path
+consumes the same normals in the same order whatever B is, and memory
+grows with B, not with the horizon.
 
 One loop, ``_march``, walks the merged grid for every entry point.  It
 advances K state copies of each path (K = 1 for ensembles and single
@@ -44,14 +54,22 @@ from .fields import FeedbackStrategy, write_csv
 
 _MAX_JUMP_DRAWS = 4096
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+# a chunk's normals window holds B base steps of every path, B the most
+# that fits here: 512 steps at 8192 paths
+_NORMALS_BLOCK_BYTES = 32 << 20
+# the row-major tile that paths draw their blocks into before its
+# transposed copy into the window: at most this many paths and, unless a
+# single path's block is larger, this many bytes
+_TILE_PATHS = 512
+_TILE_BYTES = 4 << 20
 
 
 def path_stream(seed, path_index):
     """Generator for the (seed, path_index) counter-based stream.
 
     Every path of a run draws from this stream, whatever the chunking.
-    ``_pregenerate`` opens it once per chunk and re-keys the generator
-    for each further path instead of calling this per path.
+    ``_Noise`` opens it once per chunk and moves the generator to each
+    path's stream and position instead of calling this per path.
     """
     key = np.array([np.uint64(seed & _MASK64), np.uint64(path_index)],
                    dtype=np.uint64)
@@ -161,16 +179,27 @@ def _as_policy(policy, control_dim=1):
     return f
 
 
-def _rekey(gen, seed, p):
-    """Put ``gen`` in the state of a fresh ``path_stream(seed, p)``.
+def _set_stream(gen, seed, p, counter=(0, 0, 0, 0), buffer=(0, 0, 0, 0),
+                buffer_pos=4):
+    """Put ``gen`` on path p's stream at the given position.
 
-    The Philox state setter copies the values element by element, so
-    tuples stand in for the arrays the getter returns.
+    The default position is that of a fresh ``path_stream(seed, p)``.  The
+    Philox state setter copies the values element by element, so tuples
+    and lists stand in for the arrays the getter returns.  Only 64-bit
+    draws are made, so no half-used 32-bit word is ever pending.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed & _MASK64, p)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        "state": {"counter": counter, "key": (seed & _MASK64, p)},
+        "buffer": buffer, "buffer_pos": buffer_pos, "has_uint32": 0, "uinteger": 0}
+
+
+def _save_stream(gen, row):
+    """Write ``gen``'s position into ``row``: counter, buffer, buffer_pos."""
+    st = gen.bit_generator.state
+    row[:4] = st["state"]["counter"]
+    row[4:8] = st["buffer"]
+    row[8] = st["buffer_pos"]
 
 
 def _jump_columns(horizon):
@@ -188,45 +217,134 @@ def _widen(a, cols, fill):
     return out
 
 
-def _pregenerate(seed, path_indices, t0, t_end, n_steps, with_jumps):
-    """Draw each path's noise in the canonical order; pad across the chunk.
+def _arrivals(gen, first, horizon):
+    """A path's jump times after t0 within ``horizon``, on its unit-rate clock.
 
-    One generator serves the chunk, re-keyed to path p's stream before
-    path p draws.  Each path's normals are written straight into its row;
-    the columns widen only when a path has more jumps than allocated.
+    ``first`` holds the path's first 8 inter-arrival times; more are drawn
+    in eights until the clock passes the horizon.
     """
-    horizon = t_end - t0
-    n = len(path_indices)
-    cap = _jump_columns(horizon) if with_jumps else 0
-    jt_pad = np.full((n, cap + 1), np.inf)
-    mu_pad = np.zeros((n, cap + 1))
-    normals = np.zeros((n, n_steps + cap + 1))
-    n_jumps = np.zeros(n, dtype=np.int64)
-    gen = path_stream(seed, path_indices[0])
-    for k, p in enumerate(path_indices.tolist()):
-        _rekey(gen, seed, p)
-        nj = 0
-        if with_jumps:
-            e = gen.standard_exponential(8)
-            if e[0] <= horizon:     # else no arrival: the usual case for small ds
-                cum = np.cumsum(e)
-                while cum[-1] <= horizon:
-                    if len(cum) >= _MAX_JUMP_DRAWS:
-                        raise NumericError("jump count cap exceeded; intensity is fixed "
-                                           "to one so this indicates a horizon misuse")
-                    cum = np.concatenate([cum, cum[-1] + np.cumsum(gen.standard_exponential(8))])
-                nj = int(np.count_nonzero(cum <= horizon))
-                if nj > cap:
-                    cap = 2 * nj
-                    jt_pad = _widen(jt_pad, cap + 1, np.inf)
-                    mu_pad = _widen(mu_pad, cap + 1, 0.0)
-                    normals = _widen(normals, n_steps + cap + 1, 0.0)
-                jt_pad[k, :nj] = t0 + cum[:nj]
-                gen.random(out=mu_pad[k, :nj])
-                n_jumps[k] = nj
-        gen.standard_normal(out=normals[k, :n_steps + nj])
-    width = int(n_jumps.max(initial=0)) + 1
-    return jt_pad[:, :width], mu_pad[:, :width], n_jumps, normals[:, :n_steps + width]
+    cum = np.cumsum(first)
+    while cum[-1] <= horizon:
+        if len(cum) >= _MAX_JUMP_DRAWS:
+            raise NumericError("jump count cap exceeded; intensity is fixed "
+                               "to one so this indicates a horizon misuse")
+        cum = np.concatenate([cum, cum[-1] + np.cumsum(gen.standard_exponential(8))])
+    return cum[:np.count_nonzero(cum <= horizon)]
+
+
+class _Noise:
+    """One chunk's noise: jumps and marks for the whole horizon, normals by block.
+
+    ``jt`` and ``mu`` (n, width) hold each path's jump times (inf-padded)
+    and marks, ``n_jumps`` their counts.  ``normals`` is a time-major
+    window (rows, n): rows 0..fill[p] - 1 of column p are path p's next
+    normals.  Block b covers the base intervals [bB, (b+1)B).  By the end
+    of a block that ends at node e, path p has drawn e normals plus one
+    per jump at or before ``nodes[e]``.  That bounds what ``_march``
+    consumes by then, since a zero-length sub-step consumes nothing; the
+    last block brings the total to ``n_steps + n_jumps[p]``.
+
+    One generator serves the chunk.  Each path draws, in turn, its jump
+    times, its marks and its first block; between blocks its stream is
+    paused as one row of ``position``, kept only when there is a second
+    block.  A path draws its block into a row of a row-major tile, and each
+    full tile is copied, transposed, into the window.
+    """
+
+    def __init__(self, seed, path_indices, nodes, with_jumps):
+        self.seed, self.paths, self.nodes = seed, path_indices, nodes
+        self.n_steps = n_steps = len(nodes) - 1
+        n = len(path_indices)
+        self.block = e = max(1, min(n_steps, _NORMALS_BLOCK_BYTES // (8 * n)))
+        one_block = e == n_steps
+        t0, horizon = nodes[0], float(nodes[-1] - nodes[0])
+        cap = _jump_columns(horizon) if with_jumps else 0
+        jt = np.full((n, cap + 1), np.inf)
+        mu = np.zeros((n, cap + 1))
+        self.n_jumps = np.zeros(n, dtype=np.int64)
+        self.normals = np.zeros((e + cap, n))
+        tile_paths = max(1, min(n, _TILE_PATHS, _TILE_BYTES // (8 * (e + cap))))
+        self.tile = np.zeros((tile_paths, e + cap))
+        position = None if one_block else np.empty((n, 9), dtype=np.uint64)
+        self.position = position
+        fill = None if one_block else np.empty(n, dtype=np.int64)
+        gen = self.gen = path_stream(seed, path_indices[0])
+        tile = self.tile
+        for g0 in range(0, n, tile_paths):
+            g1 = min(n, g0 + tile_paths)
+            for j, p in enumerate(path_indices[g0:g1].tolist()):
+                k = g0 + j
+                _set_stream(gen, seed, p)
+                nj = 0
+                if with_jumps:
+                    first = gen.standard_exponential(8)
+                    if first[0] <= horizon:     # else none: the usual case for small ds
+                        arrivals = _arrivals(gen, first, horizon)
+                        nj = len(arrivals)
+                        if nj > cap:
+                            cap = 2 * nj
+                            jt = _widen(jt, cap + 1, np.inf)
+                            mu = _widen(mu, cap + 1, 0.0)
+                            self._widen_window(e + cap)
+                            tile = self.tile
+                        jt[k, :nj] = t0 + arrivals
+                        gen.random(out=mu[k, :nj])
+                        self.n_jumps[k] = nj
+                if one_block:
+                    gen.standard_normal(out=tile[j, :n_steps + nj])
+                else:
+                    q = e + (nj and int(np.searchsorted(jt[k, :nj], nodes[e], "right")))
+                    fill[k] = q
+                    gen.standard_normal(out=tile[j, :q])
+                    _save_stream(gen, position[k])
+            self._flush(g0, g1)
+        if one_block:
+            fill = n_steps + self.n_jumps
+        self.fill = self.drawn = fill
+        width = int(self.n_jumps.max(initial=0)) + 1
+        self.jt, self.mu = jt[:, :width], mu[:, :width]
+
+    def _widen_window(self, rows):
+        window = np.zeros((rows, self.normals.shape[1]))
+        window[:len(self.normals)] = self.normals
+        self.normals = window
+        self.tile = _widen(self.tile, rows, 0.0)
+
+    def _flush(self, g0, g1):
+        self.normals[:, g0:g1] = self.tile[:g1 - g0].T
+
+    def refill(self, k, ptr):
+        """Fill the window for the block that starts at base node k.
+
+        ``ptr`` holds each path's next unconsumed row.  Those not yet
+        consumed move to the front of the path's column, the new draws
+        follow them, and ``ptr`` is reset to 0.
+        """
+        e = min(k + self.block, self.n_steps)
+        last = e == self.n_steps
+        if last:
+            need = self.n_steps + self.n_jumps
+        else:
+            need = e + np.count_nonzero(self.jt <= self.nodes[e], axis=1)
+        left = self.fill - ptr
+        self.fill = left + need - self.drawn
+        self.drawn = need
+        gen, seed, tile, window = self.gen, self.seed, self.tile, self.normals
+        n, position = len(self.paths), self.position
+        for g0 in range(0, n, len(tile)):
+            g1 = min(n, g0 + len(tile))
+            group = zip(self.paths[g0:g1].tolist(), position[g0:g1].tolist(),
+                        left[g0:g1].tolist(), ptr[g0:g1].tolist(),
+                        self.fill[g0:g1].tolist())
+            for j, (p, r, a, start, end) in enumerate(group):
+                if a:
+                    tile[j, :a] = window[start:start + a, g0 + j]
+                _set_stream(gen, seed, p, r[:4], r[4:8], r[8])
+                gen.standard_normal(out=tile[j, a:end])
+                if not last:
+                    _save_stream(gen, position[g0 + j])
+            self._flush(g0, g1)
+        ptr[:] = 0
 
 
 def _em_update(dynamics, s, x, lab, u, dt, z):
@@ -249,7 +367,9 @@ def _base_nodes(t0, t_end, h):
     return np.linspace(t0, t_end, max(1, int(round((t_end - t0) / h))) + 1)
 
 
-def _check_chunk_size(chunk_size):
+def _check_counts(n_paths, chunk_size):
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1")
     if chunk_size < 1:
         raise ConfigError("chunk_size must be >= 1")
 
@@ -273,8 +393,8 @@ def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
     """Walk K state copies of n paths over the merged Euler/jump grid, in place.
 
     ``x`` and ``alpha`` are (K, n); every copy of path p consumes path p's
-    jump times, marks and normals from ``noise``, the output of
-    ``_pregenerate``.
+    jump times, marks and normals from ``noise``, a ``_Noise`` whose
+    window is refilled at the start of every block.
 
     Every path sits at base node s_k when interval k starts, so the
     controls are evaluated there once per copy and regime, at the scalar
@@ -285,7 +405,7 @@ def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
     controls ``u``; ``on_jump(rows, s, theta)`` runs after the regimes of
     ``rows`` updated at their jump times ``s``.
     """
-    jt, mu, _n_jumps, normals = noise
+    jt, mu, normals = noise.jt, noise.mu, noise.normals
     n_copies, n = x.shape
     labels = range(1, dynamics.m + 1)
     paths = np.arange(n)
@@ -308,7 +428,7 @@ def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
 
     def jump_substeps(rows, s, dt):
         # paths past a jump, each from its own time s
-        z = normals[rows, ptr[rows]]
+        z = normals[ptr[rows], rows]
         for xc, ac in zip(x, alpha):
             a = ac[rows]
             for lab in labels:
@@ -321,12 +441,14 @@ def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
         ptr[rows] += 1
 
     for k in range(len(nodes) - 1):
+        if k and k % noise.block == 0:
+            noise.refill(k, ptr)
         s, t_next = nodes[k], nodes[k + 1]
         groups = node_controls(s)
         if on_node is not None:
             on_node(k, s, u)
         dt = np.minimum(jnext, t_next) - s
-        z = normals[paths, ptr]
+        z = normals[ptr, paths]
         for c, lab, idx, xr, ur in groups:
             x[c, idx] = _em_update(dynamics, s, xr, lab, ur, dt[idx], z[idx])
         # dt = 0 only for a jump at s_k itself: that step leaves x as it is
@@ -367,7 +489,7 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
     ``u`` (hi - lo, control_dim) at that node, the ones the next Euler
     sub-step uses.
     """
-    _check_chunk_size(chunk_size)
+    _check_counts(n_paths, chunk_size)
     t0, x0, i0 = init
     _check_regimes(i0, dynamics, geometry)
     nodes = _base_nodes(t0, t_end, h)
@@ -386,9 +508,8 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
 
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
-        noise = _pregenerate(seed, np.arange(lo, hi), t0, t_end, n_steps,
-                             geometry is not None)
-        res.n_jumps[lo:hi] = noise[2]
+        noise = _Noise(seed, np.arange(lo, hi), nodes, geometry is not None)
+        res.n_jumps[lo:hi] = noise.n_jumps
         x = x0[None, lo:hi].copy()
         alpha = i0[None, lo:hi].copy()
 
@@ -402,6 +523,7 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
         _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_node=on_node)
         res.state_T[lo:hi] = x[0]
         res.regime_T[lo:hi] = alpha[0]
+        del noise       # or the next chunk's window is built beside this one
     return res
 
 
@@ -415,8 +537,7 @@ def simulate_path(dynamics, geometry, levy, init, policy, h, t_end, seed,
     t0, x0, i0 = init
     _check_regimes(i0, dynamics, geometry)
     nodes = _base_nodes(t0, t_end, h)
-    noise = _pregenerate(seed, np.array([path_index]), t0, t_end, len(nodes) - 1,
-                         geometry is not None)
+    noise = _Noise(seed, np.array([path_index]), nodes, geometry is not None)
     x = np.full((1, 1), x0, dtype=float)
     alpha = np.full((1, 1), i0, dtype=np.int64)
     times, states, regimes, jumps = [], [], [], []
@@ -481,7 +602,7 @@ def coupled_pair_divergence(dynamics, geometry, levy, strategy, xi1, xi2, i,
     increments.  Returns (P(regime histories split by T),
     E[sup_{s<=T} |X1 - X2|^2 on full agreement]).
     """
-    _check_chunk_size(chunk_size)
+    _check_counts(n_paths, chunk_size)
     _check_regimes(i, dynamics, geometry)
     nodes = _base_nodes(t0, t_end, h)
     pol = _as_policy(strategy, dynamics.control_dim)
@@ -489,8 +610,7 @@ def coupled_pair_divergence(dynamics, geometry, levy, strategy, xi1, xi2, i,
     sup_sum = 0.0
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
-        noise = _pregenerate(seed, np.arange(lo, hi), t0, t_end, len(nodes) - 1,
-                             geometry is not None)
+        noise = _Noise(seed, np.arange(lo, hi), nodes, geometry is not None)
         x = np.empty((2, hi - lo))
         x[0], x[1] = float(xi1), float(xi2)
         alpha = np.full((2, hi - lo), int(i), dtype=np.int64)
@@ -508,4 +628,5 @@ def coupled_pair_divergence(dynamics, geometry, levy, strategy, xi1, xi2, i,
                on_jump=on_jump, on_node=on_node)
         split += int(np.sum(~agree))
         sup_sum += float(np.sum(supsq[agree]))
+        del noise
     return split / n_paths, sup_sum / n_paths

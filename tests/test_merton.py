@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from switchctl import merton
+from switchctl import merton, sde
 from switchctl.errors import ConfigError, ConvergenceError, DomainError
 from switchctl.fields import time_grid
 from switchctl.merton import (MertonSpec, anchored_policy, equilibrium_policy,
@@ -297,6 +297,13 @@ def test_mc_payoff_pinned_bitwise():
                                                     0.02264984923045578)
     assert small_payoff(spec, pol, 0.25, 0.8, 2) == (1.0646699835938023,
                                                      0.007640594162161918)
+
+
+def test_mc_payoff_pinned_bitwise_in_short_blocks(monkeypatch):
+    # 7 base steps a block for the 512 paths: many refills, and jumps
+    # that straddle block ends
+    monkeypatch.setattr(sde, "_NORMALS_BLOCK_BYTES", 8 * 512 * 7)
+    test_mc_payoff_pinned_bitwise()
 
 
 def test_mc_payoff_one_policy_call_per_node_and_regime(monkeypatch):

@@ -4,11 +4,12 @@ from scipy.linalg import expm
 
 from switchctl import sde
 from switchctl.errors import ConfigError, NumericError
-from switchctl.sde import (ControlledDynamics, _pregenerate,
-                           coupled_pair_divergence, estimate_transition_rate,
-                           simulate_ensemble, simulate_path)
+from switchctl.sde import (ControlledDynamics, coupled_pair_divergence,
+                           estimate_transition_rate, simulate_ensemble,
+                           simulate_path)
 from switchctl.switching import rate_matrix
 
+from noise_oracle import pregenerate
 from test_switching import (constant_geometry, empty_geometry, tanh_geometry,
                             uniform_levy)
 
@@ -254,9 +255,33 @@ def fresh_stream_noise(seed, p, horizon, n_steps, with_jumps):
     return arrivals, marks, g.standard_normal(n_steps + len(arrivals))
 
 
+def short_blocks(monkeypatch, n_paths, block, tile_paths=None, jump_columns=0):
+    """Make a chunk of ``n_paths`` draw its normals ``block`` base steps at a
+    time and, given its jump columns, copy ``tile_paths`` paths per tile."""
+    monkeypatch.setattr(sde, "_NORMALS_BLOCK_BYTES", 8 * n_paths * block)
+    if tile_paths is not None:
+        monkeypatch.setattr(sde, "_TILE_BYTES", 8 * tile_paths * (block + jump_columns))
+
+
+def joined_block_normals(noise):
+    """Each path's normals, its blocks joined, every drawn normal consumed."""
+    columns = range(len(noise.paths))
+    parts = [[noise.normals[:noise.fill[c], c].copy()] for c in columns]
+    for k in range(noise.block, noise.n_steps, noise.block):
+        noise.refill(k, noise.fill.copy())
+        for c in columns:
+            parts[c].append(noise.normals[:noise.fill[c], c].copy())
+    return [np.concatenate(p) for p in parts]
+
+
 def assert_noise_matches_fresh_streams(seed, first, t0, t_end, n_steps, with_jumps):
     idx = np.arange(first, first + 40)
-    jt, mu, n_jumps, normals = _pregenerate(seed, idx, t0, t_end, n_steps, with_jumps)
+    jt, mu, n_jumps, normals = pregenerate(seed, idx, t0, t_end, n_steps, with_jumps)
+    noise = sde._Noise(seed, idx, np.linspace(t0, t_end, n_steps + 1), with_jumps)
+    assert np.array_equal(noise.jt, jt)
+    assert np.array_equal(noise.mu, mu)
+    assert np.array_equal(noise.n_jumps, n_jumps)
+    blocks = joined_block_normals(noise)
     refs = [fresh_stream_noise(seed, p, t_end - t0, n_steps, with_jumps) for p in idx]
     width = max(len(r[0]) for r in refs) + 1
     assert jt.shape == mu.shape == (len(idx), width)
@@ -270,16 +295,20 @@ def assert_noise_matches_fresh_streams(seed, first, t0, t_end, n_steps, with_jum
         assert np.all(mu[k, nj:] == 0.0)
         assert np.array_equal(normals[k, :n_steps + nj], z)
         assert np.all(normals[k, n_steps + nj:] == 0.0)
+        assert np.array_equal(blocks[k], z)
     return n_jumps
 
 
-@pytest.mark.parametrize("seed, first, t_end, n_steps, with_jumps", [
+STREAM_CASES = [
     (5, 0, 20.5, 10, True),       # long horizon: the 8-block extension runs
     (3, 0, 0.51, 1, True),        # one-step paths, mostly without a jump
     (3, 0, 1.5, 5, False),
     (-1, 0, 2.5, 4, True),
     (9, 8192, 1.5, 3, True),      # the path indices of a second chunk
-])
+]
+
+
+@pytest.mark.parametrize("seed, first, t_end, n_steps, with_jumps", STREAM_CASES)
 def test_pregenerate_matches_fresh_philox_streams(seed, first, t_end, n_steps,
                                                   with_jumps):
     n_jumps = assert_noise_matches_fresh_streams(seed, first, 0.5, t_end,
@@ -290,10 +319,25 @@ def test_pregenerate_matches_fresh_philox_streams(seed, first, t_end, n_steps,
         assert np.any(n_jumps == 0)
 
 
+@pytest.mark.parametrize("seed, first, t_end, n_steps, with_jumps", STREAM_CASES)
+def test_block_streams_match_fresh_philox_streams_in_short_blocks(
+        monkeypatch, seed, first, t_end, n_steps, with_jumps):
+    # 2 steps a block, 7 paths a tile: 5 full tiles and a part
+    cap = sde._jump_columns(t_end - 0.5) if with_jumps else 0
+    short_blocks(monkeypatch, 40, 2, 7, cap)
+    test_pregenerate_matches_fresh_philox_streams(seed, first, t_end, n_steps,
+                                                  with_jumps)
+
+
 def test_pregenerate_widens_jump_columns(monkeypatch):
     monkeypatch.setattr(sde, "_jump_columns", lambda horizon: 0)
     n_jumps = assert_noise_matches_fresh_streams(5, 0, 0.5, 20.5, 10, True)
     assert n_jumps.max() > 8
+
+
+def test_pregenerate_widens_jump_columns_in_short_blocks(monkeypatch):
+    short_blocks(monkeypatch, 40, 2, 7, 0)
+    test_pregenerate_widens_jump_columns(monkeypatch)
 
 
 @pytest.mark.parametrize("chunk_size", [0, -4])
@@ -367,19 +411,125 @@ def test_node_hook_sees_the_controls_of_the_next_step():
     assert seen == list(range(31)) * 3
 
 
-def test_jump_at_start_node_consumes_no_normal():
-    # a jump exactly at s_0 is a zero-length sub-step: the path's first
-    # normal must go to the step after the jump
-    nodes = np.linspace(0.0, 1.0, 5)
-    z = np.array([[0.3, -1.2, 0.7, 2.0, 0.0, 0.0]])
-    noise = (np.array([[0.0, np.inf]]), np.array([[0.5, 0.0]]), np.array([1]), z)
+def march_fixed_arrivals(monkeypatch, arrivals, nodes, seed=1):
+    """March one path of dyn(0, 1) from 0.25 whose clock rings at ``arrivals``.
+
+    Returns the jump times the march processed, the end state, the normals
+    of the path's stream (drawn after its first 8 inter-arrival times and
+    one mark per jump) and the noise.
+    """
+    monkeypatch.setattr(sde, "_arrivals", lambda gen, first, horizon: np.array(arrivals))
+    g = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    assert g.standard_exponential(8)[0] <= nodes[-1] - nodes[0]     # the clock rings
+    g.random(len(arrivals))
+    z = g.standard_normal(len(nodes) - 1 + len(arrivals))
+    noise = sde._Noise(seed, np.array([0]), nodes, True)
     x = np.full((1, 1), 0.25)
     alpha = np.ones((1, 1), dtype=np.int64)
     jumps = []
     sde._march(dyn(0.0, 1.0), empty_geometry(), uniform_levy(), sde._as_policy(None),
-               nodes, noise, x, alpha, on_jump=lambda rows, s, th: jumps.append(s[0]))
+               nodes, noise, x, alpha, on_jump=lambda rows, s, th: jumps.extend(s))
+    return jumps, x[0, 0], z, noise
+
+
+def test_jump_at_start_node_consumes_no_normal(monkeypatch):
+    # a jump exactly at s_0 is a zero-length sub-step: the path's first
+    # normal must go to the step after the jump
+    nodes = np.linspace(0.0, 1.0, 5)
+    jumps, x, z, _ = march_fixed_arrivals(monkeypatch, [0.0], nodes)
     want = 0.25
-    for zk in z[0, :4]:
+    for zk in z[:4]:
         want = want + 0.0 + 0.5 * zk
     assert jumps == [0.0]
-    assert x[0, 0] == want
+    assert x == want
+
+
+def test_jump_at_start_node_consumes_no_normal_in_short_blocks(monkeypatch):
+    short_blocks(monkeypatch, 1, 2)
+    test_jump_at_start_node_consumes_no_normal(monkeypatch)
+
+
+@pytest.mark.parametrize("block", [None, 2])
+def test_jump_at_block_boundary_node_carries_its_normal(monkeypatch, block):
+    # block 0 draws a normal for the jump at s_2 = 0.5, where it ends; the
+    # jump's sub-step has zero length, so that normal opens block 1
+    if block:
+        short_blocks(monkeypatch, 1, block)
+    nodes = np.linspace(0.0, 1.0, 5)
+    jumps, x, z, noise = march_fixed_arrivals(monkeypatch, [0.5], nodes)
+    assert noise.block == (block or 4)
+    want = 0.25
+    for zk in z[:4]:
+        want = want + 0.0 + 0.5 * zk
+    assert jumps == [0.5]
+    assert x == want
+
+
+@pytest.mark.parametrize("block", [None, 2])
+def test_two_jumps_at_one_time_consume_one_normal(monkeypatch, block):
+    # the second jump at 0.3 leaves a zero-length sub-step; block 0 drew
+    # for both, so one normal carries over into block 1
+    if block:
+        short_blocks(monkeypatch, 1, block)
+    nodes = np.linspace(0.0, 1.0, 5)
+    jumps, x, z, _ = march_fixed_arrivals(monkeypatch, [0.3, 0.3], nodes)
+    want = 0.25
+    for dt, zk in zip([0.25, 0.3 - 0.25, 0.5 - 0.3, 0.25, 0.25], z):
+        want = want + 0.0 * dt + 1.0 * np.sqrt(dt) * zk
+    assert jumps == [0.3, 0.3]
+    assert x == want
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_n_paths_must_be_positive(n_paths):
+    calls = [
+        lambda: simulate_ensemble(dyn(), empty_geometry(), uniform_levy(),
+                                  (0.0, 0.0, 1), None, h=0.1, t_end=1.0,
+                                  n_paths=n_paths, seed=0),
+        lambda: coupled_pair_divergence(drifted(), tanh_geometry(), uniform_levy(),
+                                        None, 0.5, 0.6, 1, n_paths=n_paths, seed=4,
+                                        h=0.05, t_end=1.0),
+        lambda: estimate_transition_rate(dyn(), tanh_geometry(), uniform_levy(),
+                                         0.0, 1, 2, 0.01, n_paths, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="n_paths must be >= 1"):
+            call()
+
+
+@pytest.mark.parametrize("n, n_steps", [(8192, 1000), (64, 100_000), (1, 10)])
+def test_normals_window_bounded_by_its_budget(n, n_steps):
+    # the whole-horizon matrix would take n * n_steps * 8 bytes: 51 MB at
+    # (64, 100_000), whatever the budget
+    nodes = np.linspace(0.0, 10.0, n_steps + 1)
+    noise = sde._Noise(1, np.arange(n), nodes, True)
+    cap = sde._jump_columns(10.0)
+    tile_cap = max(sde._TILE_BYTES, 8 * noise.tile.shape[1])
+    assert noise.normals.nbytes <= sde._NORMALS_BLOCK_BYTES + n * cap * 8
+    assert noise.tile.nbytes <= tile_cap
+    assert noise.block == min(n_steps, sde._NORMALS_BLOCK_BYTES // (8 * n))
+
+
+def test_ensemble_rows_equal_simulate_path_in_short_blocks(monkeypatch):
+    # 7 steps a block for the single path, 2 for the three-path ensemble
+    short_blocks(monkeypatch, 1, 7)
+    test_ensemble_rows_equal_simulate_path()
+
+
+@pytest.mark.parametrize("geometry, xi1, xi2, n_paths, seed, t_end", [
+    (tanh_geometry, 0.5, 0.5, 500, 4, 1.0),
+    (constant_geometry, 0.2, 0.8, 2000, 6, 1.0),
+    (tanh_geometry, 0.0, 0.8, 6000, 8, 2.0),
+    (tanh_geometry, 0.0, 0.1, 6000, 8, 2.0),
+])
+def test_coupled_results_equal_in_short_blocks(monkeypatch, geometry, xi1, xi2,
+                                               n_paths, seed, t_end):
+    # both copies of a path read its normals through one window pointer
+    def run():
+        return coupled_pair_divergence(drifted(), geometry(), uniform_levy(), None,
+                                       xi1, xi2, 1, n_paths=n_paths, seed=seed,
+                                       h=0.05, t_end=t_end)
+
+    want = run()
+    short_blocks(monkeypatch, n_paths, 7)
+    assert run() == want
