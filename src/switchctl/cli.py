@@ -240,9 +240,9 @@ def _grids(config, model):
 
 def _merton_boundary(model, times, grid, tol):
     if model.spec is None:
-        return None, None
+        return None
     phi = merton_mod.solve_equilibrium_ode(model.spec, times, tol=min(tol, 1e-12))
-    return phi, merton_equilibrium_boundary(model, phi, grid)
+    return merton_equilibrium_boundary(model, phi, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def _run_equilibrium(config, outdir, workers, plan_only):
     model = _model_from_config(config)
     grid, times = _grids(config, model)
     tol = config.get("solver", "tol")
-    _phi, boundary = _merton_boundary(model, times, grid, tol)
+    boundary = _merton_boundary(model, times, grid, tol)
     sol = solve_equilibrium(model, grid, times, boundary=boundary)
     final_res = equilibrium_residual(model, sol)
     art = _Artifacts(outdir)
@@ -415,7 +415,7 @@ def _run_verify(config, outdir, workers, plan_only):
     model = _model_from_config(config)
     grid, times = _grids(config, model)
     tol = config.get("solver", "tol")
-    _phi, boundary = _merton_boundary(model, times, grid, tol)
+    boundary = _merton_boundary(model, times, grid, tol)
     sol = solve_equilibrium(model, grid, times, boundary=boundary)
     t0 = config.get("solver", "spike_anchor")
     epsilons = config.get("solver", "epsilons")

@@ -63,7 +63,8 @@ def evaluate_cost(model, strategy, t, grid, times, boundary=None):
 
     ``times`` must start at t and end at the model horizon; ``strategy``
     is a FeedbackStrategy or a callable (s, x, i) -> control defined on
-    the whole window.
+    the whole window.  ``boundary`` is an optional factory tau ->
+    dirichlet, with dirichlet(times) the (n_t, m, 2) edge values.
     """
     times = np.asarray(times, dtype=float)
     if abs(times[0] - t) > 1e-9:

@@ -61,7 +61,8 @@ def solve_equilibrium(model, grid, times, boundary=None):
     them, each with its own anchor and Dirichlet data: one
     solve_rows_batch call with row j active from level j, writing
     straight into the two-time field.  ``boundary`` is an optional
-    factory tau -> dirichlet(s, i) for anchored Dirichlet data.  The log
+    factory tau -> dirichlet for anchored Dirichlet data, where
+    dirichlet(times) returns the row's (n_t, m, 2) edge values.  The log
     stays empty: the march takes no sweeps.
     """
     times = np.asarray(times, dtype=float)

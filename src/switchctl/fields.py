@@ -204,37 +204,29 @@ class FeedbackStrategy:
         self.names = list(names) if names else [f"u{k}" for k in range(self.control_dim)]
 
     def __call__(self, s, x, i):
-        """Control at (s, x-array, regime label i); shape (len(x), control_dim)."""
-        k, ws = _bracket(self.times, s)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((x.shape[0], self.control_dim))
-        for c in range(self.control_dim):
-            lo = np.interp(x, self.grid.x, self.values[k, :, i - 1, c])
-            hi = np.interp(x, self.grid.x, self.values[k + 1, :, i - 1, c])
-            val = (1 - ws) * lo + ws * hi
-            out[:, c] = np.clip(val, self.bounds[c][0], self.bounds[c][1])
-        return out
+        """Control at (s, x-array, regime label i); shape (len(x), control_dim).
 
-    def at_times(self, s, x, i):
-        """Like __call__ but with a per-point time array ``s``."""
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return self(float(s), x, i)
+        ``s`` is one time for every point of x, or an array of one time
+        per point.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((x.shape[0], self.control_dim))
-        ks = np.clip(np.searchsorted(self.times, s, side="right") - 1,
-                     0, len(self.times) - 2)
-        if np.any(s < self.times[0] - 1e-12) or np.any(s > self.times[-1] + 1e-12):
+        s = np.asarray(s, dtype=float)
+        times = self.times
+        if np.any(s < times[0] - 1e-12) or np.any(s > times[-1] + 1e-12):
             raise DomainError("time query outside the strategy's time grid")
+        ks = np.clip(np.searchsorted(times, s, side="right") - 1,
+                     0, len(times) - 2)
+        ws = np.broadcast_to(np.clip(
+            (s - times[ks]) / (times[ks + 1] - times[ks]), 0.0, 1.0), x.shape)
+        out = np.empty((x.shape[0], self.control_dim))
         for k in np.unique(ks):
-            mask = ks == k
-            w = (s[mask] - self.times[k]) / (self.times[k + 1] - self.times[k])
-            w = np.clip(w, 0.0, 1.0)
+            # a scalar s puts every point in one bracket
+            sel = slice(None) if ks.ndim == 0 else ks == k
             for c in range(self.control_dim):
-                lo = np.interp(x[mask], self.grid.x, self.values[k, :, i - 1, c])
-                hi = np.interp(x[mask], self.grid.x, self.values[k + 1, :, i - 1, c])
-                out[mask, c] = np.clip((1 - w) * lo + w * hi,
-                                       self.bounds[c][0], self.bounds[c][1])
+                lo = np.interp(x[sel], self.grid.x, self.values[k, :, i - 1, c])
+                hi = np.interp(x[sel], self.grid.x, self.values[k + 1, :, i - 1, c])
+                out[sel, c] = np.clip((1 - ws[sel]) * lo + ws[sel] * hi,
+                                      self.bounds[c][0], self.bounds[c][1])
         return out
 
     def node_values(self, k):

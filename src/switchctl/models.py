@@ -251,50 +251,43 @@ def merton_model(spec, x_domain=(0.5, 2.5)):
     return model
 
 
-def ansatz_dirichlet(grid, phi_interp, gamma, sign=-1.0):
-    """Dirichlet data sign * phi(s, i) x^gamma at the two grid edges."""
-    edges = (grid.x_min, grid.x_max)
+def ansatz_dirichlet(grid, phi_times, phi_rows, gamma):
+    """Dirichlet data -phi(s, i) x^gamma at the two grid edges.
 
-    def dirichlet(s, i):
-        phi = float(phi_interp(s, i))
-        return (sign * phi * edges[0] ** gamma, sign * phi * edges[1] ** gamma)
+    ``phi_rows`` is an (n, m) phi table on ``phi_times`` whose columns may
+    start with NaN.  Returns the callable times -> (len(times), m, 2) that
+    interpolates each regime's column on its valid entries.
+    """
+    x_edges = np.array([grid.x_min ** gamma, grid.x_max ** gamma])
+
+    def dirichlet(times):
+        phi = np.empty((len(times), phi_rows.shape[1]))
+        for i, col in enumerate(phi_rows.T):
+            valid = ~np.isnan(col)
+            phi[:, i] = np.interp(times, phi_times[valid], col[valid])
+        return -phi[:, :, None] * x_edges
 
     return dirichlet
 
 
-def phi_row_interp(times, rows):
-    """Interpolant (s, i) -> phi for a (n, m) table with NaN-prefixed rows."""
-    times = np.asarray(times, dtype=float)
-
-    def interp(s, i):
-        col = rows[:, i - 1]
-        valid = ~np.isnan(col)
-        return float(np.interp(s, times[valid], col[valid]))
-
-    return interp
-
-
 def merton_partition_boundary(model, mirror, grid):
     """Anchored Dirichlet data for cycle runs, from the ODE mirror rows."""
-    spec = model.spec
     knots = mirror.knots
 
     def boundary(tau):
-        j = node_index(knots[:-1], tau)
-        interp = phi_row_interp(mirror.times, mirror.rows[j + 1])
-        return ansatz_dirichlet(grid, interp, spec.gamma, sign=-1.0)
+        rows = mirror.rows[node_index(knots[:-1], tau) + 1]
+        return ansatz_dirichlet(grid, mirror.times, rows, model.spec.gamma)
 
     return boundary
 
 
 def merton_equilibrium_boundary(model, phi_solution, grid):
     """Per-row Dirichlet data for the equilibrium solver, from phi rows."""
-    spec = model.spec
     times = phi_solution.times
 
     def boundary(tau):
-        interp = phi_row_interp(times, phi_solution.eq[node_index(times, tau)])
-        return ansatz_dirichlet(grid, interp, spec.gamma, sign=-1.0)
+        rows = phi_solution.eq[node_index(times, tau)]
+        return ansatz_dirichlet(grid, times, rows, model.spec.gamma)
 
     return boundary
 

@@ -90,8 +90,9 @@ class PiSolution:
 def run_cycles(model, partition, grid, times, boundary=None):
     """Run the backward cycles; returns the PiSolution.
 
-    ``boundary`` is an optional factory tau -> dirichlet(s, i) supplying
-    anchored Dirichlet data (used with ansatz-consistent truncation).
+    ``boundary`` is an optional factory tau -> dirichlet supplying
+    anchored Dirichlet data (used with ansatz-consistent truncation):
+    dirichlet(times) returns the (n_t, m, 2) edge values on a window.
     """
     times = np.asarray(times, dtype=float)
     kidx = partition.knot_indices(times)

@@ -81,7 +81,7 @@ class LinearPDEProblem:
     source: callable = None     # source(s, x, i, v_i, vx_i, qv_i) -> (n_x,)
     terminal: np.ndarray = None         # (n_x, m)
     terminal_fn: callable = None        # h(x, i), used by the kernel oracle
-    dirichlet: callable = None          # dirichlet(s, i) -> (left, right)
+    dirichlet: callable = None          # dirichlet(times) -> (n_t, m, 2) edges
 
 
 @dataclass
@@ -108,7 +108,7 @@ class HJBProblem:
     q_table: np.ndarray = None
     psi: callable = None        # psi(tau, s, x, i, v_all, p, P) -> (n_x, d)
     terminal: np.ndarray = None
-    dirichlet: callable = None
+    dirichlet: callable = None  # dirichlet(times) -> (n_t, m, 2) edges
     control_dim: int = 1
     control_names: list = None
 
@@ -172,14 +172,24 @@ def _by_regime(m, x, fn):
                     axis=1)
 
 
-def _edges(grid, fns, s, m):
-    """Dirichlet data at ``s`` as (R, m, 2), one call per (row, regime) to
-    the rows' callables (s, lab) -> (left, right); None if no edge needs it."""
-    if all(edge == BC_EXTRAPOLATE for edge in grid.bc):
-        return None
-    if fns is None or None in fns:
+def _edges(grid, fns, times, m):
+    """Dirichlet data on ``times`` as (R, n_t, m, 2) for the R rows whose
+    ``dirichlet(times)`` callables (or None) are ``fns``: one call per
+    row, and zeros without a call if no edge reads them or no step runs."""
+    shape = (len(times), m, 2)
+    if all(edge == BC_EXTRAPOLATE for edge in grid.bc) or len(times) < 2:
+        return np.broadcast_to(0.0, (len(fns),) + shape)
+    if None in fns:
         raise ConfigError("dirichlet boundary requires data")
-    return np.array([[fn(s, i + 1) for i in range(m)] for fn in fns], float)
+    out = np.empty((len(fns),) + shape)
+    for r, fn in enumerate(fns):
+        table = np.asarray(fn(times), dtype=float)
+        if table.shape != shape:
+            raise ConfigError(f"dirichlet returned shape {table.shape} on "
+                              f"{len(times)} times; it must return "
+                              f"(len(times), m, 2) = {shape}")
+        out[r] = table
+    return out
 
 
 def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
@@ -249,14 +259,14 @@ def solve_linear_parabolic(problem, times):
         return _by_regime(m, x, lambda lab: problem.source(
             s, x, lab, v[0, :, lab - 1], vx[:, lab - 1], qv[0, :, lab - 1]))[None]
 
+    edges = _edges(grid, [problem.dirichlet], times, m)
     for k in range(len(times) - 2, -1, -1):
         s_lo, s_hi = times[k], times[k + 1]
         s_mid = 0.5 * (s_lo + s_hi)
         a, beta = (_by_regime(m, x, lambda lab: fn(s_mid, x, lab))
                    for fn in (problem.a, problem.beta))
         values[k] = _step(values[k + 1][None], s_lo, s_hi, grid, a, beta,
-                          problem.q_table, sources,
-                          _edges(grid, [problem.dirichlet], s_lo, m))[0]
+                          problem.q_table, sources, edges[:, k])[0]
     return ValueField(times, grid, values)
 
 
@@ -403,9 +413,10 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
     ``rows`` is a caller-owned (R, n_t, n_x, m) array with each row's
     terminal data at ``[:, -1]``; the march steps it down in place.  The
     rows share the coefficients and differ only in the anchor entering
-    g, the terminal data and (optionally) the Dirichlet data
-    ``dirichlet_fns[r]``.  ``active_from[r]`` is the lowest time index
-    row r reaches; nothing below it is written.
+    g, the terminal data and (optionally) the Dirichlet data: row r's
+    ``dirichlet_fns[r](times)`` is called once as the solve starts and
+    returns its (n_t, m, 2) edge values.  ``active_from[r]`` is the lowest
+    time index row r reaches; nothing below it is written.
 
     ``controls(k)`` returns the (n_x, m, control_dim) controls that stay
     frozen over the step times[k] -> times[k-1].  It is called once per
@@ -423,6 +434,8 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
     anchors = np.asarray(anchors, dtype=float)
     active_from = np.zeros(len(anchors), dtype=np.int64) if active_from is None \
         else np.asarray(active_from, dtype=np.int64)
+    edges = _edges(grid, [None] * len(anchors) if dirichlet_fns is None
+                   else dirichlet_fns, times, m)
 
     def frozen(fn, s, u):
         return _by_regime(m, x, lambda lab: fn(s, x, lab, u[:, lab - 1]))
@@ -444,10 +457,8 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
                 tau, s, x, i + 1, v[..., i], z[..., i], qv[..., i],
                 u_star[:, i]), v.shape[:2]) for i in range(m)], axis=-1)
 
-        fns = None if dirichlet_fns is None else [dirichlet_fns[r] for r in act]
         rows[act, k - 1] = _step(rows[act, k], s_lo, s_hi, grid, a, beta,
-                                 problem.q_table, sources,
-                                 _edges(grid, fns, s_lo, m))
+                                 problem.q_table, sources, edges[act, k - 1])
 
 
 def apply_generator(fld, s_idx, x_idx, i, u, dynamics, q_table):

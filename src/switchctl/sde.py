@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fields import FeedbackStrategy, write_csv
+from .fields import write_csv
 
 _MAX_JUMP_DRAWS = 4096
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -154,13 +154,6 @@ def _as_policy(policy, control_dim=1):
     if policy is None:
         const = np.zeros(control_dim)
         policy = const
-    if isinstance(policy, FeedbackStrategy):
-        strat = policy
-
-        def f(s, x, i):
-            return strat.at_times(s, x, i) if np.ndim(s) else strat(s, x, i)
-
-        return f
     if isinstance(policy, (int, float, tuple, list, np.ndarray)):
         const = np.atleast_1d(np.asarray(policy, dtype=float))
 

@@ -30,7 +30,7 @@ def slab_solve(model, grid, times, tol=1e-8, max_sweeps=40, slab=None,
     """The equilibrium system by slab sweeps; returns the solution and log.
 
     ``slab`` is the slab width in time units (default T/8).  ``boundary``
-    is an optional factory tau -> dirichlet(s, i) for anchored Dirichlet
+    is an optional factory tau -> dirichlet(times) for anchored Dirichlet
     data.
     """
     times = np.asarray(times, dtype=float)

@@ -19,7 +19,8 @@ from switchctl.merton import (partition_phi, solve_equilibrium_ode,
                               solve_precommitted, solve_proportional_cost,
                               solve_time_consistent, equilibrium_policy,
                               monte_carlo_payoff, MertonSpec)
-from switchctl.models import (affine_threshold_geometry, constant_rate_geometry,
+from switchctl.models import (affine_threshold_geometry, ansatz_dirichlet,
+                              constant_rate_geometry,
                               constant_threshold_geometry, merton_model,
                               merton_spec, merton_equilibrium_boundary,
                               merton_partition_boundary,
@@ -99,10 +100,7 @@ def test_criterion_03_verification_inequality(mt_acc):
     gamma = spec.gamma
     phi_pre = solve_precommitted(spec, 0.0, times)
 
-    def hjb_dirichlet(s, i):
-        p = float(np.interp(s, times, phi_pre[:, i - 1]))
-        return (-p * grid.x_min**gamma, -p * grid.x_max**gamma)
-
+    hjb_dirichlet = ansatz_dirichlet(grid, times, phi_pre, gamma)
     hjb = solve_hjb(model.hjb_problem(0.0, grid, dirichlet=hjb_dirichlet), times)
     interior = grid.interior_mask()
     xs = grid.x[interior]
@@ -123,10 +121,7 @@ def test_criterion_03_verification_inequality(mt_acc):
             spec, 0.0, lambda s: np.full(spec.m, theta_p),
             lambda s: np.full(spec.m, kappa_p), times)
 
-        def cost_dirichlet(s, i, _pp=phi_prop):
-            p = float(np.interp(s, times, _pp[:, i - 1]))
-            return (-p * grid.x_min**gamma, -p * grid.x_max**gamma)
-
+        cost_dirichlet = ansatz_dirichlet(grid, times, phi_prop, gamma)
         cost = evaluate_cost(model, policy, 0.0, grid, times,
                              boundary=lambda tau, _d=cost_dirichlet: _d)
         gap = (hjb.value.values - cost.field.values)[:, interior, :]

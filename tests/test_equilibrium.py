@@ -51,6 +51,41 @@ def test_affine_manufactured_exact_and_residual():
     assert residual(model, sol) <= 1e-9
 
 
+def test_merton_dirichlet_tables_equal_per_call_interpolation():
+    # the merton-pde grid; each row's table from its anchor node on
+    # equals the per-(s, regime) interpolation the tables replaced
+    from switchctl.merton import solve_equilibrium_ode
+    from switchctl.models import merton_model, merton_spec
+    model = merton_model(merton_spec(True))
+    grid = model.default_grid(61)
+    times = time_grid(0.0, model.T, 96)
+    gamma = model.spec.gamma
+
+    def per_call(t, rows, k0):
+        want = np.empty((len(times) - k0, model.m, 2))
+        for k, s in enumerate(times[k0:]):
+            for i in range(model.m):
+                col = rows[:, i]
+                valid = ~np.isnan(col)
+                phi = float(np.interp(s, t[valid], col[valid]))
+                want[k, i] = [-phi * x_edge**gamma
+                              for x_edge in (grid.x_min, grid.x_max)]
+        return want
+
+    phi = solve_equilibrium_ode(model.spec, times, tol=1e-12)
+    boundary = merton_equilibrium_boundary(model, phi, grid)
+    for j, tau in enumerate(times):
+        got = boundary(float(tau))(times)[j:]
+        assert np.all(got == per_call(phi.times, phi.eq[j], j))
+    for n in (4, 8):
+        part = Partition.uniform(times[-1], n)
+        mirror = partition_phi(model.spec, part.knots, times)
+        boundary = merton_partition_boundary(model, mirror, grid)
+        for k, a_idx in enumerate(part.knot_indices(times)[:-1], start=1):
+            got = boundary(float(part.knots[k - 1]))(times[a_idx:])
+            assert np.all(got == per_call(mirror.times, mirror.rows[k], a_idx))
+
+
 def test_affine_converges_fast():
     model = affine_model()
     grid = model.default_grid(41)

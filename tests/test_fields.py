@@ -154,7 +154,7 @@ def test_strategy_at_times_matches_scalar_calls():
     strat = FeedbackStrategy(times, grid, vals)
     ss = np.array([0.1, 0.4, 0.9])
     xs = np.array([-0.5, 0.0, 0.7])
-    batch = strat.at_times(ss, xs, 2)
+    batch = strat(ss, xs, 2)
     for k in range(3):
         single = strat(float(ss[k]), xs[k:k + 1], 2)
         assert np.allclose(batch[k], single[0], atol=1e-14)

@@ -4,7 +4,7 @@ import pytest
 from switchctl.errors import ConfigError, DomainError
 from switchctl.fields import time_grid
 from switchctl.merton import partition_phi
-from switchctl.models import merton_partition_boundary
+from switchctl.models import ansatz_dirichlet, merton_partition_boundary
 from switchctl.partition import (Partition, refine_and_compare,
                                  run_cycles)
 from switchctl.pde import solve_hjb, solve_representation
@@ -149,11 +149,7 @@ def test_knot_local_optimality(mt_ti):
                 lambda s: np.full(spec.m, kappa_p), seg_times,
                 terminal=phi_term)
 
-            def dirichlet(s, i):
-                phi = float(np.interp(s, seg_times, phi_prop[:, i - 1]))
-                return (-phi * grid.x_min**spec.gamma,
-                        -phi * grid.x_max**spec.gamma)
-
+            dirichlet = ansatz_dirichlet(grid, seg_times, phi_prop, spec.gamma)
             problem = model.hjb_problem(tau, grid, terminal=terminal,
                                         dirichlet=dirichlet)
             field = solve_representation(problem, seg_times, policy)

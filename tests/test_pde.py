@@ -82,7 +82,9 @@ def manufactured_problem(grid, with_dirichlet=False):
 
     dirichlet = None
     if with_dirichlet:
-        dirichlet = lambda s, i: (v_star(s, grid.x_min), v_star(s, grid.x_max))
+        def dirichlet(times):
+            edges = v_star(np.asarray(times)[:, None], [grid.x_min, grid.x_max])
+            return np.repeat(edges[:, None], 2, axis=1)
     problem = LinearPDEProblem(
         a=const(a0), beta=const(b0), grid=grid, m=2,
         q_table=q_const(grid, q),
@@ -474,7 +476,10 @@ def anchored_hjb(grid):
 
 
 def row_dirichlet(tau):
-    return lambda s, i: (np.exp(tau - s) + i, 2.0 * i - tau * s)
+    def dirichlet(times):
+        s, i = np.asarray(times)[:, None], np.arange(1, 3)
+        return np.stack([np.exp(tau - s) + i, 2.0 * i - tau * s], axis=-1)
+    return dirichlet
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", ("dirichlet", "extrapolate"),
@@ -506,27 +511,26 @@ def test_rows_batch_rows_equal_representation(bc):
 
 
 def counting(fn):
-    def wrapped(s, i):
+    def wrapped(times):
         wrapped.calls += 1
-        return fn(s, i)
+        return fn(times)
     wrapped.calls = 0
     return wrapped
 
 
-def test_dirichlet_data_read_once_per_row_regime_step():
+def test_dirichlet_data_read_once_per_row_and_solve():
     grid = SpatialGrid(-2, 2, 21, bc="dirichlet")
     times = time_grid(0, 1, 12)
-    n_steps = len(times) - 1
     problem = anchored_hjb(grid)
     problem.dirichlet = counting(row_dirichlet(0.0))
     sol = solve_hjb(problem, times)
-    assert problem.dirichlet.calls == n_steps * 2
+    assert problem.dirichlet.calls == 1
 
     linear = LinearPDEProblem(a=const(0.05), beta=const(0.1), grid=grid, m=2,
                               terminal=problem.terminal,
                               dirichlet=counting(row_dirichlet(0.0)))
     solve_linear_parabolic(linear, times)
-    assert linear.dirichlet.calls == n_steps * 2
+    assert linear.dirichlet.calls == 1
 
     active_from = np.array([0, 3, 7])
     fns = [counting(row_dirichlet(tau)) for tau in times[active_from]]
@@ -534,7 +538,28 @@ def test_dirichlet_data_read_once_per_row_regime_step():
     rows[:, -1] = problem.terminal
     solve_rows_batch(problem, times, sol.strategy.node_values,
                      times[active_from], rows, fns, active_from=active_from)
-    assert [fn.calls for fn in fns] == [(n_steps - k) * 2 for k in active_from]
+    assert [fn.calls for fn in fns] == [1, 1, 1]
+
+
+def test_dirichlet_table_of_wrong_shape_rejected():
+    grid = SpatialGrid(-2, 2, 21, bc="dirichlet")
+    times = time_grid(0, 1, 8)
+    problem = anchored_hjb(grid)
+    linear = LinearPDEProblem(a=const(0.05), beta=const(0.0), grid=grid, m=2,
+                              terminal=problem.terminal,
+                              dirichlet=lambda t: row_dirichlet(0.0)(t)[:, 0])
+    rows = np.empty((2, len(times), grid.n_x, 2))
+    rows[:, -1] = problem.terminal
+    short = lambda t: row_dirichlet(0.5)(t[1:])
+    calls = [lambda: solve_linear_parabolic(linear, times),
+             lambda: solve_rows_batch(problem, times,
+                                      lambda k: np.zeros((grid.n_x, 2, 1)),
+                                      [0.0, 0.5], rows,
+                                      [row_dirichlet(0.0), short])]
+    for call in calls:
+        with pytest.raises(ConfigError, match="dirichlet returned shape") as err:
+            call()
+        assert err.value.exit_code == 2
 
 
 def test_dirichlet_edge_without_data_rejected():

@@ -96,3 +96,13 @@ def test_phi_layer_spans(tmp_path):
     # one ODE mirror per partition, and no equilibrium phi solve
     assert spans["merton.partition_phi"][1] == 2
     assert "merton.phi_ode" not in spans
+
+
+def test_dirichlet_tables_read_once_per_row_and_solve(tmp_path):
+    # the tracer wraps what each boundary(tau) returns: one call per
+    # anchor row of the equilibrium march, and one per solve of a cycle
+    # run, N HJB plus N - 1 representation solves for N players
+    tracer = traced_run(tmp_path, "equilibrium", MERTON_CFG)
+    assert tracer.layer_metrics(tracer.op)["models.dirichlet_calls"] == 17
+    tracer = traced_run(tmp_path, "partition-solve", MERTON_CFG)
+    assert tracer.layer_metrics(tracer.op)["models.dirichlet_calls"] == 1 + 3
