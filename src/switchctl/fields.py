@@ -8,6 +8,7 @@ in (s, x) with clamping to the control bounds.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -249,22 +250,48 @@ class FeedbackStrategy:
                    *np.moveaxis(self.values, -1, 0)))
 
 
-# lines formatted and written per block: large enough to amortize the
-# per-block numpy calls, small enough that the formatted text stays small
+# lines joined and written per block: large enough to amortize the
+# per-block numpy calls, small enough that the joined text stays small
 CSV_BLOCK = 256
 
 
 def write_csv(path, header, columns):
     """Long-format CSV: the names in ``header``, then one line per element
     of the broadcast ``columns`` in C order.  Floats are written as
-    ``repr`` of the Python float, integers as integers."""
-    columns = np.broadcast_arrays(*columns)
-    n_lines = columns[0].size
+    ``repr`` of the Python float, integers as integers.
+
+    A broadcast column is formatted once per distinct entry, on its own
+    array, and a full column block by block, so the text held in memory
+    stays bounded; each entry carries its separator, and a block's lines
+    are the columns' texts summed as object arrays.
+    """
+    columns = [np.asarray(c) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    n_lines = math.prod(shape)
+    parts = []          # (flat entries, separator still to append or None)
+    for k, c in enumerate(columns):
+        end = "\n" if k == len(columns) - 1 else ","
+        if c.size < n_lines:
+            parts.append((np.broadcast_to(_csv_text(c, end), shape).flat, None))
+        else:
+            parts.append((np.broadcast_to(c, shape).flat, end))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_lines, CSV_BLOCK):
-            block = zip(*(c.flat[start:start + CSV_BLOCK].tolist() for c in columns))
-            fh.write("".join(",".join(map(repr, line)) + "\n" for line in block))
+            block = slice(start, start + CSV_BLOCK)
+            texts = [flat[block] if end is None else _csv_text(flat[block], end)
+                     for flat, end in parts]
+            lines = texts[0]
+            for text in texts[1:]:
+                lines = lines + text
+            fh.write("".join(lines.tolist()))
+
+
+def _csv_text(values, end):
+    """``repr(v) + end`` for every entry, as an object array of the same shape."""
+    out = np.empty(values.shape, dtype=object)
+    out.flat[:] = [repr(v) + end for v in values.ravel().tolist()]
+    return out
 
 
 def _node_columns(times, grid, m):

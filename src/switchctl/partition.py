@@ -1,23 +1,27 @@
 """N-player partition cycles: backward construction of the concatenated
 value, the per-player continuation blocks, and the cycle strategy.
 
-Cycle k (k = N..1) first solves the linear representation equation on
-[t_k, T] under the strategy already built to the right, anchored at
-t_{k-1} with terminal data h(t_{k-1}, ., .), then the HJB equation on
-[t_{k-1}, t_k] with the representation value at t_k as terminal, and
-extends the strategy from the fresh minimizers.  The concatenated value
-is right-continuous at interior knots; each player's block equals the
-concatenated value on the player's own interval as an exact array
-identity by construction.
+Player k (k = 1..N) acts on [t_{k-1}, t_k) and prices the future from
+its own anchor t_{k-1}: its block solves the HJB equation on its own
+interval and, beyond t_k, the linear representation equation under the
+strategy the later players built.  These multi-person games are the rows
+of one backward march, pde.solve_rows_batch: row k - 1 is anchored at
+t_{k-1}, starts from h(t_{k-1}, ., .) at T and stops at t_{k-1}, and the
+controls of each step are those of the player who owns it.  The
+concatenated value is right-continuous at interior knots; each player's
+block equals the concatenated value on the player's own interval as an
+exact array identity by construction.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pde
 from .errors import ConfigError, DomainError
 from .fields import FeedbackStrategy, TwoTimeField, ValueField, node_index
-from .pde import solve_hjb, solve_representation
+# still bound because perfbench/tracing.py patches them here (ROADMAP item 5)
+from .pde import solve_hjb, solve_representation  # noqa: F401
 
 
 @dataclass
@@ -88,57 +92,59 @@ class PiSolution:
 
 
 def run_cycles(model, partition, grid, times, boundary=None):
-    """Run the backward cycles; returns the PiSolution.
+    """Run the backward cycles as one march; returns the PiSolution.
 
-    ``boundary`` is an optional factory tau -> dirichlet supplying
-    anchored Dirichlet data (used with ansatz-consistent truncation):
-    dirichlet(times) returns the (n_t, m, 2) edge values on a window.
+    Row j is anchored at knot t_j, starts from h(t_j) at T and is active
+    from t_j's level.  A step from s_k in player r + 1's interval
+    (t_r, t_{r+1}] freezes the minimizer on the owner's row r for every
+    row; at an interior knot s_k = t_{r+1} the earlier rows price the
+    stored strategy there instead, the minimizer on row r + 1, so that
+    step takes two control groups.  ``boundary`` is an optional factory
+    tau -> dirichlet supplying anchored Dirichlet data (used with
+    ansatz-consistent truncation): dirichlet(times) returns the
+    (n_t, m, 2) edge values on a window.
     """
     times = np.asarray(times, dtype=float)
     kidx = partition.knot_indices(times)
-    n_t = len(times)
-    n_players = partition.n_players
-    m = model.m
+    anchors = partition.knots[:-1]
+    n_rows = partition.n_players
+    rows = np.empty((n_rows, len(times), grid.n_x, model.m))
+    for j, tau in enumerate(anchors):
+        rows[j, -1] = model.terminal_values(float(tau), grid)
+    problem = model.hjb_problem(0.0, grid)
+    controls = np.empty(rows.shape[1:] + (model.control_dim,))
 
-    value = np.empty((n_t, grid.n_x, m))
-    controls = np.empty((n_t, grid.n_x, m, model.control_dim))
-    blocks = {}
+    def minimizer(r, k):
+        problem.anchor = float(anchors[r])
+        return pde.controls_on_grid(problem, float(times[k]), rows[r, k])
 
-    for k in range(n_players, 0, -1):
-        a_idx, b_idx = kidx[k - 1], kidx[k]
-        tau = float(partition.knots[k - 1])
-        dirichlet = boundary(tau) if boundary is not None else None
-        if k == n_players:
-            terminal = model.terminal_values(tau, grid)
-            tail_values = None
-        else:
-            rep_problem = model.hjb_problem(tau, grid, dirichlet=dirichlet)
-            built = FeedbackStrategy(times[b_idx:], grid, controls[b_idx:],
-                                     bounds=[(model.control_set.lo,
-                                              model.control_set.hi)] * model.control_dim)
-            theta_tail = solve_representation(rep_problem, times[b_idx:], built)
-            terminal = theta_tail.values[0]
-            tail_values = theta_tail.values
-        hjb_problem = model.hjb_problem(tau, grid, terminal=terminal,
-                                        dirichlet=dirichlet)
-        sol = solve_hjb(hjb_problem, times[a_idx:b_idx + 1])
-        # the knot node belongs to the next player (right continuity)
-        hi = b_idx + 1 if k == n_players else b_idx
-        value[a_idx:hi] = sol.value.values[:hi - a_idx]
-        controls[a_idx:hi] = sol.strategy.values[:hi - a_idx]
-        if tail_values is None:
-            block_values = sol.value.values
-        else:
-            block_values = np.concatenate([sol.value.values[:-1], tail_values])
-        blocks[k] = ValueField(times[a_idx:], grid, block_values)
+    def step_controls(k):
+        r = int(np.searchsorted(kidx, k)) - 1      # the owner of the step
+        own = minimizer(r, k)
+        if k != kidx[r + 1] or r + 1 == n_rows:
+            controls[k] = own
+            return own
+        controls[k] = minimizer(r + 1, k)
+        return [(np.arange(r), controls[k]), ([r], own)]
 
+    pde.solve_rows_batch(problem, times, step_controls, anchors, rows,
+                         [boundary(float(tau)) for tau in anchors]
+                         if boundary is not None else None,
+                         active_from=kidx[:-1])
+    controls[0] = minimizer(0, 0)
+    # the knot node belongs to the next player (right continuity)
+    owner = np.minimum(np.searchsorted(kidx, np.arange(len(times)),
+                                       side="right") - 1, n_rows - 1)
     cs = model.control_set
     strategy = FeedbackStrategy(times, grid, controls,
                                 bounds=[(cs.lo, cs.hi)] * model.control_dim,
                                 names=model.control_names)
-    return PiSolution(partition=partition, times=times, grid=grid,
-                      value=ValueField(times, grid, value),
-                      strategy=strategy, theta_blocks=blocks, knot_idx=kidx)
+    return PiSolution(
+        partition=partition, times=times, grid=grid,
+        value=ValueField(times, grid, rows[owner, np.arange(len(times))]),
+        strategy=strategy, knot_idx=kidx,
+        theta_blocks={j + 1: ValueField(times[kidx[j]:], grid, rows[j, kidx[j]:])
+                      for j in range(n_rows)})
 
 
 def refine_and_compare(solutions, equilibrium=None):

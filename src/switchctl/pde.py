@@ -23,8 +23,9 @@ for all rows.  solve_linear_parabolic marches one row under prescribed
 coefficients.  Every controlled solve goes through the one backward
 march, solve_rows_batch, which freezes the controls a caller's callback
 returns at each level: solve_representation passes the node values of a
-given strategy, solve_hjb the minimizer on its own row, and the
-equilibrium solver the minimizer on the diagonal.
+given strategy, solve_hjb the minimizer on its own row, the equilibrium
+solver the minimizer on the diagonal, and the partition cycles the
+minimizer on the row of the player who owns the step.
 
 The HJB variant picks the control at the known time level (analytic
 minimizer when supplied, otherwise a deterministic grid search with ties
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, NumericError
 from .fields import (BC_EXTRAPOLATE, FeedbackStrategy, ValueField, d1, d2)
 
 
@@ -80,7 +81,6 @@ class LinearPDEProblem:
     q_table: np.ndarray = None  # (n_x, m, m) generator on the grid
     source: callable = None     # source(s, x, i, v_i, vx_i, qv_i) -> (n_x,)
     terminal: np.ndarray = None         # (n_x, m)
-    terminal_fn: callable = None        # h(x, i), used by the kernel oracle
     dirichlet: callable = None          # dirichlet(times) -> (n_t, m, 2) edges
 
 
@@ -419,12 +419,14 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
     time index row r reaches; nothing below it is written.
 
     ``controls(k)`` returns the (n_x, m, control_dim) controls that stay
-    frozen over the step times[k] -> times[k-1].  It is called once per
-    level that some row steps from, after every row holds level k, so it
-    may read the rows.  Each step factorizes the regimes' stacked banded
-    matrices once and solves all active rows as its right-hand sides;
-    the source calls g once per regime and stage for all active rows,
-    with their anchors as an (R, 1) column (see HJBProblem).
+    frozen over the step times[k] -> times[k-1], or a list of
+    ``(row indices, controls)`` groups that split the active rows, one
+    step each.  It is called once per level that some row steps from,
+    after every row holds level k, so it may read the rows.  Each step
+    factorizes the regimes' stacked banded matrices once and solves its
+    rows as the right-hand sides; the source calls g once per regime and
+    stage for all of them, with their anchors as an (R, 1) column (see
+    HJBProblem).
     """
     times = np.asarray(times, dtype=float)
     _check_stability(problem.q_table, times)
@@ -445,89 +447,23 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
         act = np.flatnonzero(active_from <= k - 1)
         if len(act) == 0:
             continue
-        u_star = controls(k)
-        tau = anchors[act, None]
+        groups = controls(k)
+        if isinstance(groups, np.ndarray):
+            groups = [(act, groups)]
         s_mid = 0.5 * (s_lo + s_hi)
-        a = 0.5 * frozen(problem.sigma, s_mid, u_star)**2
-        beta = frozen(problem.b, s_mid, u_star)
-
-        def sources(s, v, qv):
-            z = d1(v, grid.dx, axis=1) * frozen(problem.sigma, s, u_star)
-            return np.stack([_pointwise("g", problem.g(
-                tau, s, x, i + 1, v[..., i], z[..., i], qv[..., i],
-                u_star[:, i]), v.shape[:2]) for i in range(m)], axis=-1)
-
-        rows[act, k - 1] = _step(rows[act, k], s_lo, s_hi, grid, a, beta,
-                                 problem.q_table, sources, edges[act, k - 1])
-
-
-def apply_generator(fld, s_idx, x_idx, i, u, dynamics, q_table):
-    """Central-difference generator 0.5 sigma^2 D2 V + b D1 V + [Q V]_i.
-
-    ``i`` is a regime label in 1..m; interior nodes only.
-    """
-    grid = fld.grid
-    if not (0 < x_idx < grid.n_x - 1):
-        raise DomainError("apply_generator is defined at interior nodes only")
-    s = fld.times[s_idx]
-    xj = grid.x[x_idx]
-    v = fld.values[s_idx]
-    dv = (v[x_idx + 1, i - 1] - v[x_idx - 1, i - 1]) / (2 * grid.dx)
-    d2v = (v[x_idx + 1, i - 1] - 2 * v[x_idx, i - 1] + v[x_idx - 1, i - 1]) / grid.dx**2
-    u_arr = np.atleast_2d(np.asarray(u, dtype=float))
-    x_arr = np.array([xj])
-    b = float(np.asarray(dynamics.drift(s, x_arr, i, u_arr)).ravel()[0])
-    sg = float(np.asarray(dynamics.diffusion(s, x_arr, i, u_arr)).ravel()[0])
-    qv = 0.0
-    if q_table is not None:
-        qv = float(q_table[x_idx, i - 1] @ v[x_idx])
-    return 0.5 * sg**2 * d2v + b * dv + qv
-
-
-def kernel_oracle(problem, times):
-    """Gaussian-kernel solution for constant-coefficient heat problems.
-
-    Requires constant diffusion per regime, zero drift, zero source and
-    zero coupling; the terminal datum must be supplied as a callable
-    ``terminal_fn(x, i)`` defined beyond the grid (integration uses a
-    quadrature grid eight times finer, padded by eight kernel standard
-    deviations).
-    """
-    times = np.asarray(times, dtype=float)
-    grid = problem.grid
-    x = grid.x
-    a_const = []
-    for i in range(problem.m):
-        vals = np.broadcast_to(problem.a(times[0], x, i + 1), x.shape)
-        later = np.broadcast_to(problem.a(times[-1], x, i + 1), x.shape)
-        if np.ptp(vals) > 1e-14 or np.max(np.abs(vals - later)) > 1e-14:
-            raise ConfigError("kernel oracle requires constant diffusion")
-        if np.max(np.abs(np.broadcast_to(problem.beta(times[0], x, i + 1), x.shape))) > 0:
-            raise ConfigError("kernel oracle requires zero drift")
-        a_const.append(float(vals[0]))
-    if problem.source is not None:
-        raise ConfigError("kernel oracle requires zero source")
-    if problem.q_table is not None and np.max(np.abs(problem.q_table)) > 0:
-        raise ConfigError("kernel oracle requires zero regime coupling")
-    if problem.terminal_fn is None:
-        raise ConfigError("kernel oracle needs terminal_fn for quadrature")
-
-    T = times[-1]
-    values = np.empty((len(times), grid.n_x, problem.m))
-    for i in range(problem.m):
-        pad = 8.0 * np.sqrt(max(2 * a_const[i] * (T - times[0]), 0.0)) + grid.dx
-        fine_dx = grid.dx / 8
-        y = np.arange(grid.x_min - pad, grid.x_max + pad + fine_dx / 2, fine_dx)
-        hy = np.asarray(problem.terminal_fn(y, i + 1), dtype=float)
-        dy = y[1] - y[0]
-        for k, s in enumerate(times):
-            var = 2 * a_const[i] * (T - s)
-            if var <= 1e-300:
-                values[k, :, i] = np.asarray(problem.terminal_fn(x, i + 1))
+        for idx, u_star in groups:
+            if len(idx) == 0:
                 continue
-            kernel = np.exp(-((x[:, None] - y[None, :]) ** 2) / (2 * var))
-            kernel /= np.sqrt(2 * np.pi * var)
-            w = np.full(len(y), dy)
-            w[0] = w[-1] = dy / 2
-            values[k, :, i] = kernel @ (hy * w)
-    return ValueField(times, grid, values)
+            tau = anchors[idx, None]
+            a = 0.5 * frozen(problem.sigma, s_mid, u_star)**2
+            beta = frozen(problem.b, s_mid, u_star)
+
+            def sources(s, v, qv):
+                z = d1(v, grid.dx, axis=1) * frozen(problem.sigma, s, u_star)
+                return np.stack([_pointwise("g", problem.g(
+                    tau, s, x, i + 1, v[..., i], z[..., i], qv[..., i],
+                    u_star[:, i]), v.shape[:2]) for i in range(m)], axis=-1)
+
+            rows[idx, k - 1] = _step(rows[idx, k], s_lo, s_hi, grid, a, beta,
+                                     problem.q_table, sources,
+                                     edges[idx, k - 1])

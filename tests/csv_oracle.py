@@ -49,3 +49,13 @@ def phi_table_csv(path, times, rows_by_tau):
                     if np.isnan(val):
                         continue
                     fh.write(f"{float(tau)!r},{float(s)!r},{i + 1},{float(val)!r}\n")
+
+
+def write_csv(path, header, columns):
+    """``switchctl.fields.write_csv`` as one ``repr`` per broadcast entry
+    and one ``fh.write`` per line."""
+    columns = np.broadcast_arrays(*columns)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for line in zip(*(c.ravel().tolist() for c in columns)):
+            fh.write(",".join(map(repr, line)) + "\n")

@@ -27,10 +27,12 @@ from switchctl.models import (affine_threshold_geometry, ansatz_dirichlet,
                               tanh_threshold_geometry, toy_anchored_model,
                               uniform_mark_density)
 from switchctl.partition import Partition, run_cycles
-from switchctl.pde import LinearPDEProblem, kernel_oracle, solve_hjb, \
+from switchctl.pde import LinearPDEProblem, solve_hjb, \
     solve_linear_parabolic, solve_representation
 from switchctl.sde import ControlledDynamics, estimate_transition_rate
 from switchctl.switching import rate_matrix
+
+from pde_oracles import kernel_oracle
 
 
 def report(num, name, ok, detail):
@@ -146,10 +148,9 @@ def test_criterion_04_kernel_oracle():
     problem = LinearPDEProblem(
         a=lambda s, x, i: np.full_like(np.asarray(x, float), 0.05),
         beta=lambda s, x, i: np.zeros_like(np.asarray(x, float)),
-        grid=grid, m=1, terminal=bump(grid.x)[:, None],
-        terminal_fn=lambda x, i: bump(x))
+        grid=grid, m=1, terminal=bump(grid.x)[:, None])
     fd = solve_linear_parabolic(problem, times)
-    oracle = kernel_oracle(problem, times)
+    oracle = kernel_oracle(problem, times, lambda x, i: bump(x))
     sup = fd.sup_diff(oracle, grid.interior_mask(0.1))
     report(4, "kernel oracle", sup <= 1e-3,
            f"interior sup |FD - convolution| = {sup:.2e} (<=1e-3) at "

@@ -137,6 +137,29 @@ def test_phi_table_bytes_match_per_line_writer(tmp_path):
     assert want.count(b"\n") > CSV_BLOCK + 1
 
 
+@pytest.mark.parametrize("columns", [
+    # integer columns: int64 labels, int32 and negative counts, with floats
+    (awkward_times(4)[:, None, None, None],
+     np.array([3, -1], dtype=np.int32)[:, None, None],
+     np.array([-7, 0, 2**40], dtype=np.int64)[:, None], np.arange(1, 4)),
+    # zero-size columns, alone and broadcast against others
+    (np.zeros(0),),
+    (np.zeros((0, 1)), np.arange(3), 2.5),
+    # 0-d columns against one long column, over several blocks
+    (np.float64(-0.0), 7, awkward_grid_values(600, 3)),
+    # one column that spans the broadcast shape, a last block of one line
+    (awkward_grid_values((2, 3, 43), 4), np.arange(43)),
+], ids=["integers", "empty", "empty-broadcast", "scalars", "full-column"])
+def test_write_csv_matches_per_entry_oracle(tmp_path, columns):
+    from switchctl.fields import write_csv
+    import csv_oracle
+
+    header = [f"c{j}" for j in range(len(columns))]
+    write_csv(tmp_path / "got.csv", header, columns)
+    csv_oracle.write_csv(tmp_path / "want.csv", header, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_strategy_clamps_to_bounds():
     grid = SpatialGrid(-1, 1, 5)
     times = time_grid(0, 1, 2)

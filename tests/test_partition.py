@@ -9,6 +9,8 @@ from switchctl.partition import (Partition, refine_and_compare,
                                  run_cycles)
 from switchctl.pde import solve_hjb, solve_representation
 
+from cycles_oracle import cycles_loop
+
 
 # ---- anchor map -------------------------------------------------------------
 
@@ -160,6 +162,78 @@ def test_knot_local_optimality(mt_ti):
             # local optimality at the knot, up to twice the grid error
             gap = (sol.value.values[a] - field.values[0])[interior, :]
             assert np.max(gap) <= 2e-3
+
+
+# ---- the one march against the per-game loop -------------------------------
+
+def assert_march_equals_loop(model, part, grid, times, boundary=None):
+    got = run_cycles(model, part, grid, times, boundary=boundary)
+    want = cycles_loop(model, part, grid, times, boundary=boundary)
+    assert got.knot_idx == want.knot_idx
+    assert np.array_equal(got.value.values, want.value.values)
+    assert np.array_equal(got.strategy.values, want.strategy.values)
+    assert sorted(got.theta_blocks) == sorted(want.theta_blocks)
+    for k, block in want.theta_blocks.items():
+        assert np.array_equal(got.theta_blocks[k].times, block.times)
+        assert np.array_equal(got.theta_blocks[k].values, block.values)
+
+
+@pytest.fixture(scope="module")
+def merton_96():
+    from switchctl.models import merton_model, merton_spec
+    model = merton_model(merton_spec(True))
+    return model, model.default_grid(61), time_grid(0.0, model.T, 96)
+
+
+def assert_merton_march_equals_loop(model, part, grid, times):
+    mirror = partition_phi(model.spec, part.knots, times)
+    assert_march_equals_loop(model, part, grid, times,
+                             merton_partition_boundary(model, mirror, grid))
+
+
+@pytest.mark.parametrize("n_players", [1, 4, 8, 16])
+def test_march_equals_cycle_loop_merton(merton_96, n_players):
+    model, grid, times = merton_96
+    assert_merton_march_equals_loop(model, Partition.uniform(model.T, n_players),
+                                    grid, times)
+
+
+@pytest.mark.parametrize("n_players", [1, 4, 8])
+def test_march_equals_cycle_loop_toy(toy_ti, n_players):
+    assert_march_equals_loop(toy_ti, Partition.uniform(1.0, n_players),
+                             toy_ti.default_grid(41), time_grid(0, 1, 64))
+
+
+def test_march_equals_cycle_loop_nonuniform_knots(toy_ti, merton_96):
+    # a one-step first player, a knot on the second node from the end
+    times = time_grid(0, 1, 32)
+    assert_march_equals_loop(toy_ti, Partition(times[[0, 1, 8, 10, 23, 31, 32]]),
+                             toy_ti.default_grid(41), times)
+    model, grid, times = merton_96
+    assert_merton_march_equals_loop(model, Partition(times[[0, 7, 8, 50, 95, 96]]),
+                                    grid, times)
+
+
+def test_march_equals_cycle_loop_every_node_a_knot(toy_ti, merton_96):
+    times = time_grid(0, 1, 16)
+    assert_march_equals_loop(toy_ti, Partition(times), toy_ti.default_grid(41),
+                             times)
+    model, grid, _ = merton_96
+    times = time_grid(0.0, model.T, 12)
+    assert_merton_march_equals_loop(model, Partition(times), grid, times)
+
+
+def test_single_player_march_equals_plain_hjb_with_dirichlet(merton_96):
+    model, grid, times = merton_96
+    part = Partition.uniform(model.T, 1)
+    mirror = partition_phi(model.spec, part.knots, times)
+    boundary = merton_partition_boundary(model, mirror, grid)
+    sol = run_cycles(model, part, grid, times, boundary=boundary)
+    direct = solve_hjb(model.hjb_problem(0.0, grid, dirichlet=boundary(0.0)),
+                       times)
+    assert np.array_equal(sol.value.values, direct.value.values)
+    assert np.array_equal(sol.theta_blocks[1].values, direct.value.values)
+    assert np.array_equal(sol.strategy.values, direct.strategy.values)
 
 
 # ---- refine_and_compare -----------------------------------------------------

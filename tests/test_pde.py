@@ -7,10 +7,12 @@ from scipy.linalg import expm
 from switchctl.errors import ConfigError, DomainError, NumericError
 from switchctl.fields import SpatialGrid, time_grid
 from switchctl.pde import (ControlSet, HJBProblem, LinearPDEProblem,
-                           apply_generator, controls_on_grid, kernel_oracle,
-                           solve_hjb, solve_linear_parabolic,
+                           controls_on_grid, solve_hjb, solve_linear_parabolic,
                            solve_representation, solve_rows_batch)
 from switchctl.sde import ControlledDynamics
+
+from pde_oracles import (apply_generator, gaussian, heat_constants,
+                         kernel_oracle, quadrature)
 
 
 def const(val):
@@ -60,10 +62,9 @@ def test_fd_matches_kernel_oracle():
     times = time_grid(0, 1, 200)
     problem = LinearPDEProblem(
         a=const(0.05), beta=const(0.0), grid=grid, m=1,
-        terminal=smooth_bump(grid.x)[:, None],
-        terminal_fn=lambda x, i: smooth_bump(x))
+        terminal=smooth_bump(grid.x)[:, None])
     fd = solve_linear_parabolic(problem, times)
-    oracle = kernel_oracle(problem, times)
+    oracle = kernel_oracle(problem, times, lambda x, i: smooth_bump(x))
     interior = grid.interior_mask(0.1)
     assert fd.sup_diff(oracle, interior) <= 1e-3
 
@@ -211,13 +212,30 @@ def test_kernel_oracle_gaussian_closed_form():
     times = time_grid(0, 0.5, 50)
     problem = LinearPDEProblem(
         a=const(0.5), beta=const(0.0), grid=grid, m=1,
-        terminal=np.exp(-grid.x**2 / 2)[:, None],
-        terminal_fn=lambda x, i: np.exp(-np.asarray(x)**2 / 2))
-    oracle = kernel_oracle(problem, times)
+        terminal=np.exp(-grid.x**2 / 2)[:, None])
+    oracle = kernel_oracle(problem, times,
+                           lambda x, i: np.exp(-np.asarray(x)**2 / 2))
     for k, s in enumerate(times):
         v = 2 * 0.5 * (0.5 - s)
         want = np.exp(-grid.x**2 / (2 * (1 + v))) / np.sqrt(1 + v)
         assert np.max(np.abs(oracle.values[k, :, 0] - want)) <= 1e-6
+
+
+def test_kernel_oracle_fft_equals_dense_quadrature():
+    # the dense form: one Gaussian row per node over every quadrature node
+    grid = SpatialGrid(-4, 4, 161)
+    times = time_grid(0, 0.5, 50)
+    problem = LinearPDEProblem(
+        a=const(0.5), beta=const(0.0), grid=grid, m=1,
+        terminal=np.exp(-grid.x**2 / 2)[:, None])
+    h = lambda x, i: np.exp(-np.asarray(x)**2 / 2)
+    oracle = kernel_oracle(problem, times, h)
+    (a_i,) = heat_constants(problem, times)
+    y, w = quadrature(grid, a_i, times[-1] - times[0])
+    for k, s in enumerate(times[:-1]):
+        kernel = gaussian(grid.x[:, None] - y[None, :], 2 * a_i * (times[-1] - s))
+        dense = kernel @ (h(y, 1) * w)
+        assert np.max(np.abs(oracle.values[k, :, 0] - dense)) <= 1e-12
 
 
 def test_kernel_oracle_terminal_limit_and_symmetry():
@@ -225,9 +243,8 @@ def test_kernel_oracle_terminal_limit_and_symmetry():
     times = time_grid(0, 0.3, 30)
     problem = LinearPDEProblem(
         a=const(0.1), beta=const(0.0), grid=grid, m=1,
-        terminal=smooth_bump(grid.x, 1.0)[:, None],
-        terminal_fn=lambda x, i: smooth_bump(x, 1.0))
-    oracle = kernel_oracle(problem, times)
+        terminal=smooth_bump(grid.x, 1.0)[:, None])
+    oracle = kernel_oracle(problem, times, lambda x, i: smooth_bump(x, 1.0))
     assert np.allclose(oracle.values[-1, :, 0], smooth_bump(grid.x, 1.0), atol=1e-12)
     assert np.allclose(oracle.values[0, :, 0], oracle.values[0, ::-1, 0], atol=1e-12)
 
@@ -237,9 +254,9 @@ def test_kernel_oracle_rejects_nonconstant():
     times = time_grid(0, 0.3, 10)
     problem = LinearPDEProblem(
         a=lambda s, x, i: 0.1 + 0.01 * x**2, beta=const(0.0), grid=grid, m=1,
-        terminal=np.zeros((41, 1)), terminal_fn=lambda x, i: 0 * np.asarray(x))
+        terminal=np.zeros((41, 1)))
     with pytest.raises(ConfigError, match="constant"):
-        kernel_oracle(problem, times)
+        kernel_oracle(problem, times, lambda x, i: 0 * np.asarray(x))
 
 
 # ---- solve_hjb -------------------------------------------------------------

@@ -63,6 +63,12 @@ def test_partition_solve_cycle_and_write_spans(tmp_path):
     # one cycle run per partition, players summed over the partitions
     assert spans["partition.cycles"][1] == 3
     assert counts["partition.players"] == 1 + 2 + 4
+    # each cycle run is one backward march: row j steps from T down to
+    # knot t_j, and the minimizer runs once per level and once more at
+    # each interior knot, 16 + N calls per run
+    assert counts["pde.rows_batch_calls"] == 3
+    assert counts["pde.row_steps"] == 16 + (16 + 8) + (16 + 12 + 8 + 4) == 80
+    assert counts["pde.minimizer_calls"] == (16 + 1) + (16 + 2) + (16 + 4) == 55
     # value.csv and strategy.csv
     assert spans["fields.write"][1] == 2
 
@@ -100,9 +106,9 @@ def test_phi_layer_spans(tmp_path):
 
 def test_dirichlet_tables_read_once_per_row_and_solve(tmp_path):
     # the tracer wraps what each boundary(tau) returns: one call per
-    # anchor row of the equilibrium march, and one per solve of a cycle
-    # run, N HJB plus N - 1 representation solves for N players
+    # anchor row of the equilibrium march, and one per knot-anchored row
+    # of a cycle run, N for N players
     tracer = traced_run(tmp_path, "equilibrium", MERTON_CFG)
     assert tracer.layer_metrics(tracer.op)["models.dirichlet_calls"] == 17
     tracer = traced_run(tmp_path, "partition-solve", MERTON_CFG)
-    assert tracer.layer_metrics(tracer.op)["models.dirichlet_calls"] == 1 + 3
+    assert tracer.layer_metrics(tracer.op)["models.dirichlet_calls"] == 1 + 2
