@@ -9,6 +9,7 @@ stdout; structured errors go to stderr as JSON with exit codes 2
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -20,11 +21,12 @@ import numpy as np
 from . import merton as merton_mod
 from .config import parse_config
 from .costs import anchored_minimizer_policy, spike_ladder
-from .equilibrium import residual as equilibrium_residual
 from .equilibrium import solve_equilibrium
+# still bound because perfbench/tracing.py patches it here (ROADMAP item 5)
+from .equilibrium import residual as equilibrium_residual  # noqa: F401
 from .errors import ConfigError, SwitchctlError
 from .expressions import CoefficientExpression
-from .fields import time_grid, write_csv
+from .fields import node_index, time_grid, write_csv
 from .models import (GEOMETRY_PRESETS, MODEL_PRESETS,
                      merton_equilibrium_boundary, merton_partition_boundary,
                      uniform_mark_density)
@@ -40,7 +42,28 @@ SUBCOMMANDS = ("simulate", "rates", "partition-solve", "equilibrium",
 HASH_BLOCK_BYTES = 1 << 13
 
 
+def _keep_freed_heap():
+    """Ask glibc's malloc to keep freed heap memory in the process.
+
+    glibc returns the top of the heap to the system whenever more than
+    its trim threshold (128 KiB) is free there, and raises that
+    threshold only after the process frees a larger mmapped block.  The
+    grid-search minimizer allocates and frees about 1 MB of temporaries
+    per call, so until such a block is freed every call faults its
+    pages in again: 11,300 minor faults per toy-lq verify at n_x 41 and
+    n_t 64.  These are the values glibc's own adaptive thresholds top
+    out at.  Without glibc's mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
 def main(argv=None):
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="switchctl",
         description="time-inconsistent control of regime-switching diffusions")
@@ -344,8 +367,9 @@ def _run_equilibrium(config, outdir, workers, plan_only):
     grid, times = _grids(config, model)
     tol = config.get("solver", "tol")
     boundary = _merton_boundary(model, times, grid, tol)
-    sol = solve_equilibrium(model, grid, times, boundary=boundary)
-    final_res = equilibrium_residual(model, sol)
+    sol = solve_equilibrium(model, grid, times, boundary=boundary,
+                            keep_rows=(), residual=True)
+    final_res = sol.residual
     art = _Artifacts(outdir)
     _write_field(art, sol.value, "value", formats)
     sol.strategy.to_csv(art.path("strategy.csv"))
@@ -416,9 +440,10 @@ def _run_verify(config, outdir, workers, plan_only):
     grid, times = _grids(config, model)
     tol = config.get("solver", "tol")
     boundary = _merton_boundary(model, times, grid, tol)
-    sol = solve_equilibrium(model, grid, times, boundary=boundary)
     t0 = config.get("solver", "spike_anchor")
     epsilons = config.get("solver", "epsilons")
+    sol = solve_equilibrium(model, grid, times, boundary=boundary,
+                            keep_rows=[node_index(times, t0)])
     policy = anchored_minimizer_policy(model, sol, t0)
     ladder = spike_ladder(model, sol, t0, epsilons, policy, boundary=boundary)
     art = _Artifacts(outdir)

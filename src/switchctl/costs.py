@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ResolutionError
+from .errors import ConfigError, ResolutionError
 from .fields import ValueField, d1, node_index
 from .pde import controls_on_grid, solve_representation, _strategy_nodes
 
@@ -113,14 +113,13 @@ def spike_gain(model, solution, t, eps, perturbation, boundary=None):
             f"spike width {eps:g} must span at least two time steps ({dt:g})")
     t_idx = node_index(times, t)
     e_idx = node_index(times, t + eps)
-    if np.any(np.isnan(theta.values[t_idx, t_idx])):
-        raise DomainError("equilibrium row at the spike anchor is missing")
+    row = theta.row(t_idx).values      # a DomainError if it was not kept
     problem = model.hjb_problem(float(t), grid,
                                 dirichlet=boundary(float(t)) if boundary else None)
-    problem.terminal = theta.values[t_idx, e_idx].copy()
+    problem.terminal = row[e_idx - t_idx].copy()
     policy = _as_spike_policy(perturbation, model.control_dim)
     pert = solve_representation(problem, times[t_idx:e_idx + 1], policy)
-    base = theta.values[t_idx, t_idx]
+    base = row[0]
     gain = (pert.values[0] - base) / eps
     interior = grid.interior_mask()
     return SpikeGain(epsilon=float(eps), gain=gain,
@@ -138,6 +137,7 @@ def anchored_minimizer_policy(model, solution, t):
     times = theta.times
     grid = theta.grid
     t_idx = node_index(times, t)
+    row = theta.row(t_idx).values      # a DomainError if it was not kept
     problem = model.hjb_problem(float(t), grid)
     last = {}
 
@@ -145,8 +145,7 @@ def anchored_minimizer_policy(model, solution, t):
         if last.get("s") != s:
             k = node_index(times, s)
             last["s"] = s
-            last["u"] = controls_on_grid(problem, float(s),
-                                         theta.values[t_idx, k])
+            last["u"] = controls_on_grid(problem, float(s), row[k - t_idx])
         return last["u"][:, i - 1, :].copy()
 
     return policy

@@ -8,7 +8,10 @@ s_hi.  So the discrete equilibrium equations are lower-triangular in s:
 once every row holds its value at level k, row k's value there is the
 diagonal, the diagonal gives the controls at level k, and those controls
 take every row anchored below k one step down.  One backward march over
-all rows solves the system exactly, with no iteration.
+all rows solves the system exactly, with no iteration.  The march holds
+two levels of every row; what outlives a level (the diagonal, the
+controls, the rows asked for, the residual) is read off as the level is
+reached, so memory is O(n_t n_x m) unless every row is kept.
 """
 
 import warnings
@@ -16,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-from .fields import FeedbackStrategy, TwoTimeField, ValueField, d1, d2
+from .errors import ConfigError, DomainError
+from .fields import (BC_DIRICHLET, FeedbackStrategy, TwoTimeField,
+                     ValueField, d1, d2, refuse_oversized)
 from .pde import _hamiltonian, _qv, controls_on_grid, solve_rows_batch
 
 
@@ -27,10 +31,11 @@ class ClampWarning(UserWarning):
 
 @dataclass
 class EquilibriumSolution:
-    theta: TwoTimeField
+    theta: TwoTimeField            # the kept anchor rows
     value: ValueField              # the diagonal
     strategy: FeedbackStrategy
     log: list = field(default_factory=list)
+    residual: float = None         # the in-march residual, when asked for
 
 
 def strategy_from_diagonal(model, grid, times, diag, q_table=None,
@@ -52,37 +57,72 @@ def strategy_from_diagonal(model, grid, times, diag, q_table=None,
     return out
 
 
-def solve_equilibrium(model, grid, times, boundary=None):
+def march_bytes(n_t, n_x, m, control_dim, n_kept, dirichlet):
+    """Bytes solve_equilibrium stores: ``n_kept`` two-time rows, the
+    two-level buffer of all rows, the controls, the diagonal and, with
+    Dirichlet edges, the (n_t, n_t, m, 2) edge table."""
+    row = 8 * n_t * n_x * m
+    edges = 8 * n_t * n_t * m * 2 if dirichlet else 0
+    return (n_kept + 2 + control_dim + 1) * row + edges
+
+
+def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
+                      residual=False):
     """Solve the equilibrium system in one backward march.
 
     Every anchor row starts from its terminal data h(tau) at T.  At each
     level k, from the last down, the diagonal value Theta(s_k, s_k) gives
     the controls at s_k, and rows 0..k-1 take one step to level k-1 under
     them, each with its own anchor and Dirichlet data: one
-    solve_rows_batch call with row j active from level j, writing
-    straight into the two-time field.  ``boundary`` is an optional
-    factory tau -> dirichlet for anchored Dirichlet data, where
-    dirichlet(times) returns the row's (n_t, m, 2) edge values.  The log
-    stays empty: the march takes no sweeps.
+    solve_rows_batch call with row j active from level j, on a buffer
+    that holds two levels of every row.  As level k is reached the
+    diagonal, the rows named in ``keep_rows`` (anchor indices; all rows
+    by default, none for ``()``) and, when ``residual`` is set, the
+    residual between levels k and k+1 are read off it.  The kept rows
+    are ``theta``; ``residual(model, solution)`` of a solution that
+    keeps every row equals the in-march residual.  ``boundary`` is an
+    optional factory tau -> dirichlet for anchored Dirichlet data, where
+    dirichlet(times) returns the row's (n_t, m, 2) edge values.  What is
+    stored is refused before allocation when it needs more than half the
+    physical memory.  The log stays empty: the march takes no sweeps.
     """
     times = np.asarray(times, dtype=float)
     n_t = len(times)
-    theta = TwoTimeField(times, grid, model.m)
-    rows = theta.values
+    shape = (grid.n_x, model.m)
+    n_kept = n_t if keep_rows is None else len(set(keep_rows))
+    refuse_oversized(
+        march_bytes(n_t, grid.n_x, model.m, model.control_dim, n_kept,
+                    BC_DIRICHLET in grid.bc),
+        f"equilibrium march keeping {n_kept} rows on n_t={n_t} times x "
+        f"n_x={grid.n_x} nodes x m={model.m} regimes")
+    theta = TwoTimeField(times, grid, model.m, keep_rows)
+    kept = theta.anchor_rows
+    levels = np.empty((n_t, 2) + shape)      # level k of row j: [j, k % 2]
     for j in range(n_t):
-        rows[j, -1] = model.terminal_values(float(times[j]), grid)
+        levels[j, (n_t - 1) % 2] = model.terminal_values(float(times[j]), grid)
     dirichlet_fns = [boundary(float(t)) for t in times] \
         if boundary is not None else None
     problem = model.hjb_problem(0.0, grid)
-    controls = np.empty((n_t, grid.n_x, model.m, model.control_dim))
+    diag = np.empty((n_t,) + shape)
+    controls = np.empty((n_t,) + shape + (model.control_dim,))
+    residual_level = _residual_levels(model, grid, times, controls) \
+        if residual else None
+    worst = None
     clamps_before = getattr(model, "psi_clamp_count", 0)
 
     def minimizer(k):
+        nonlocal worst
+        level = levels[:, k % 2]
+        diag[k] = level[k]
+        n = np.searchsorted(kept, k, side="right")    # kept rows reaching k
+        theta.values[:n, k] = level[kept[:n]]
         problem.anchor = float(times[k])
-        controls[k] = controls_on_grid(problem, float(times[k]), rows[k, k])
+        controls[k] = controls_on_grid(problem, float(times[k]), diag[k])
+        if residual_level is not None:
+            worst = residual_level(k, level)
         return controls[k]
 
-    solve_rows_batch(problem, times, minimizer, times, rows, dirichlet_fns,
+    solve_rows_batch(problem, times, minimizer, times, levels, dirichlet_fns,
                      active_from=np.arange(n_t))
     minimizer(0)
     fired = getattr(model, "psi_clamp_count", 0) - clamps_before
@@ -93,52 +133,77 @@ def solve_equilibrium(model, grid, times, boundary=None):
     strategy = FeedbackStrategy(times, grid, controls,
                                 bounds=[(cs.lo, cs.hi)] * model.control_dim,
                                 names=model.control_names)
-    return EquilibriumSolution(theta=theta, value=theta.diagonal(),
-                               strategy=strategy)
+    return EquilibriumSolution(theta=theta, value=ValueField(times, grid, diag),
+                               strategy=strategy, residual=worst)
+
+
+def _residual_levels(model, grid, times, controls):
+    """The residual of the equilibrium system, fed one level at a time.
+
+    Returns ``level(k, rows)``, to be called for k from the last level
+    down with ``rows`` holding rows 0..min(k, n_t - 2) at level k, after
+    ``controls[k]`` is set; it returns the running maximum.  The
+    residual of every row and interior node at the pair (k, k+1)
+    couples the forward time difference with the average of the
+    Hamiltonian at the two levels, evaluated along the strategy.  Rows
+    0..k share the level-k controls, so the Hamiltonian is evaluated
+    once per level and regime over all of them.  The rows of level k+1
+    and their Hamiltonian are held, not copied, until level k is fed, so
+    the caller must leave them unchanged until then: the march's
+    two-level buffer overwrites level k+1 only with level k-1.
+    """
+    n_t = len(times)
+    q_table = model.q_table(grid)
+    interior = grid.interior_mask()
+    interior[0] = interior[-1] = False
+    worst = 0.0
+    upper = None                     # (rows, Hamiltonian) at level k + 1
+
+    def hamiltonian(k, v):
+        """The rows ``v`` (n_rows, n_x, m) at level k: (n_rows, n_x, m)."""
+        vx = d1(v, grid.dx, axis=1)
+        vxx = d2(v, grid.dx, axis=1)
+        qv = _qv(q_table, v)
+        tau = times[:len(v), None]
+        s = float(times[k])
+        return np.stack([_hamiltonian(model, tau, s, grid.x, i + 1, v[..., i],
+                                      vx[..., i], vxx[..., i], qv[..., i],
+                                      controls[k, :, i, :])
+                         for i in range(model.m)], axis=-1)
+
+    def level(k, rows):
+        nonlocal worst, upper
+        v = rows[:min(k + 1, n_t - 1)]
+        if len(v) == 0:
+            return worst
+        ham = hamiltonian(k, v)
+        if upper is not None:
+            v_hi, ham_hi = upper
+            dt = times[k + 1] - times[k]
+            res = (v_hi[:k + 1] - v) / dt + 0.5 * (ham_hi[:k + 1] + ham)
+            worst = max(worst, float(np.max(np.abs(res[:, interior]))))
+        upper = (v, ham)
+        return worst
+
+    return level
 
 
 def residual(model, solution):
     """Max finite-difference residual of the equilibrium system.
 
-    For every anchor row and interior node the residual couples the
-    forward time difference with the average of the Hamiltonian at the
-    two levels, evaluated along the stored diagonal strategy.  Rows
-    0..k share the level-k controls, so the Hamiltonian is evaluated
-    once per level and regime over all of them.
+    Needs a solution that keeps every anchor row (a DomainError
+    otherwise); ``solve_equilibrium(..., residual=True)`` gives the same
+    number without keeping them.
     """
     theta = solution.theta
-    times = theta.times
-    grid = theta.grid
-    rows = theta.values
-    q_table = model.q_table(grid)
-    interior = grid.interior_mask()
-    interior[0] = interior[-1] = False
-    controls = solution.strategy.values
+    if len(theta.anchor_rows) < len(theta.times):
+        raise DomainError("the residual needs every anchor row; solve with "
+                          "residual=True instead")
+    level = _residual_levels(model, theta.grid, theta.times,
+                             solution.strategy.values)
     worst = 0.0
-
-    def hamiltonian(k, n_rows):
-        """Rows 0..n_rows-1 at level k: (n_rows, n_x, m)."""
-        v = rows[:n_rows, k]
-        vx = d1(v, grid.dx, axis=1)
-        vxx = d2(v, grid.dx, axis=1)
-        qv = _qv(q_table, v)
-        tau = times[:n_rows, None]
-        s = float(times[k])
-        return np.stack([_hamiltonian(model, tau, s, grid.x, i + 1, v[..., i],
-                                      vx[..., i], vxx[..., i], qv[..., i],
-                                      controls[k, :, i, :])
-                         for i in range(theta.m)], axis=-1)
-
-    ham_hi = None
-    for k in range(len(times) - 2, -1, -1):
-        if ham_hi is None:
-            ham_hi = hamiltonian(k + 1, k + 1)
-        ham_lo = hamiltonian(k, k + 1)
-        dt = times[k + 1] - times[k]
-        res = (rows[:k + 1, k + 1] - rows[:k + 1, k]) / dt \
-            + 0.5 * (ham_hi[:k + 1] + ham_lo)
-        worst = max(worst, float(np.max(np.abs(res[:, interior]))))
-        ham_hi = ham_lo
+    for k in range(len(theta.times) - 1, -1, -1):
+        worst = level(k, theta.values[:, k])
     return worst
 
 
@@ -159,7 +224,7 @@ def compare_to_partition(solution, pi_solution):
     d_theta_x = 0.0
     for tau_idx in range(len(theta.times)):
         row_pi = pi_solution.theta_row(tau_idx)
-        row_eq = theta.values[tau_idx, tau_idx:]
+        row_eq = theta.row(tau_idx).values
         diff = np.abs(row_pi - row_eq)[:, interior, :]
         d_theta = max(d_theta, float(np.max(diff)))
         dx_diff = np.abs(d1(row_pi, grid.dx, axis=1) - d1(row_eq, grid.dx, axis=1))

@@ -308,50 +308,76 @@ def physical_memory_bytes():
     return total if total > 0 else None
 
 
-def two_time_bytes(n_t, n_x, m):
-    """Bytes of the float64 array behind a TwoTimeField."""
-    return 8 * n_t * n_t * n_x * m
+def two_time_bytes(n_t, n_x, m, n_rows=None):
+    """Bytes of the float64 array behind a TwoTimeField of ``n_rows``
+    anchor rows (all n_t by default)."""
+    return 8 * (n_t if n_rows is None else n_rows) * n_t * n_x * m
+
+
+def refuse_oversized(need, what):
+    """ConfigError when ``need`` bytes exceed half the physical memory;
+    ``what`` names the allocation and its grid."""
+    total = physical_memory_bytes()
+    if total is not None and need > total // 2:
+        raise ConfigError(
+            f"{what} needs {need} bytes, more than half of the {total} "
+            f"bytes of physical memory (coarsen the grid)")
 
 
 class TwoTimeField:
-    """Triangular two-time field Theta[tau_idx, s_idx, x_idx, regime_idx].
+    """Two-time field Theta[row, s_idx, x_idx, regime_idx] on kept anchor rows.
 
-    Rows share the single global time grid; row ``tau_idx`` is defined
-    for s_idx >= tau_idx (NaN below the diagonal).  The diagonal
-    Theta(s, s, x, i) is an exact array diagonal.  A field larger than
-    half the physical memory is refused with a ConfigError before it is
+    Rows share the single global time grid; the row anchored at
+    times[tau_idx] is defined for s_idx >= tau_idx (NaN below).  By
+    default every anchor is kept, so ``values`` is the n_t x n_t
+    triangle and its diagonal Theta(s, s, x, i) an exact array diagonal;
+    ``rows`` keeps only the listed anchor indices, in increasing order
+    (``anchor_rows``), and ``row`` finds them.  A field larger than half
+    the physical memory is refused with a ConfigError before it is
     allocated.
     """
 
-    def __init__(self, times, grid, m):
+    def __init__(self, times, grid, m, rows=None):
         self.times = np.asarray(times, dtype=float)
         self.grid = grid
         self.m = m
         n_t = len(self.times)
-        need = two_time_bytes(n_t, grid.n_x, m)
-        total = physical_memory_bytes()
-        if total is not None and need > total // 2:
-            raise ConfigError(
-                f"two-time field on n_t={n_t} times x n_x={grid.n_x} nodes x "
-                f"m={m} regimes needs {need} bytes, more than half of the "
-                f"{total} bytes of physical memory (coarsen the grid)")
-        self.values = np.full((n_t, n_t, grid.n_x, m), np.nan)
+        self.anchor_rows = np.arange(n_t) if rows is None else \
+            np.unique(np.asarray(rows, dtype=np.int64))
+        if len(self.anchor_rows) and not (
+                0 <= self.anchor_rows[0] and self.anchor_rows[-1] < n_t):
+            raise ConfigError(f"anchor rows {self.anchor_rows.tolist()} "
+                              f"outside the {n_t} time nodes")
+        self._slot = {int(j): r for r, j in enumerate(self.anchor_rows)}
+        n_rows = len(self.anchor_rows)
+        refuse_oversized(two_time_bytes(n_t, grid.n_x, m, n_rows),
+                         f"two-time field on n_t={n_t} times x "
+                         f"n_x={grid.n_x} nodes x m={m} regimes")
+        self.values = np.full((n_rows, n_t, grid.n_x, m), np.nan)
 
     def row(self, tau_idx):
-        """Row anchored at times[tau_idx] as a ValueField on [tau, T]."""
+        """Row anchored at times[tau_idx] as a ValueField on [tau, T]; a
+        DomainError if that row was not kept."""
+        try:
+            slot = self._slot[int(tau_idx)]
+        except KeyError:
+            raise DomainError(
+                f"the two-time row anchored at s={self.times[tau_idx]:g} "
+                f"was not kept (kept rows: {self.anchor_rows.tolist()})") \
+                from None
         return ValueField(self.times[tau_idx:], self.grid,
-                          self.values[tau_idx, tau_idx:])
+                          self.values[slot, tau_idx:])
 
     def set_row(self, tau_idx, values):
-        self.values[tau_idx, tau_idx:] = values
+        self.row(tau_idx).values[...] = values
 
     def diagonal(self):
         """Theta(s, s, x, i) as a ValueField over the whole time grid."""
         n_t = len(self.times)
-        diag = self.values[np.arange(n_t), np.arange(n_t)]
-        return ValueField(self.times, self.grid, diag.copy())
+        diag = np.stack([self.row(k).values[0] for k in range(n_t)])
+        return ValueField(self.times, self.grid, diag)
 
     def copy(self):
-        out = TwoTimeField(self.times, self.grid, self.m)
+        out = TwoTimeField(self.times, self.grid, self.m, self.anchor_rows)
         out.values[...] = self.values
         return out

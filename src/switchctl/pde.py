@@ -410,23 +410,26 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
                      dirichlet_fns=None, active_from=None):
     """The backward march: a batch of anchor rows under per-level controls.
 
-    ``rows`` is a caller-owned (R, n_t, n_x, m) array with each row's
-    terminal data at ``[:, -1]``; the march steps it down in place.  The
-    rows share the coefficients and differ only in the anchor entering
-    g, the terminal data and (optionally) the Dirichlet data: row r's
-    ``dirichlet_fns[r](times)`` is called once as the solve starts and
-    returns its (n_t, m, 2) edge values.  ``active_from[r]`` is the lowest
-    time index row r reaches; nothing below it is written.
+    ``rows`` is a caller-owned (R, L, n_x, m) level buffer: level k of
+    row r lives at ``rows[r, k % L]``, and the march steps it down in
+    place from each row's terminal data at level n_t - 1.  L = n_t keeps
+    every level (terminal data at ``[:, -1]``); L = 2 keeps the level a
+    step reads and the one it writes.  The rows share the coefficients
+    and differ only in the anchor entering g, the terminal data and
+    (optionally) the Dirichlet data: row r's ``dirichlet_fns[r](times)``
+    is called once as the solve starts and returns its (n_t, m, 2) edge
+    values.  ``active_from[r]`` is the lowest time index row r reaches;
+    nothing below it is written.
 
     ``controls(k)`` returns the (n_x, m, control_dim) controls that stay
     frozen over the step times[k] -> times[k-1], or a list of
     ``(row indices, controls)`` groups that split the active rows, one
     step each.  It is called once per level that some row steps from,
-    after every row holds level k, so it may read the rows.  Each step
-    factorizes the regimes' stacked banded matrices once and solves its
-    rows as the right-hand sides; the source calls g once per regime and
-    stage for all of them, with their anchors as an (R, 1) column (see
-    HJBProblem).
+    after every row holds level k, so it may read the rows (and, with
+    L >= 2, level k + 1 too).  Each step factorizes the regimes' stacked
+    banded matrices once and solves its rows as the right-hand sides;
+    the source calls g once per regime and stage for all of them, with
+    their anchors as an (R, 1) column (see HJBProblem).
     """
     times = np.asarray(times, dtype=float)
     _check_stability(problem.q_table, times)
@@ -438,6 +441,7 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
         else np.asarray(active_from, dtype=np.int64)
     edges = _edges(grid, [None] * len(anchors) if dirichlet_fns is None
                    else dirichlet_fns, times, m)
+    n_levels = rows.shape[1]
 
     def frozen(fn, s, u):
         return _by_regime(m, x, lambda lab: fn(s, x, lab, u[:, lab - 1]))
@@ -464,6 +468,6 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
                     tau, s, x, i + 1, v[..., i], z[..., i], qv[..., i],
                     u_star[:, i]), v.shape[:2]) for i in range(m)], axis=-1)
 
-            rows[idx, k - 1] = _step(rows[idx, k], s_lo, s_hi, grid, a, beta,
-                                     problem.q_table, sources,
-                                     edges[idx, k - 1])
+            rows[idx, (k - 1) % n_levels] = _step(
+                rows[idx, k % n_levels], s_lo, s_hi, grid, a, beta,
+                problem.q_table, sources, edges[idx, k - 1])

@@ -363,17 +363,46 @@ def test_workers_env_must_be_a_positive_integer(tmp_path, capsys, monkeypatch):
 
 
 def test_oversized_two_time_field_exit_code_2(tmp_path, capsys, monkeypatch):
-    # refused from the byte estimate, before anything of that size exists
-    from switchctl import fields
-    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: 7 * 10**9)
+    # verify keeps one two-time row; the march's estimate counts it, the
+    # two-level buffer, the controls and the diagonal, and on a machine
+    # with less than twice that memory the run is refused before the
+    # march starts
+    from switchctl import equilibrium, fields
+    need = equilibrium.march_bytes(1001, 401, 2, 1, 1, False)
+    assert need == 8 * 1001 * 401 * 2 * (1 + 2 + 1 + 1)
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: need)
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(equilibrium, "solve_rows_batch", no_march)
     big = VERIFY_CFG.replace("n_x = 41\nn_t = 64", "n_x = 401\nn_t = 1000")
     code, out = run_cli(tmp_path, "big", big, ("verify",))
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
-    assert str(fields.two_time_bytes(1001, 401, 2)) in err["message"]
+    assert str(need) in err["message"]
     assert "n_t=1001" in err["message"] and "n_x=401" in err["message"]
     assert not (out / "verify.json").exists()
+
+
+def test_equilibrium_memory_stays_off_the_triangle(tmp_path, capsys):
+    # merton-ti at n_x 61, n_t 192, where the n_t^2 triangle alone would
+    # take 36 MB: the CLI keeps no two-time row, and its traced peak
+    # (5.5 MB, against 41 MB with the triangle) stays far below it
+    import tracemalloc
+    from switchctl import fields
+    assert fields.two_time_bytes(193, 61, 2) > 36 * 10**6
+    cfg = EQ_CFG.replace("n_x = 41\nn_t = 64", "n_x = 61\nn_t = 192")
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, "eq192", cfg, ("equilibrium",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (out / "value.csv").exists()
+    assert peak < 12 * 10**6, peak
 
 
 def test_merton_pre_anchor_past_the_grid_exit_2(tmp_path, capsys):
@@ -417,3 +446,30 @@ def test_artifact_record_hashes_in_blocks(tmp_path):
         {"name": name, "bytes": len(data),
          "sha256": hashlib.sha256(data).hexdigest()}
         for name, data in payloads.items()]
+
+
+def test_cli_keeps_freed_heap_for_the_grid_search():
+    # after the CLI's malloc setting, the grid-search minimizer reuses
+    # the heap its temporaries (about 1 MB per call here) were freed to,
+    # where glibc's defaults fault those pages in again at every call
+    import ctypes
+    import platform
+    import resource
+    import pytest
+    from switchctl import cli
+    from switchctl.models import toy_anchored_model
+    from switchctl.pde import controls_on_grid
+    if platform.libc_ver()[0] != "glibc" or \
+            not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("malloc thresholds are a glibc setting")
+    cli._keep_freed_heap()
+    model = toy_anchored_model(True)
+    grid = model.default_grid(41)
+    problem = model.hjb_problem(0.25, grid)
+    v = model.terminal_values(0.5, grid)
+    controls_on_grid(problem, 0.5, v)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        controls_on_grid(problem, 0.5, v)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 20 * 20, faults

@@ -3,7 +3,7 @@ import pytest
 
 from switchctl.equilibrium import (compare_to_partition, residual,
                                    solve_equilibrium, strategy_from_diagonal)
-from switchctl.errors import ConfigError
+from switchctl.errors import ConfigError, DomainError
 from switchctl.fields import time_grid
 from switchctl.merton import partition_phi
 from switchctl.models import (ControlModel, merton_equilibrium_boundary,
@@ -480,3 +480,78 @@ def test_g_not_broadcasting_over_anchor_rows_rejected(toy_ti):
     assert err.value.exit_code == 2
     with pytest.raises(ConfigError, match="callable g"):
         residual(bad, sol)
+
+
+@pytest.fixture(scope="module")
+def merton_pde_case():
+    """The merton-pde benchmark grid (merton-ti, n_x 61, n_t 96) with the
+    phi Dirichlet edges, and its solve keeping every row."""
+    model, grid, times, boundary = _preset_case("merton-ti", 61, 96)
+    full = solve_equilibrium(model, grid, times, boundary=boundary)
+    return model, grid, times, boundary, full
+
+
+def _assert_kept_outputs_equal(model, grid, times, boundary, full, anchor):
+    for keep in ((), [anchor], [0, anchor, len(times) - 1]):
+        sol = solve_equilibrium(model, grid, times, boundary=boundary,
+                                keep_rows=keep, residual=True)
+        assert sol.theta.values.shape == (len(keep), len(times), grid.n_x,
+                                          model.m)
+        assert np.array_equal(sol.value.values, full.value.values)
+        assert np.array_equal(sol.strategy.values, full.strategy.values)
+        for tau_idx in keep:
+            assert np.array_equal(sol.theta.row(tau_idx).values,
+                                  full.theta.row(tau_idx).values)
+        assert sol.residual == residual(model, full)
+    assert full.residual is None
+
+
+def test_kept_outputs_equal_the_keep_all_solve_merton(merton_pde_case):
+    model, grid, times, boundary, full = merton_pde_case
+    _assert_kept_outputs_equal(model, grid, times, boundary, full, 24)
+    sol = solve_equilibrium(model, grid, times, boundary=boundary,
+                            keep_rows=(), residual=True)
+    assert sol.residual == 2.3536695255750306e-3
+
+
+def test_kept_outputs_equal_the_keep_all_solve_toy_lq():
+    # the toy-verify grid; row 16 is its spike anchor 0.25
+    model, grid, times, _ = _preset_case("toy-lq", 41, 64)
+    full = solve_equilibrium(model, grid, times)
+    _assert_kept_outputs_equal(model, grid, times, None, full, 16)
+
+
+def test_rows_not_kept_raise_domain_error(toy_ti):
+    from switchctl.costs import anchored_minimizer_policy, spike_gain
+    grid = toy_ti.default_grid(21)
+    times = time_grid(0, 1, 16)
+    sol = solve_equilibrium(toy_ti, grid, times, keep_rows=[4])
+    assert sol.theta.values.shape == (1, 17, 21, toy_ti.m)
+    spike_gain(toy_ti, sol, 0.25, 0.125, 0.0)
+    for call in (lambda: spike_gain(toy_ti, sol, 0.5, 0.125, 0.0),
+                 lambda: anchored_minimizer_policy(toy_ti, sol, 0.5),
+                 lambda: residual(toy_ti, sol),
+                 lambda: sol.theta.diagonal()):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_partition_knot_rows_converge_first_order(merton_pde_case):
+    # the paper's limit Theta^Pi -> Theta: the distance of each knot row
+    # of the N-player cycles to the equilibrium row at that knot shrinks
+    # like the mesh 1/N, down to N = n_t, one player per time step
+    model, grid, times, _, eq = merton_pde_case
+    interior = grid.interior_mask()
+    dist = {}
+    for n in (16, 32, 48, 96):
+        part = Partition.uniform(times[-1], n)
+        mirror = partition_phi(model.spec, part.knots, times)
+        pi = run_cycles(model, part, grid, times,
+                        boundary=merton_partition_boundary(model, mirror, grid))
+        dist[n] = max(
+            float(np.max(np.abs(pi.theta_blocks[j + 1].values
+                                - eq.theta.row(k).values)[:, interior]))
+            for j, k in enumerate(pi.knot_idx[:-1]))
+    assert 1.8 <= dist[16] / dist[32] <= 2.2, dist
+    assert 1.8 <= dist[48] / dist[96] <= 2.2, dist
+    assert all(0.10 <= n * d <= 0.12 for n, d in dist.items()), dist

@@ -53,6 +53,17 @@ def test_equilibrium_is_one_march(tmp_path):
     assert counts["pde.row_steps"] == n_nodes * (n_nodes - 1) // 2 == 136
     # one minimizer call per level of the diagonal
     assert counts["pde.minimizer_calls"] == n_nodes == 17
+    # the CLI keeps no two-time row
+    assert counts["equilibrium.theta_mb"] == 0
+
+
+def test_verify_keeps_one_two_time_row(tmp_path):
+    cfg = TOY_CFG + "[solver]\nepsilons = 0.125\nspike_anchor = 0.25\n"
+    tracer = traced_run(tmp_path, "verify", cfg)
+    counts = tracer.layer_metrics(tracer.op)
+    # the spike anchor's row: 17 times x 21 nodes x 2 regimes of float64
+    assert counts["equilibrium.theta_mb"] == 17 * 21 * 2 * 8 / 1e6
+    assert counts["pde.rows_batch_calls"] == 1 + 1      # march + one spike
 
 
 def test_partition_solve_cycle_and_write_spans(tmp_path):
