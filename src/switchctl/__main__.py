@@ -1,0 +1,7 @@
+"""``python -m switchctl SUBCOMMAND CONFIG`` runs the command-line interface."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

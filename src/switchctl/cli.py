@@ -20,7 +20,7 @@ import numpy as np
 
 from . import merton as merton_mod
 from .config import parse_config
-from .costs import anchored_minimizer_policy, spike_ladder
+from .costs import anchored_minimizer_policy, spike_ladder, spike_window
 from .equilibrium import solve_equilibrium
 # still bound because perfbench/tracing.py patches it here (ROADMAP item 5)
 from .equilibrium import residual as equilibrium_residual  # noqa: F401
@@ -256,8 +256,11 @@ def _grids(config, model):
     n_x = config.get("grid", "n_x")
     grid = model.default_grid(n_x)
     grid.buffer_frac = config.get("grid", "buffer")
-    t_max = min(config.get("grid", "t_max"), model.T)
-    times = time_grid(0.0, t_max, config.get("grid", "n_t"))
+    t_max = config.get("grid", "t_max")
+    if t_max < model.T:
+        raise ConfigError(f"[grid] t_max = {t_max:g} is below the model "
+                          f"horizon T = {model.T:g}")
+    times = time_grid(0.0, model.T, config.get("grid", "n_t"))
     return grid, times
 
 
@@ -442,6 +445,8 @@ def _run_verify(config, outdir, workers, plan_only):
     boundary = _merton_boundary(model, times, grid, tol)
     t0 = config.get("solver", "spike_anchor")
     epsilons = config.get("solver", "epsilons")
+    for eps in epsilons:    # fail before the march, not after it
+        spike_window(times, t0, eps)
     sol = solve_equilibrium(model, grid, times, boundary=boundary,
                             keep_rows=[node_index(times, t0)])
     policy = anchored_minimizer_policy(model, sol, t0)

@@ -97,6 +97,19 @@ def _as_spike_policy(perturbation, control_dim):
     return perturbation
 
 
+def spike_window(times, t, eps):
+    """Node indices of the spike window [t, t+eps] on ``times``.
+
+    A ResolutionError unless eps spans at least two time steps, and a
+    ConfigError unless both ends are nodes.
+    """
+    dt = times[1] - times[0]
+    if eps < 2 * dt - 1e-12:
+        raise ResolutionError(
+            f"spike width {eps:g} must span at least two time steps ({dt:g})")
+    return node_index(times, t), node_index(times, t + eps)
+
+
 def spike_gain(model, solution, t, eps, perturbation, boundary=None):
     """Per-unit-time cost gain of a spike perturbation on [t, t+eps].
 
@@ -107,12 +120,7 @@ def spike_gain(model, solution, t, eps, perturbation, boundary=None):
     theta = solution.theta
     times = theta.times
     grid = theta.grid
-    dt = times[1] - times[0]
-    if eps < 2 * dt - 1e-12:
-        raise ResolutionError(
-            f"spike width {eps:g} must span at least two time steps ({dt:g})")
-    t_idx = node_index(times, t)
-    e_idx = node_index(times, t + eps)
+    t_idx, e_idx = spike_window(times, t, eps)
     row = theta.row(t_idx).values      # a DomainError if it was not kept
     problem = model.hjb_problem(float(t), grid,
                                 dirichlet=boundary(float(t)) if boundary else None)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (ConfigError, ConvergenceError, DomainError, NumericError,
                      ResolutionError)
@@ -282,6 +281,8 @@ def partition_phi(spec, knots, times):
     regime on all the RK4 stage times of its interval, which is where
     the pricing of the earlier players reads it.
     """
+    # local: scipy.interpolate is loaded only when a spline is built
+    from scipy.interpolate import CubicSpline
     times = np.asarray(times, dtype=float)
     knots = np.asarray(knots, dtype=float)
     n = len(times)
@@ -361,6 +362,8 @@ def _spline_feedback(spec, times, phi, weight):
     array (the same numpy loops as per point, so the same bits), and the
     rate is broadcast over ``x``.
     """
+    # local: scipy.interpolate is loaded only when a spline is built
+    from scipy.interpolate import CubicSpline
     splines = [CubicSpline(times, phi[:, i]) for i in range(spec.m)]
     frac = spec.investment_fraction()
     gam = spec.gamma

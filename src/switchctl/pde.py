@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigError, NumericError
 from .fields import (BC_EXTRAPOLATE, FeedbackStrategy, ValueField, d1, d2)
@@ -213,6 +212,8 @@ def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
     expl[:, 1:-1] += 0.5 * dt * (a[1:-1] * lap + beta[1:-1] * grad)
     for edge, j in ((0, 0), (1, -1)):
         expl[:, j] = 0.0 if grid.bc[edge] == BC_EXTRAPOLATE else edges[:, :, edge]
+    # local: `import switchctl` and the Monte Carlo paths never load scipy
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
     lu, piv, info = dgbtrf(_implicit_bands(a, beta, dt, dx, grid.bc), 2, 2,
                            overwrite_ab=1)
     if info != 0:

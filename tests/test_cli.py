@@ -376,7 +376,10 @@ def test_oversized_two_time_field_exit_code_2(tmp_path, capsys, monkeypatch):
         raise AssertionError("the march started")
 
     monkeypatch.setattr(equilibrium, "solve_rows_batch", no_march)
+    # a ladder whose windows end on nodes of this grid (0.3125 is not one),
+    # so that the ladder check, made before the march, passes
     big = VERIFY_CFG.replace("n_x = 41\nn_t = 64", "n_x = 401\nn_t = 1000")
+    big = big.replace("0.125, 0.0625", "0.125, 0.05")
     code, out = run_cli(tmp_path, "big", big, ("verify",))
     assert code == 2
     err = json.loads(capsys.readouterr().err)
@@ -411,25 +414,70 @@ def test_merton_pre_anchor_past_the_grid_exit_2(tmp_path, capsys):
 preset = merton-ti
 [grid]
 n_t = 8
-t_max = 0.5
+t_max = TMAX
 [solver]
 variant = pre
 anchor = ANCHOR
 [run]
 seed = 1
 """
-    code, out = run_cli(tmp_path, "late", base.replace("ANCHOR", "0.75"),
-                        ("merton",))
+
+    def cfg(t_max, anchor):
+        return base.replace("TMAX", t_max).replace("ANCHOR", anchor)
+
+    # a grid that stops short of T is refused before any solve
+    code, out = run_cli(tmp_path, "short", cfg("0.5", "0.3"), ("merton",))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "t_max = 0.5" in err["message"] and "T = 1" in err["message"]
+    assert not (out / "phi.csv").exists()
+    # an anchor at T, the last node of the full grid, is outside [0, T)
+    code, out = run_cli(tmp_path, "late", cfg("1.0", "1.0"), ("merton",))
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
-    assert "tau=0.75" in err["message"] and "node 0.5" in err["message"]
+    assert "[0, T)" in err["message"]
     assert not (out / "phi.csv").exists()
     # an off-node anchor inside the grid still runs
-    code, out = run_cli(tmp_path, "inside", base.replace("ANCHOR", "0.3"),
-                        ("merton",))
+    code, out = run_cli(tmp_path, "inside", cfg("1.0", "0.3"), ("merton",))
     assert code == 0
     assert (out / "phi.csv").exists()
+
+
+def test_grid_short_of_the_horizon_exit_2_for_pde_and_phi(tmp_path, capsys):
+    short = EQ_CFG.replace("n_t = 64", "n_t = 64\nt_max = 0.5")
+    for sub in ("merton", "equilibrium", "partition-solve", "verify"):
+        code, out = run_cli(tmp_path, sub, short, (sub,))
+        assert code == 2, sub
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "t_max" in err["message"]
+        assert not (out / "manifest.json").exists()
+
+
+def test_verify_checks_the_spike_ladder_before_the_march(tmp_path, capsys,
+                                                         monkeypatch):
+    import switchctl.cli as cli
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the equilibrium march must not start")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_march)
+    # at n_t 100 the window end 0.25 + 0.25 is a node, 0.25 + 0.0625 is not
+    off_node = VERIFY_CFG.replace("n_t = 64", "n_t = 100").replace(
+        "0.125, 0.0625", "0.25, 0.0625")
+    code, out = run_cli(tmp_path, "off", off_node, ("verify",))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "0.3125" in err["message"]
+    assert not (out / "verify.json").exists()
+    # a window narrower than two steps fails just as early
+    narrow = VERIFY_CFG.replace("0.125, 0.0625", "0.125, 0.015625")
+    code, out = run_cli(tmp_path, "narrow", narrow, ("verify",))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ResolutionError"
+    assert not (out / "verify.json").exists()
 
 
 def test_artifact_record_hashes_in_blocks(tmp_path):
