@@ -95,13 +95,15 @@ def _rk4_stages(s_hi, s_lo):
     return dt, (s_hi, s_hi + dt / 2, s_lo)
 
 
-def _rk4_step(rhs, dt, stages, y, s_lo):
+def _rk4_step(rhs, dt, stages, y, s_lo, k1=None):
     """One classical RK4 step of y' = rhs(stage, y) over ``dt``, ending at s_lo.
 
     ``stages`` holds what rhs reads at k1, at k2 and k3, and at k4: the
-    stage times of ``_rk4_stages``, or data tabled on them.
+    stage times of ``_rk4_stages``, or data tabled on them.  ``k1``, when
+    given, is rhs(stages[0], y) as the caller already has it.
     """
-    k1 = rhs(stages[0], y)
+    if k1 is None:
+        k1 = rhs(stages[0], y)
     k2 = rhs(stages[1], y + dt / 2 * k1)
     k3 = rhs(stages[1], y + dt / 2 * k2)
     k4 = rhs(stages[2], y + dt * k3)
@@ -197,8 +199,10 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
 
     What the grid fixes is tabled once per step: the three stage times,
     their Lagrange weights, g(s, s) and the column g(tau_j, s) of rows
-    0..k-1.  A round forms each stage's diagonal and its two powers once;
-    the all-rows step reuses those of the converged round.
+    0..k-1.  k1 sits on s_k, where the unknown's Lagrange weight is
+    exactly zero, so its diagonal, powers and row k-1's k1 are formed once
+    per step; a round forms the diagonal and its two powers at the other
+    two stage times.  The all-rows step reuses those of the converged round.
     """
     times = np.asarray(times, dtype=float)
     n = len(times)
@@ -225,23 +229,27 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
         g_rows = [np.asarray(spec.g(times[:k], s), dtype=float)[:, None]
                   for s in s_stages]
 
-        def stage_powers(d_lo):
-            out = []
-            for w, g_ss in zip(weights, g_diag):
-                d = w[0] * d_lo      # Lagrange sum, left to right
-                for w_j, d_j in zip(w[1:], known):
-                    d = d + w_j * d_j
-                if (d <= 0).any():
-                    raise NumericError("diagonal phi left the positive cone")
-                r = g_ss / d
-                out.append((r ** p_c, r ** p_g))
-            return out
+        def stage_powers(w, g_ss, d_lo):
+            d = w[0] * d_lo      # Lagrange sum, left to right
+            for w_j, d_j in zip(w[1:], known):
+                d = d + w_j * d_j
+            if (d <= 0).any():
+                raise NumericError("diagonal phi left the positive cone")
+            r = g_ss / d
+            return r ** p_c, r ** p_g
 
+        # d(s_{k-1})'s weight at s_k is 0.0, so k1 is the same every round
+        r_c, r_g = stage_powers(weights[0], g_diag[0], phi[k, k])
+        first = (r_c, g_rows[0] * r_g)
+        y_row = phi[k - 1:k, k]
+        row_first = (r_c, first[1][k - 1:])
+        k1_row = rhs(row_first, y_row)
         d_lo = phi[k, k]
         for rnd in range(max_iter):
-            pw = stage_powers(d_lo)
-            stages = [(r_c, g[k - 1:] * r_g) for (r_c, r_g), g in zip(pw, g_rows)]
-            new = _rk4_step(rhs, dt, stages, phi[k - 1:k, k], times[k - 1])[0]
+            pw = [stage_powers(w, g_ss, d_lo) for w, g_ss in zip(weights[1:], g_diag[1:])]
+            stages = [row_first] + [(r_c, g[k - 1:] * r_g)
+                                    for (r_c, r_g), g in zip(pw, g_rows[1:])]
+            new = _rk4_step(rhs, dt, stages, y_row, times[k - 1], k1=k1_row)[0]
             change = float(np.abs(new - d_lo).max())
             if rnd == len(log):
                 log.append(change)
@@ -253,7 +261,7 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
             raise ConvergenceError(
                 f"equilibrium phi diagonal at s={times[k - 1]:g} did not reach "
                 f"{tol:g} in {max_iter} rounds", history=log)
-        stages = [(r_c, g * r_g) for (r_c, r_g), g in zip(pw, g_rows)]
+        stages = [first] + [(r_c, g * r_g) for (r_c, r_g), g in zip(pw, g_rows[1:])]
         phi[:k, k - 1] = _rk4_step(rhs, dt, stages, phi[:k, k], times[k - 1])
     idx = np.arange(n)
     return PhiSolution(times=times, eq=phi, eq_diag=phi[idx, idx], iterations=log)

@@ -17,17 +17,20 @@ and bit-reproducible for a fixed seed.
 The contract is per path; the implementation is per chunk and block.
 ``_Noise`` builds one generator per chunk and, before each path draws,
 sets it to exactly the state of a fresh ``Philox(key=[s, p])``, so no
-Philox is constructed per path.  Jump times and marks are drawn for the
-whole horizon.  Normals are drawn B base steps at a time into a
-time-major window of the chunk's paths, with B set by the window's byte
-budget (512 steps at 8192 paths), and each path's stream is paused
-between blocks.  A block draws one normal per base step and per jump up
-to its end node, which bounds what the path consumes there; a normal
-that a zero-length sub-step (a jump at a node, two jumps at one time)
-left unconsumed carries over to the next block.  Drawing a stream in
-pieces yields the same values as drawing it at once, so every path
-consumes the same normals in the same order whatever B is, and memory
-grows with B, not with the horizon.
+Philox is constructed per path.  It keeps one reused state per chunk:
+the state mapping is built once per chunk and block, and each path
+rebinds only its key (to resume, also its counter and buffer) before the
+state setter reads it.  Jump times and marks are drawn for the whole
+horizon.  Normals are drawn B base steps at a time into a time-major
+window of the chunk's paths, with B set by the window's byte budget (512
+steps at 8192 paths), and each path's stream is paused between blocks.
+A block draws one normal per base step and per jump up to its end node,
+which bounds what the path consumes there; a normal that a zero-length
+sub-step (a jump at a node, two jumps at one time) left unconsumed
+carries over to the next block.  Drawing a stream in pieces yields the
+same values as drawing it at once, so every path consumes the same
+normals in the same order whatever B is, and memory grows with B, not
+with the horizon.
 
 One loop, ``_march``, walks the merged grid for every entry point.  It
 advances K state copies of each path (K = 1 for ensembles and single
@@ -39,10 +42,11 @@ The loop is node-synchronous: every path sits at base node s_k when
 interval k starts.  The controls are evaluated there once per regime at
 the scalar s_k, handed to the node hooks, and used for one sub-step of
 every path, to its next jump or to s_{k+1}; only paths that jumped take
-further sub-steps.  Paths are gathered by integer index arrays.  Each
-path takes the same sub-steps with the same normals whatever the
-grouping, so with elementwise coefficients and policies the outputs do
-not depend on it.
+further sub-steps.  Paths are gathered by integer index arrays through
+1-D views: one per state copy and per control column, and flat views of
+the normals window and the jump tables.  Each path takes the same
+sub-steps with the same normals whatever the grouping, so with
+elementwise coefficients and policies the outputs do not depend on it.
 """
 
 from dataclasses import dataclass
@@ -172,24 +176,26 @@ def _as_policy(policy, control_dim=1):
     return f
 
 
-def _set_stream(gen, seed, p, counter=(0, 0, 0, 0), buffer=(0, 0, 0, 0),
-                buffer_pos=4):
-    """Put ``gen`` on path p's stream at the given position.
+def _stream_state(seed):
+    """The Philox state mapping through which a chunk's paths enter their streams.
 
-    The default position is that of a fresh ``path_stream(seed, p)``.  The
-    Philox state setter copies the values element by element, so tuples
-    and lists stand in for the arrays the getter returns.  Only 64-bit
-    draws are made, so no half-used 32-bit word is ever pending.
+    As built it is the state of a fresh ``path_stream(seed, 0)``.  A path
+    enters its stream by rebinding ``["state"]["key"][1]`` to its index
+    (to resume, also the counter, buffer and buffer_pos) and handing the
+    mapping to the state setter, so the mapping and the masked seed are
+    made once per chunk and block, not per path.  The setter copies the
+    values element by element, so lists and tuples stand in for the
+    arrays the getter returns.  Only 64-bit draws are made, so no half-used
+    32-bit word is ever pending.
     """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": (seed & _MASK64, p)},
-        "buffer": buffer, "buffer_pos": buffer_pos, "has_uint32": 0, "uinteger": 0}
+    return {"bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": [seed & _MASK64, 0]},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _save_stream(gen, row):
-    """Write ``gen``'s position into ``row``: counter, buffer, buffer_pos."""
-    st = gen.bit_generator.state
+def _save_stream(bitgen, row):
+    """Write ``bitgen``'s position into ``row``: counter, buffer, buffer_pos."""
+    st = bitgen.state
     row[:4] = st["state"]["counter"]
     row[4:8] = st["buffer"]
     row[8] = st["buffer_pos"]
@@ -257,20 +263,27 @@ class _Noise:
         self.n_jumps = np.zeros(n, dtype=np.int64)
         self.normals = np.zeros((e + cap, n))
         tile_paths = max(1, min(n, _TILE_PATHS, _TILE_BYTES // (8 * (e + cap))))
-        self.tile = np.zeros((tile_paths, e + cap))
+        self.tile = tile = np.zeros((tile_paths, e + cap))
+        heads = list(tile[:, :e])       # where a jump-free path draws its first block
         position = None if one_block else np.empty((n, 9), dtype=np.uint64)
         self.position = position
         fill = None if one_block else np.empty(n, dtype=np.int64)
         gen = self.gen = path_stream(seed, path_indices[0])
-        tile = self.tile
+        bitgen = gen.bit_generator
+        exponentials, uniforms = gen.standard_exponential, gen.random
+        normals = gen.standard_normal
+        state = _stream_state(seed)
+        key = state["state"]["key"]
+        first = np.empty(8)
         for g0 in range(0, n, tile_paths):
             g1 = min(n, g0 + tile_paths)
             for j, p in enumerate(path_indices[g0:g1].tolist()):
                 k = g0 + j
-                _set_stream(gen, seed, p)
+                key[1] = p
+                bitgen.state = state
                 nj = 0
                 if with_jumps:
-                    first = gen.standard_exponential(8)
+                    exponentials(out=first)
                     if first[0] <= horizon:     # else none: the usual case for small ds
                         arrivals = _arrivals(gen, first, horizon)
                         nj = len(arrivals)
@@ -280,22 +293,27 @@ class _Noise:
                             mu = _widen(mu, cap + 1, 0.0)
                             self._widen_window(e + cap)
                             tile = self.tile
+                            heads = list(tile[:, :e])
                         jt[k, :nj] = t0 + arrivals
-                        gen.random(out=mu[k, :nj])
+                        uniforms(out=mu[k, :nj])
                         self.n_jumps[k] = nj
                 if one_block:
-                    gen.standard_normal(out=tile[j, :n_steps + nj])
+                    normals(out=tile[j, :n_steps + nj] if nj else heads[j])
                 else:
                     q = e + (nj and int(np.searchsorted(jt[k, :nj], nodes[e], "right")))
                     fill[k] = q
-                    gen.standard_normal(out=tile[j, :q])
-                    _save_stream(gen, position[k])
+                    normals(out=tile[j, :q] if nj else heads[j])
+                    _save_stream(bitgen, position[k])
             self._flush(g0, g1)
         if one_block:
             fill = n_steps + self.n_jumps
         self.fill = self.drawn = fill
         width = int(self.n_jumps.max(initial=0)) + 1
         self.jt, self.mu = jt[:, :width], mu[:, :width]
+        # the whole padded tables, flat: jump j of path k sits at
+        # k * jump_cols + j, so ``_march`` reads it with one 1-D take
+        self.jt_flat, self.mu_flat = jt.reshape(-1), mu.reshape(-1)
+        self.jump_cols = jt.shape[1]
 
     def _widen_window(self, rows):
         window = np.zeros((rows, self.normals.shape[1]))
@@ -322,7 +340,10 @@ class _Noise:
         left = self.fill - ptr
         self.fill = left + need - self.drawn
         self.drawn = need
-        gen, seed, tile, window = self.gen, self.seed, self.tile, self.normals
+        tile, window = self.tile, self.normals
+        bitgen, normals = self.gen.bit_generator, self.gen.standard_normal
+        state = _stream_state(self.seed)
+        inner, key = state["state"], state["state"]["key"]
         n, position = len(self.paths), self.position
         for g0 in range(0, n, len(tile)):
             g1 = min(n, g0 + len(tile))
@@ -332,10 +353,12 @@ class _Noise:
             for j, (p, r, a, start, end) in enumerate(group):
                 if a:
                     tile[j, :a] = window[start:start + a, g0 + j]
-                _set_stream(gen, seed, p, r[:4], r[4:8], r[8])
-                gen.standard_normal(out=tile[j, a:end])
+                key[1] = p
+                inner["counter"], state["buffer"], state["buffer_pos"] = r[:4], r[4:8], r[8]
+                bitgen.state = state
+                normals(out=tile[j, a:end])
                 if not last:
-                    _save_stream(gen, position[g0 + j])
+                    _save_stream(bitgen, position[g0 + j])
             self._flush(g0, g1)
         ptr[:] = 0
 
@@ -398,31 +421,40 @@ def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
     controls ``u``; ``on_jump(rows, s, theta)`` runs after the regimes of
     ``rows`` updated at their jump times ``s``.
     """
-    jt, mu, normals = noise.jt, noise.mu, noise.normals
     n_copies, n = x.shape
     labels = range(1, dynamics.m + 1)
+    # gathers and scatters go through per-copy 1-D views, which cost about
+    # a third of indexing the (K, n) arrays; normals, jump times and marks
+    # are read by one 1-D take each from flat views of their row-major tables
+    xs, alphas = list(x), list(alpha)
+    z_flat = noise.normals.reshape(-1)
+    jt_flat, mu_flat, cols = noise.jt_flat, noise.mu_flat, noise.jump_cols
     paths = np.arange(n)
     ptr = np.zeros(n, dtype=np.int64)      # next normal to consume
-    jptr = np.zeros(n, dtype=np.int64)     # next jump to process
-    jnext = jt[:, 0].copy()                # time of that jump
-    u = np.empty((n_copies, n, dynamics.control_dim))
+    jat = paths * cols                     # flat position of the next jump
+    jnext = jt_flat.take(jat)              # time of that jump
+    # node controls control dimension first, so each column scatters in
+    # 1-D; the hooks see them as (K, n, control_dim)
+    u_cols = np.empty((n_copies, dynamics.control_dim, n))
+    u = u_cols.transpose(0, 2, 1)
 
     def node_controls(s):
         groups = []
-        for c in range(n_copies):
+        for xc, ac, uc in zip(xs, alphas, u_cols):
             for lab in labels:
-                idx = np.flatnonzero(alpha[c] == lab)
+                idx = np.flatnonzero(ac == lab)
                 if idx.size:
-                    xr = x[c, idx]
+                    xr = xc[idx]
                     ur = pol(s, xr, lab)
-                    u[c, idx] = ur
-                    groups.append((c, lab, idx, xr, ur))
+                    for col, ur_col in zip(uc, ur.T, strict=True):
+                        col[idx] = ur_col
+                    groups.append((xc, lab, idx, xr, ur))
         return groups
 
     def jump_substeps(rows, s, dt):
         # paths past a jump, each from its own time s
-        z = normals[ptr[rows], rows]
-        for xc, ac in zip(x, alpha):
+        z = z_flat.take(ptr[rows] * n + rows)
+        for xc, ac in zip(xs, alphas):
             a = ac[rows]
             for lab in labels:
                 sel = np.flatnonzero(a == lab)
@@ -441,29 +473,31 @@ def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
         if on_node is not None:
             on_node(k, s, u)
         dt = np.minimum(jnext, t_next) - s
-        z = normals[ptr, paths]
-        for c, lab, idx, xr, ur in groups:
-            x[c, idx] = _em_update(dynamics, s, xr, lab, ur, dt[idx], z[idx])
+        z = z_flat.take(ptr * n + paths)
+        for xc, lab, idx, xr, ur in groups:
+            xc[idx] = _em_update(dynamics, s, xr, lab, ur, dt[idx], z[idx])
         # dt = 0 only for a jump at s_k itself: that step leaves x as it is
         # and must not consume the path's normal
         ptr += dt > 0
         sub = np.flatnonzero(jnext <= t_next)
         while sub.size:
             s_jump = jnext[sub]
-            theta = levy.sample_from_uniform(mu[sub, jptr[sub]])
-            for xc, ac in zip(x, alpha):
+            at = jat[sub]
+            theta = levy.sample_from_uniform(mu_flat.take(at))
+            for xc, ac in zip(xs, alphas):
                 ac[sub] = geometry.mark_to_jump_array(xc[sub], ac[sub], theta)
             if on_jump is not None:
                 on_jump(sub, s_jump, theta)
-            jptr[sub] += 1
-            after = jt[sub, jptr[sub]]
+            at += 1
+            jat[sub] = at
+            after = jt_flat.take(at)
             jnext[sub] = after
             dt = np.minimum(after, t_next) - s_jump
             moving = dt > 0
             if moving.any():
                 jump_substeps(sub[moving], s_jump[moving], dt[moving])
             sub = sub[after <= t_next]
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericError(f"state blew up at step {k + 1} (t={t_next:g})")
     if on_node is not None:
         node_controls(nodes[-1])

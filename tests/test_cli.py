@@ -47,6 +47,19 @@ seed = 5
 workers = {workers}
 """
 
+RATES_PIN_CFG = """
+[model]
+geometry = tanh
+drift = 0
+sigma = 0.5
+[solver]
+n_paths = 4000
+ds = 0.5
+rate_states = -1.0, 0.0, 1.0
+[run]
+seed = 11
+"""
+
 EQ_CFG = """
 [model]
 preset = merton-ti
@@ -117,6 +130,17 @@ def test_rates_threaded_cells_match_serial(tmp_path, capsys, monkeypatch):
         sys.setswitchinterval(interval)
     assert tables[1] == tables[2]
     assert any(r["q_empirical"] > 0 for r in json.loads(tables[1]))
+
+
+def test_rates_pinned_bitwise(tmp_path, capsys):
+    # recorded when each path still built its own Philox state mapping
+    # (x86-64, numpy 2.4.6); with ds 0.5 two paths in five jump and the
+    # marks read states moved by the normals, so every draw counts
+    code, out = run_cli(tmp_path, "rates_pin", RATES_PIN_CFG, ("rates",))
+    assert code == 0
+    table = json.loads((out / "rates.json").read_text())
+    assert [r["q_empirical"] for r in table] == [0.0575, 0.123, 0.089, 0.097,
+                                                 0.1175, 0.05]
 
 
 def test_equilibrium_run_and_residual_log(tmp_path, capsys):

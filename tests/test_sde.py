@@ -305,6 +305,7 @@ STREAM_CASES = [
     (3, 0, 1.5, 5, False),
     (-1, 0, 2.5, 4, True),
     (9, 8192, 1.5, 3, True),      # the path indices of a second chunk
+    (2**70 + 9, 100, 3.5, 6, True),   # a seed past 64 bits keys by its low word
 ]
 
 
