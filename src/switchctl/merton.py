@@ -23,6 +23,7 @@ values and data once at the boundary.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,6 +268,125 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
     return PhiSolution(times=times, eq=phi, eq_diag=phi[idx, idx], iterations=log)
 
 
+def _gtsv(dl, d, du, b):
+    """Solve the tridiagonal system (dl, d, du) z = b; LAPACK dgtsv, op for op.
+
+    Python floats, one right-hand side, n >= 2: Gaussian elimination with
+    partial pivoting (a row swap fills in the second superdiagonal, kept
+    in ``dl``), then back substitution.  The lists are overwritten; the
+    solution is returned in ``b``.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise NumericError("spline system is singular")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise NumericError("spline system is singular")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+class _Spline:
+    """Not-a-knot cubic spline through (x, y), bit for bit scipy's CubicSpline.
+
+    Construction repeats scipy 1.17's arithmetic op for op: the slopes,
+    the (1, 1)-banded system for the node derivatives with de Boor's
+    not-a-knot ends (clamped to the chord for n = 2, the dense 3x3
+    parabola system for n = 3), solved by ``_gtsv``, and the Hermite
+    coefficients c[0..3] per interval, highest power first, in ``c``
+    (n-1, 4).  A point reads interval searchsorted(x[1:-1], s, "right"),
+    so the end intervals extrapolate, and sums its row in the order of
+    scipy's evaluate_poly1.  A call reads a float or a 1-D array; ``at``
+    is the same arithmetic on Python floats, for one float.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = x.size
+        if x.ndim != 1 or y.shape != x.shape or n < 2:
+            raise ConfigError(f"a spline needs at least two nodes, one value "
+                              f"each; got times {x.shape} and values {y.shape}")
+        if not np.isfinite(x).all():
+            raise ConfigError("spline node times must be finite")
+        dx = np.diff(x)
+        if (dx <= 0).any():
+            raise ConfigError("spline node times must be strictly increasing")
+        if not np.isfinite(y).all():
+            raise NumericError("spline node values must be finite")
+        slope = np.diff(y) / dx
+        if n == 3:
+            A = np.array([[1.0, 1.0, 0.0],
+                          [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
+                          [0.0, 1.0, 1.0]])
+            b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]),
+                          2 * slope[1]])
+            s = np.linalg.solve(A, b)
+        else:
+            diag = np.zeros(n)
+            upper = np.zeros(n - 1)
+            lower = np.zeros(n - 1)
+            b = np.empty(n)
+            diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+            upper[1:] = dx[:-1]
+            lower[:-1] = dx[1:]
+            b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            if n == 2:
+                diag[:] = 1.0
+                b[:] = slope[0]
+            else:
+                d = x[2] - x[0]
+                diag[0], upper[0] = dx[1], d
+                b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+                d = x[-1] - x[-3]
+                diag[-1], lower[-1] = dx[-2], d
+                b[-1] = (dx[-1]**2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+            s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(),
+                               b.tolist()))
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.inner = x[1:-1]
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]),
+                          axis=1)
+        self._inner = self.inner.tolist()
+        self._rows = list(zip(x[:-1].tolist(), *self.c.T.tolist()))
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        j = self.inner.searchsorted(s, "right")
+        c0, c1, c2, c3 = self.c[j].T
+        d = s - self.x[j]
+        d2 = d * d
+        return ((0.0 + c3 + c2 * d) + c1 * d2) + c0 * (d2 * d)
+
+    def at(self, s):
+        s = float(s)
+        x0, c0, c1, c2, c3 = self._rows[bisect_right(self._inner, s)]
+        d = s - x0
+        d2 = d * d
+        return ((0.0 + c3 + c2 * d) + c1 * d2) + c0 * (d2 * d)
+
+
 @dataclass
 class PartitionPhi:
     """ODE mirror of the N-player cycles under the x^gamma ansatz."""
@@ -285,12 +405,11 @@ def partition_phi(spec, knots, times):
     system), then solves the anchored optimal system on [t_{k-1}, t_k]
     with that terminal, and extends the strategy.  Integration proceeds
     interval by interval, so no step straddles a strategy kink.  Each
-    player's consumption rate is tabled once, by one spline call per
-    regime on all the RK4 stage times of its interval, which is where
-    the pricing of the earlier players reads it.
+    player's consumption rate is tabled once, by one call per regime of
+    the in-package not-a-knot spline (``_Spline``, bit for bit scipy's
+    ``CubicSpline``) on all the RK4 stage times of its interval, which is
+    where the pricing of the earlier players reads it.
     """
-    # local: scipy.interpolate is loaded only when a spline is built
-    from scipy.interpolate import CubicSpline
     times = np.asarray(times, dtype=float)
     knots = np.asarray(knots, dtype=float)
     n = len(times)
@@ -335,7 +454,7 @@ def partition_phi(spec, knots, times):
 
         stage_s = np.ravel([_rk4_stages(seg_times[j], seg_times[j - 1])[1]
                             for j in range(1, len(seg_times))])
-        phi_s = np.stack([CubicSpline(seg_times, own[:, i])(stage_s)
+        phi_s = np.stack([_Spline(seg_times, own[:, i])(stage_s)
                           for i in range(spec.m)], axis=1)
         g_s = np.asarray(spec.g(tau, stage_s), dtype=float)[:, None]
         kappa = (g_s / np.maximum(phi_s, 1e-300)) ** (1 / (1 - gam))
@@ -354,6 +473,8 @@ def strategies(spec, phi_ss, s, x, i, g_weight=None):
     """
     if x <= 0:
         raise DomainError("wealth must be positive")
+    if not 0 < i <= spec.m:
+        raise DomainError(_label_message(i, spec.m))
     if g_weight is None:
         g_weight = float(spec.g(s, s))
     u = spec.investment_fraction()[i - 1] * x
@@ -361,28 +482,37 @@ def strategies(spec, phi_ss, s, x, i, g_weight=None):
     return u, c
 
 
+def _label_message(i, m):
+    return f"regime label {i!r} is not in 1..{m}"
+
+
 def _spline_feedback(spec, times, phi, weight):
     """Feedback (u, c) = (frac x, (weight(s) / phi(s))^(1/(1-gamma)) x).
 
-    ``phi`` (len(times), m) is read between nodes by a cubic spline per
-    regime; the investment leg is the same in every variant.  At a scalar
-    ``s`` the weight, the spline and the power run once, on a one-element
-    array (the same numpy loops as per point, so the same bits), and the
-    rate is broadcast over ``x``.
+    ``phi`` (len(times), m) is read between nodes by a not-a-knot cubic
+    spline per regime (``_Spline``, bit for bit scipy's ``CubicSpline``);
+    the investment leg is the same in every variant.  At a float ``s``
+    the spline runs on Python floats, the weight and the power once on a
+    one-element array (the same numpy loops as per point, so the same
+    bits), and the rate is broadcast over ``x``.  A regime label outside
+    1..m raises DomainError.
     """
-    # local: scipy.interpolate is loaded only when a spline is built
-    from scipy.interpolate import CubicSpline
-    splines = [CubicSpline(times, phi[:, i]) for i in range(spec.m)]
+    splines = [_Spline(times, phi[:, i]) for i in range(spec.m)]
     frac = spec.investment_fraction()
-    gam = spec.gamma
+    p_c = 1 / (1 - spec.gamma)
+    m = spec.m
 
     def policy(s, x, i):
+        if not 0 < i <= m:
+            raise DomainError(_label_message(i, m))
         x = np.atleast_1d(np.asarray(x, dtype=float))
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         w = np.asarray(weight(s_arr), dtype=float)
+        sp = splines[i - 1]
+        phi_s = sp.at(s) if isinstance(s, float) else sp(s_arr)
         out = np.empty((x.shape[0], 2))
         out[:, 0] = frac[i - 1] * x
-        out[:, 1] = (w / splines[i - 1](s_arr)) ** (1 / (1 - gam)) * x
+        out[:, 1] = (w / phi_s) ** p_c * x
         return out
 
     return policy

@@ -195,6 +195,14 @@ def test_strategy_requires_positive_wealth():
         strategies(spec, 1.0, 0.1, -1.0, 1)
 
 
+@pytest.mark.parametrize("label", [0, -1, 3])
+def test_strategy_rejects_unknown_regime_label(label):
+    spec = anchor_free_spec()
+    with pytest.raises(DomainError, match="regime label") as info:
+        strategies(spec, 1.0, 0.1, 1.0, label)
+    assert info.value.exit_code == 2
+
+
 def test_investment_fraction_anchor_free():
     spec = hyperbolic_spec()
     sol = solve_equilibrium_ode(spec, time_grid(0, 1, 200))
@@ -287,6 +295,17 @@ def test_spline_policy_scalar_s_is_bitwise_the_broadcast_policy():
             want = pol(np.full(x.shape, s), x, i)
             assert got.shape == want.shape == (len(x), 2)
             assert np.array_equal(got, want), (s, i)
+
+
+@pytest.mark.parametrize("label", [0, -1, 3])
+def test_spline_policy_rejects_unknown_regime_label(label):
+    # label 0 once answered for regime m and -1 for regime 1
+    _, _, pol = small_equilibrium_policy()
+    x = np.array([0.5, 1.0])
+    for s in (0.3, np.array([0.3, 0.6])):
+        with pytest.raises(DomainError, match="regime label") as info:
+            pol(s, x, label)
+        assert info.value.exit_code == 2
 
 
 def test_mc_payoff_pinned_bitwise():

@@ -1,9 +1,10 @@
 """Which scipy modules a fresh process loads.
 
-``import switchctl`` loads numpy alone; scipy's LAPACK wrappers and
-``scipy.interpolate`` are imported where the banded step and the φ
-splines call them.  Each check runs the CLI as ``python -m switchctl``
-in a fresh interpreter and reads ``sys.modules`` after it exits.
+``import switchctl`` loads numpy alone; scipy's LAPACK wrappers are
+imported where the banded step calls them, and the φ splines are the
+package's own, so nothing loads ``scipy.interpolate``.  Each CLI check
+runs ``python -m switchctl`` in a fresh interpreter and reads
+``sys.modules`` after it exits; the library checks run a script.
 """
 
 import json
@@ -124,9 +125,30 @@ def test_toy_verify_loads_lapack_but_not_interpolate(tmp_path):
     assert "scipy.interpolate" not in loaded
 
 
-def test_partition_solve_loads_both_scipy_modules(tmp_path):
+def test_partition_solve_loads_lapack_but_not_interpolate(tmp_path):
     loaded = _scipy_after(tmp_path, "partition-solve")
-    assert {"scipy.linalg", "scipy.interpolate"} <= loaded
+    assert "scipy.linalg" in loaded
+    assert "scipy.interpolate" not in loaded
+
+
+def test_merton_payoff_and_partition_phi_load_no_scipy(tmp_path):
+    script = """
+import sys
+from switchctl import merton, models
+from switchctl.fields import time_grid
+from switchctl.partition import Partition
+spec = models.merton_spec(True)
+times = time_grid(0.0, spec.T, 40)
+policy = merton.equilibrium_policy(spec, merton.solve_equilibrium_ode(spec, times))
+est, se = merton.monte_carlo_payoff(
+    spec, policy, 0.0, 1.0, 1, n_paths=64, seed=3, h_step=0.05,
+    geometry=models.constant_rate_geometry(spec.q),
+    levy=models.uniform_mark_density())
+mirror = merton.partition_phi(spec, Partition.uniform(spec.T, 4).knots, times)
+assert se > 0 and len(mirror.rows) == 4
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _fresh(["-c", script], tmp_path).strip().splitlines()[-1] == "[]"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
