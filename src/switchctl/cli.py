@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -87,11 +86,11 @@ def main(argv=None):
         if args.dry_run:
             plan = {"subcommand": args.subcommand, "output": outdir,
                     "workers": workers,
-                    "artifacts": runner(config, outdir, workers, plan_only=True)}
+                    "artifacts": runner(config, outdir, plan_only=True)}
             print(json.dumps(plan, sort_keys=True))
             return 0
         os.makedirs(outdir, exist_ok=True)
-        summary = runner(config, outdir, workers, plan_only=False)
+        summary = runner(config, outdir, plan_only=False)
         summary.update({"subcommand": args.subcommand, "output": outdir})
         print(json.dumps(summary, sort_keys=True, default=float))
         return 0
@@ -120,6 +119,11 @@ def _output_dir(config, override):
 
 
 def _workers(config):
+    """``[run] workers``, or ``SWITCHCTL_WORKERS`` when set, validated.
+
+    Every subcommand runs serially, so the value only appears in the
+    dry-run plan; it is still checked so existing configs stay valid.
+    """
     env = os.environ.get("SWITCHCTL_WORKERS")
     if not env:
         return config.get("run", "workers")
@@ -274,7 +278,7 @@ def _merton_boundary(model, times, grid, tol):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_simulate(config, outdir, workers, plan_only):
+def _run_simulate(config, outdir, plan_only):
     planned = ["path.csv", "jumps.json", "manifest.json"]
     if plan_only:
         return planned
@@ -293,7 +297,7 @@ def _run_simulate(config, outdir, workers, plan_only):
     return {"nodes": len(path.times), "jumps": len(path.jumps)}
 
 
-def _run_rates(config, outdir, workers, plan_only):
+def _run_rates(config, outdir, plan_only):
     planned = ["rates.json", "manifest.json"]
     if plan_only:
         return planned
@@ -307,27 +311,21 @@ def _run_rates(config, outdir, workers, plan_only):
     cells = [(x, i, j) for x in xs for i in range(1, m + 1)
              for j in range(1, m + 1) if i != j]
 
-    def work(cell_index):
-        x, i, j = cells[cell_index]
+    table = []
+    for cell_index, (x, i, j) in enumerate(cells):
         q = rate_matrix(geometry, levy, x)[i - 1, j - 1]
         est = estimate_transition_rate(dynamics, geometry, levy, x, i, j, ds,
                                        n_paths, seed + cell_index, q_theory=q)
-        return {"x": x, "i": i, "j": j, "q_theory": q,
-                "q_empirical": est.rate, "se": est.se,
-                "anomaly": est.anomaly}
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            table = list(pool.map(work, range(len(cells))))
-    else:
-        table = [work(k) for k in range(len(cells))]
+        table.append({"x": x, "i": i, "j": j, "q_theory": q,
+                      "q_empirical": est.rate, "se": est.se,
+                      "anomaly": est.anomaly})
     art = _Artifacts(outdir)
     art.write_json("rates.json", table)
     art.finish()
     return {"cells": len(table)}
 
 
-def _run_partition_solve(config, outdir, workers, plan_only):
+def _run_partition_solve(config, outdir, plan_only):
     formats = config.get("output", "formats")
     planned = [*_field_names("value", formats), "strategy.csv",
                "convergence.json", "manifest.json"]
@@ -360,7 +358,7 @@ def _run_partition_solve(config, outdir, workers, plan_only):
     return {"partitions": len(parts), "finest_mesh": parts[-1].mesh()}
 
 
-def _run_equilibrium(config, outdir, workers, plan_only):
+def _run_equilibrium(config, outdir, plan_only):
     formats = config.get("output", "formats")
     planned = [*_field_names("value", formats), "strategy.csv",
                "residual_log.jsonl", "manifest.json"]
@@ -382,7 +380,7 @@ def _run_equilibrium(config, outdir, workers, plan_only):
     return {"final_residual": final_res}
 
 
-def _run_merton(config, outdir, workers, plan_only):
+def _run_merton(config, outdir, plan_only):
     planned = ["phi.csv", "strategy.csv", "comparison.json", "manifest.json"]
     if plan_only:
         return planned
@@ -435,7 +433,7 @@ def _write_phi_table(art, name, taus, times, phi):
     art.add(name)
 
 
-def _run_verify(config, outdir, workers, plan_only):
+def _run_verify(config, outdir, plan_only):
     planned = ["verify.json", "gain.csv", "manifest.json"]
     if plan_only:
         return planned

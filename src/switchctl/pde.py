@@ -35,10 +35,18 @@ step: policy-evaluation splitting.
 Domain truncation: the problems live on all of R, so the grid imposes
 either linear extrapolation (vanishing second difference) or Dirichlet
 data at the edges; error norms should exclude the configured buffer.
+
+The banded LU routines are scipy's own ``dgbtrf`` and ``dgbtrs``, bound
+from its compiled LAPACK extension ``scipy.linalg._flapack`` on the
+first step (``_lapack``).  The extension is loaded by file, so the
+``scipy.linalg`` package ``__init__`` (some 300 modules and 28 MB that
+the step never calls) does not run; ``scipy.linalg.lapack`` exposes the
+same function objects, so the results are scipy's bit for bit.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -191,6 +199,35 @@ def _edges(grid, fns, times, m):
     return out
 
 
+@cache
+def _lapack():
+    """scipy's ``dgbtrf`` and ``dgbtrs``, without ``scipy.linalg``'s __init__.
+
+    Imports the top-level scipy package only, then loads the f2py
+    extension ``scipy.linalg._flapack`` from scipy's ``linalg`` directory.
+    CPython registers a single-phase extension in ``sys.modules``, so a
+    later ``import scipy.linalg`` reuses it, and a load after
+    ``scipy.linalg`` yields the same functions.  A missing extension is
+    an ``ImportError``.
+    """
+    import importlib.machinery as machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    finder = machinery.FileFinder(
+        os.path.join(scipy.__path__[0], "linalg"),
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"{name} not found under {finder.path}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgbtrf, flapack.dgbtrs
+
+
 def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
     """One backward step s_hi -> s_lo of the predictor/corrector scheme.
 
@@ -212,8 +249,9 @@ def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
     expl[:, 1:-1] += 0.5 * dt * (a[1:-1] * lap + beta[1:-1] * grad)
     for edge, j in ((0, 0), (1, -1)):
         expl[:, j] = 0.0 if grid.bc[edge] == BC_EXTRAPOLATE else edges[:, :, edge]
-    # local: `import switchctl` and the Monte Carlo paths never load scipy
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    # bound on first use: `import switchctl` and the Monte Carlo paths never
+    # load scipy, and no run loads the scipy.linalg package
+    dgbtrf, dgbtrs = _lapack()
     lu, piv, info = dgbtrf(_implicit_bands(a, beta, dt, dx, grid.bc), 2, 2,
                            overwrite_ab=1)
     if info != 0:

@@ -555,3 +555,28 @@ def test_partition_knot_rows_converge_first_order(merton_pde_case):
     assert 1.8 <= dist[16] / dist[32] <= 2.2, dist
     assert 1.8 <= dist[48] / dist[96] <= 2.2, dist
     assert all(0.10 <= n * d <= 0.12 for n, d in dist.items()), dist
+
+
+def test_recursive_cost_in_z_is_a_drift_shift():
+    # Girsanov: on toy-lq (sigma = 0.4) a running cost + 0.3 z, with
+    # z = sigma V_x, is the drift u + 0.3 sigma; the march's z-path must
+    # reproduce the shifted model to second order in dt, control for control
+    from dataclasses import replace
+    from switchctl.models import MODEL_PRESETS
+    base = MODEL_PRESETS["toy-lq"]()
+    g0, b0 = base.g, base.b
+    rec = replace(base, g=lambda tau, s, x, i, y, z, qv, u:
+                  g0(tau, s, x, i, y, z, qv, u) + 0.3 * z)
+    shifted = replace(base, b=lambda s, x, i, u: b0(s, x, i, u) + 0.3 * 0.4)
+    grid = base.default_grid(41)
+    interior = grid.interior_mask()
+    gaps = []
+    for n_t in (64, 128):
+        times = time_grid(0.0, base.T, n_t)
+        got = solve_equilibrium(rec, grid, times)
+        want = solve_equilibrium(shifted, grid, times)
+        assert np.array_equal(got.strategy.values, want.strategy.values)
+        gaps.append(float(np.max(np.abs(
+            got.value.values - want.value.values)[:, interior])))
+    assert gaps[0] <= 1e-6
+    assert gaps[0] / gaps[1] >= 3.5

@@ -1,8 +1,11 @@
 """Which scipy modules a fresh process loads.
 
-``import switchctl`` loads numpy alone; scipy's LAPACK wrappers are
-imported where the banded step calls them, and the φ splines are the
-package's own, so nothing loads ``scipy.interpolate``.  Each CLI check
+``import switchctl`` loads numpy alone.  The banded step binds scipy's
+compiled LAPACK extension, ``scipy.linalg._flapack``, on its first call
+without running the ``scipy.linalg`` package ``__init__``, and the φ
+splines are the package's own, so nothing loads ``scipy.linalg`` or
+``scipy.interpolate``.  The exact list of scipy modules is not pinned:
+the top-level ``scipy`` ``__init__`` varies by version.  Each CLI check
 runs ``python -m switchctl`` in a fresh interpreter and reads
 ``sys.modules`` after it exits; the library checks run a script.
 """
@@ -79,6 +82,15 @@ partitions = 1, 2
 [run]
 seed = 5
 """,
+    "equilibrium": """
+[model]
+preset = merton-ti
+[grid]
+n_x = 21
+n_t = 16
+[run]
+seed = 5
+""",
 }
 
 
@@ -119,16 +131,39 @@ def test_rates_and_simulate_load_no_scipy(tmp_path):
     assert _scipy_after(tmp_path, "simulate") == set()
 
 
-def test_toy_verify_loads_lapack_but_not_interpolate(tmp_path):
-    loaded = _scipy_after(tmp_path, "verify")
-    assert "scipy.linalg" in loaded
+def _assert_lapack_extension_only(loaded):
+    assert "scipy.linalg._flapack" in loaded
+    assert "scipy.linalg" not in loaded
     assert "scipy.interpolate" not in loaded
+
+
+def test_toy_verify_loads_lapack_but_not_interpolate(tmp_path):
+    _assert_lapack_extension_only(_scipy_after(tmp_path, "verify"))
 
 
 def test_partition_solve_loads_lapack_but_not_interpolate(tmp_path):
-    loaded = _scipy_after(tmp_path, "partition-solve")
-    assert "scipy.linalg" in loaded
-    assert "scipy.interpolate" not in loaded
+    _assert_lapack_extension_only(_scipy_after(tmp_path, "partition-solve"))
+
+
+def test_equilibrium_loads_the_lapack_extension_only(tmp_path):
+    _assert_lapack_extension_only(_scipy_after(tmp_path, "equilibrium"))
+
+
+def test_bound_lapack_routines_are_scipys_own(tmp_path):
+    # a solve binds the extension first; scipy.linalg imported afterwards
+    # must hand out the very same function objects
+    script = """
+from switchctl import pde
+from switchctl.equilibrium import solve_equilibrium
+from switchctl.fields import time_grid
+from switchctl.models import MODEL_PRESETS
+model = MODEL_PRESETS["toy-lq"]()
+solve_equilibrium(model, model.default_grid(21), time_grid(0.0, model.T, 8))
+dgbtrf, dgbtrs = pde._lapack()
+import scipy.linalg.lapack as lapack
+print(dgbtrf is lapack.dgbtrf and dgbtrs is lapack.dgbtrs)
+"""
+    assert _fresh(["-c", script], tmp_path).strip().splitlines()[-1] == "True"
 
 
 def test_merton_payoff_and_partition_phi_load_no_scipy(tmp_path):
