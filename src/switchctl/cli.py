@@ -19,7 +19,8 @@ import numpy as np
 
 from . import merton as merton_mod
 from .config import parse_config
-from .costs import anchored_minimizer_policy, spike_ladder, spike_window
+from .costs import (anchored_minimizer_policy, check_spike_ladder,
+                    spike_ladder)
 from .equilibrium import solve_equilibrium
 # still bound because perfbench/tracing.py patches it here (ROADMAP item 5)
 from .equilibrium import residual as equilibrium_residual  # noqa: F401
@@ -443,10 +444,11 @@ def _run_verify(config, outdir, plan_only):
     boundary = _merton_boundary(model, times, grid, tol)
     t0 = config.get("solver", "spike_anchor")
     epsilons = config.get("solver", "epsilons")
-    for eps in epsilons:    # fail before the march, not after it
-        spike_window(times, t0, eps)
-    sol = solve_equilibrium(model, grid, times, boundary=boundary,
-                            keep_rows=[node_index(times, t0)])
+    check_spike_ladder(times, t0, epsilons)    # fail before the march
+    # the equilibrium is time-consistent: its march down to t0 never reads
+    # a level below t0, so [t0, T] gives the row at t0 as the whole grid does
+    sol = solve_equilibrium(model, grid, times[node_index(times, t0):],
+                            boundary=boundary, keep_rows=[0])
     policy = anchored_minimizer_policy(model, sol, t0)
     ladder = spike_ladder(model, sol, t0, epsilons, policy, boundary=boundary)
     art = _Artifacts(outdir)

@@ -110,6 +110,20 @@ def spike_window(times, t, eps):
     return node_index(times, t), node_index(times, t + eps)
 
 
+def check_spike_ladder(times, t, epsilons):
+    """A ConfigError for an empty ladder or a repeated width (the
+    intercept fit needs distinct widths), then spike_window's checks of
+    each width on ``times``."""
+    if len(epsilons) == 0:
+        raise ConfigError("the spike ladder needs at least one width "
+                          "([solver] epsilons is empty)")
+    if len(set(epsilons)) < len(epsilons):
+        raise ConfigError(f"the spike ladder's widths must be distinct; "
+                          f"got {list(epsilons)} ([solver] epsilons)")
+    for eps in epsilons:
+        spike_window(times, t, eps)
+
+
 def spike_gain(model, solution, t, eps, perturbation, boundary=None):
     """Per-unit-time cost gain of a spike perturbation on [t, t+eps].
 
@@ -139,22 +153,22 @@ def anchored_minimizer_policy(model, solution, t):
     """The pre-committed spike choice: the minimizer map anchored at t,
     fed with the stored equilibrium row Theta(t; s, ., .).
 
-    The minimizer covers every regime at once, so the controls of the
-    last time node asked for are kept and shared by its regimes."""
+    The minimizer covers every regime at once, so the controls of each
+    node of the row are computed once and shared by its regimes and by
+    every rung of a spike ladder."""
     theta = solution.theta
     times = theta.times
     grid = theta.grid
     t_idx = node_index(times, t)
     row = theta.row(t_idx).values      # a DomainError if it was not kept
     problem = model.hjb_problem(float(t), grid)
-    last = {}
+    by_node = {}
 
     def policy(s, x, i):
-        if last.get("s") != s:
-            k = node_index(times, s)
-            last["s"] = s
-            last["u"] = controls_on_grid(problem, float(s), row[k - t_idx])
-        return last["u"][:, i - 1, :].copy()
+        k = node_index(times, s)
+        if k not in by_node:
+            by_node[k] = controls_on_grid(problem, float(s), row[k - t_idx])
+        return by_node[k][:, i - 1, :].copy()
 
     return policy
 
@@ -163,8 +177,9 @@ def spike_ladder(model, solution, t, epsilons, perturbation, boundary=None):
     """Spike gains over an epsilon ladder plus the extrapolated intercept.
 
     Fits min_gain ~ a + b eps and reports the intercept a, the numerical
-    stand-in for the liminf as eps -> 0.
+    stand-in for the liminf as eps -> 0.  The widths must be distinct.
     """
+    check_spike_ladder(solution.theta.times, t, epsilons)
     gains = [spike_gain(model, solution, t, eps, perturbation, boundary)
              for eps in epsilons]
     eps_arr = np.asarray([g.epsilon for g in gains])

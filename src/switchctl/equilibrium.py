@@ -12,6 +12,12 @@ all rows solves the system exactly, with no iteration.  The march holds
 two levels of every row; what outlives a level (the diagonal, the
 controls, the rows asked for, the residual) is read off as the level is
 reached, so memory is O(n_t n_x m) unless every row is kept.
+
+When the model declares an anchor basis (g and h polynomials of degree
+< K in the anchor, g affine in (y, z, qv) with anchor-free coefficients),
+each step is linear in the row and in its anchor terms, so every anchor
+row is the Lagrange mix of the K node rows: the march steps those K rows
+and forms each anchor row it reads as that mix.
 """
 
 import warnings
@@ -22,7 +28,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .fields import (BC_DIRICHLET, FeedbackStrategy, TwoTimeField,
                      ValueField, d1, d2, refuse_oversized)
-from .pde import _hamiltonian, _qv, controls_on_grid, solve_rows_batch
+from .pde import (_hamiltonian, _pointwise, _qv, controls_on_grid,
+                  solve_rows_batch)
 
 
 class ClampWarning(UserWarning):
@@ -57,13 +64,14 @@ def strategy_from_diagonal(model, grid, times, diag, q_table=None,
     return out
 
 
-def march_bytes(n_t, n_x, m, control_dim, n_kept, dirichlet):
+def march_bytes(n_t, n_x, m, control_dim, n_marched, n_kept, dirichlet):
     """Bytes solve_equilibrium stores: ``n_kept`` two-time rows, the
-    two-level buffer of all rows, the controls, the diagonal and, with
-    Dirichlet edges, the (n_t, n_t, m, 2) edge table."""
+    two-level buffer of the ``n_marched`` rows it steps, the controls,
+    the diagonal and, with Dirichlet edges, the (n_marched, n_t, m, 2)
+    edge table."""
     row = 8 * n_t * n_x * m
-    edges = 8 * n_t * n_t * m * 2 if dirichlet else 0
-    return (n_kept + 2 + control_dim + 1) * row + edges
+    edges = 8 * n_marched * n_t * m * 2 if dirichlet else 0
+    return (n_kept + control_dim + 1) * row + 16 * n_marched * n_x * m + edges
 
 
 def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
@@ -75,32 +83,44 @@ def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
     the controls at s_k, and rows 0..k-1 take one step to level k-1 under
     them, each with its own anchor and Dirichlet data: one
     solve_rows_batch call with row j active from level j, on a buffer
-    that holds two levels of every row.  As level k is reached the
-    diagonal, the rows named in ``keep_rows`` (anchor indices; all rows
-    by default, none for ``()``) and, when ``residual`` is set, the
-    residual between levels k and k+1 are read off it.  The kept rows
-    are ``theta``; ``residual(model, solution)`` of a solution that
-    keeps every row equals the in-march residual.  ``boundary`` is an
-    optional factory tau -> dirichlet for anchored Dirichlet data, where
-    dirichlet(times) returns the row's (n_t, m, 2) edge values.  What is
-    stored is refused before allocation when it needs more than half the
-    physical memory.  The log stays empty: the march takes no sweeps.
+    that holds two levels of every row.  With a declared
+    ``model.anchor_basis`` the buffer holds the K node rows instead, all
+    active down to level 0, and every anchor row read below is their
+    Lagrange mix; the declaration is checked first (``_basis_weights``).
+    As level k is reached the diagonal, the rows named in ``keep_rows``
+    (anchor indices; all rows by default, none for ``()``) and, when
+    ``residual`` is set, the residual between levels k and k+1 are read
+    off it.  The kept rows are ``theta``; ``residual(model, solution)``
+    of a solution that keeps every row equals the in-march residual.
+    ``boundary`` is an optional factory tau -> dirichlet for anchored
+    Dirichlet data, where dirichlet(times) returns the row's (n_t, m, 2)
+    edge values.  What is stored is refused before allocation when it
+    needs more than half the physical memory.  The log stays empty: the
+    march takes no sweeps.
     """
     times = np.asarray(times, dtype=float)
     n_t = len(times)
     shape = (grid.n_x, model.m)
     n_kept = n_t if keep_rows is None else len(set(keep_rows))
+    basis = model.anchor_basis
+    n_marched = n_t if basis is None else len(basis)
     refuse_oversized(
-        march_bytes(n_t, grid.n_x, model.m, model.control_dim, n_kept,
-                    BC_DIRICHLET in grid.bc),
-        f"equilibrium march keeping {n_kept} rows on n_t={n_t} times x "
-        f"n_x={grid.n_x} nodes x m={model.m} regimes")
+        march_bytes(n_t, grid.n_x, model.m, model.control_dim, n_marched,
+                    n_kept, BC_DIRICHLET in grid.bc),
+        f"equilibrium march of {n_marched} rows keeping {n_kept} rows on "
+        f"n_t={n_t} times x n_x={grid.n_x} nodes x m={model.m} regimes")
+    if basis is None:
+        weights = None
+        anchors, active_from = times, np.arange(n_t)
+    else:
+        weights = _basis_weights(model, grid, times, boundary)
+        anchors, active_from = np.asarray(basis, dtype=float), None
     theta = TwoTimeField(times, grid, model.m, keep_rows)
     kept = theta.anchor_rows
-    levels = np.empty((n_t, 2) + shape)      # level k of row j: [j, k % 2]
-    for j in range(n_t):
-        levels[j, (n_t - 1) % 2] = model.terminal_values(float(times[j]), grid)
-    dirichlet_fns = [boundary(float(t)) for t in times] \
+    levels = np.empty((n_marched, 2) + shape)   # level k of row j: [j, k % 2]
+    for j, tau in enumerate(anchors):
+        levels[j, (n_t - 1) % 2] = model.terminal_values(float(tau), grid)
+    dirichlet_fns = [boundary(float(t)) for t in anchors] \
         if boundary is not None else None
     problem = model.hjb_problem(0.0, grid)
     diag = np.empty((n_t,) + shape)
@@ -110,20 +130,25 @@ def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
     worst = None
     clamps_before = getattr(model, "psi_clamp_count", 0)
 
+    def anchor_rows(level, idx):
+        """The anchor rows ``idx`` (a slice or index array) at one level."""
+        return level[idx] if weights is None else _mix(weights[idx], level)
+
     def minimizer(k):
         nonlocal worst
         level = levels[:, k % 2]
-        diag[k] = level[k]
+        diag[k] = anchor_rows(level, slice(k, k + 1))[0]
         n = np.searchsorted(kept, k, side="right")    # kept rows reaching k
-        theta.values[:n, k] = level[kept[:n]]
+        theta.values[:n, k] = anchor_rows(level, kept[:n])
         problem.anchor = float(times[k])
         controls[k] = controls_on_grid(problem, float(times[k]), diag[k])
         if residual_level is not None:
-            worst = residual_level(k, level)
+            worst = residual_level(
+                k, anchor_rows(level, slice(0, min(k + 1, n_t - 1))))
         return controls[k]
 
-    solve_rows_batch(problem, times, minimizer, times, levels, dirichlet_fns,
-                     active_from=np.arange(n_t))
+    solve_rows_batch(problem, times, minimizer, anchors, levels, dirichlet_fns,
+                     active_from=active_from)
     minimizer(0)
     fired = getattr(model, "psi_clamp_count", 0) - clamps_before
     if fired:
@@ -135,6 +160,100 @@ def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
                                 names=model.control_names)
     return EquilibriumSolution(theta=theta, value=ValueField(times, grid, diag),
                                strategy=strategy, residual=worst)
+
+
+def _lagrange_weights(taus, nodes):
+    """(len(taus), K) Lagrange weights of the K anchor ``nodes`` at
+    ``taus``: L_j(tau) = prod over l != j of (tau - tau_l) / (tau_j -
+    tau_l), in node order, so exactly one and zero at the nodes."""
+    taus = np.asarray(taus, dtype=float)
+    out = np.ones((len(taus), len(nodes)))
+    for j, tau_j in enumerate(nodes):
+        for l, tau_l in enumerate(nodes):
+            if l != j:
+                out[:, j] *= (taus - tau_l) / (tau_j - tau_l)
+    return out
+
+
+def _mix(weights, rows):
+    """sum_j weights[:, j] rows[j] for (n, K) weights and K rows: one
+    elementwise multiply-add per node, in node order, so an entry's
+    value does not depend on how many entries are formed at once."""
+    w = weights.reshape(weights.shape + (1,) * (rows.ndim - 1))
+    out = w[:, 0] * rows[0]
+    for j in range(1, len(rows)):
+        out += w[:, j] * rows[j]
+    return out
+
+
+# anchors, as fractions of the horizon, at which a declared basis is checked
+_BASIS_PROBES = (0.13, 0.5, 0.87)
+_BASIS_RTOL = 1e-9
+
+
+def _basis_weights(model, grid, times, boundary):
+    """The (n_t, K) Lagrange weights of ``times`` on ``model.anchor_basis``,
+    once the declaration holds on a fixed probe set.
+
+    At the nodes and at ``_BASIS_PROBES`` of the horizon, g is evaluated
+    on the grid at the first and last time, in every regime, with probe
+    controls from the control set and five (y, z, qv) probes: zero, the
+    three unit vectors and one mixed probe.  g must be affine in (y, z, qv)
+    with the same slopes at every anchor, and g, h and (when given) the
+    Dirichlet tables at the probe anchors must equal their Lagrange
+    mixes of the node values.  Anything else is a ConfigError naming
+    anchor_basis: the mix would be silently wrong.
+    """
+    nodes = np.asarray(model.anchor_basis, dtype=float)
+    if nodes.ndim != 1 or len(nodes) == 0 or \
+            len(np.unique(nodes)) < len(nodes):
+        raise ConfigError(f"anchor_basis {model.anchor_basis!r} must be one "
+                          f"or more distinct anchor nodes")
+    k = len(nodes)
+    anchors = np.concatenate([nodes, model.T * np.asarray(_BASIS_PROBES)])
+    w_probe = _lagrange_weights(anchors[k:], nodes)
+    x = grid.x
+    grid_u = model.control_set.search_grid()[0]
+    u = np.repeat(grid_u[np.linspace(0, len(grid_u) - 1, len(x)).astype(int)]
+                  [:, None], model.control_dim, axis=1)
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    mixed = (0.3 + 0.5 * x, 0.2 - 0.7 * x, 0.1 * x - 0.4)
+    probes = [(zero, zero, zero), (one, zero, zero), (zero, one, zero),
+              (zero, zero, one), mixed]
+
+    def refuse(what):
+        raise ConfigError(f"anchor_basis {nodes.tolist()}: {what}")
+
+    def close(got, want):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        return np.allclose(got, want, rtol=_BASIS_RTOL,
+                           atol=_BASIS_RTOL * scale)
+
+    def spanned(values):
+        """Values at the probe anchors equal the mixes of the node values."""
+        return close(values[k:], _mix(w_probe, values[:k]))
+
+    # g[anchor, s, regime, (y, z, qv) probe, x]
+    g = np.array([[[[_pointwise("g", model.g(float(tau), float(s), x, i, *p, u),
+                                x.shape) for p in probes]
+                    for i in range(1, model.m + 1)]
+                   for s in (times[0], times[-1])] for tau in anchors])
+    slopes = g[..., 1:4, :] - g[..., :1, :]
+    affine = g[..., 0, :] + sum(c * slopes[..., j, :]
+                                for j, c in enumerate(mixed))
+    if not (close(g[..., 4, :], affine) and close(slopes, slopes[:1])):
+        refuse("g is not affine in (y, z, qv) with anchor-free coefficients")
+    if not spanned(g):
+        refuse(f"g is not a polynomial of degree < {k} in the anchor")
+    if not spanned(np.stack([model.terminal_values(float(tau), grid)
+                             for tau in anchors])):
+        refuse(f"h is not a polynomial of degree < {k} in the anchor")
+    if boundary is not None and not spanned(np.stack(
+            [np.asarray(boundary(float(tau))(times), dtype=float)
+             for tau in anchors])):
+        refuse(f"the Dirichlet data are not polynomials of degree < {k} in "
+               f"the anchor")
+    return _lagrange_weights(times, nodes)
 
 
 def _residual_levels(model, grid, times, controls):

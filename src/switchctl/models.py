@@ -103,6 +103,13 @@ class ControlModel:
     evaluated for R anchor rows at once, with tau an (R, 1) column and
     y, z, qv (R, n_x), and must broadcast to (R, n_x) there (see
     pde.HJBProblem); its output is rejected with a ConfigError if not.
+
+    ``anchor_basis`` declares K anchor nodes tau_1..tau_K such that g
+    and h are polynomials of degree < K in tau and g is affine in
+    (y, z, qv) with tau-free coefficients (Dirichlet data, when given,
+    must be polynomials in tau as well).  Then every anchor row is the
+    Lagrange mix of the K node rows, and the equilibrium march steps
+    those K rows only; the solver checks the declaration on probes first.
     """
 
     name: str
@@ -123,6 +130,7 @@ class ControlModel:
     x_domain: tuple = (-2.0, 2.0)
     bc: tuple = (BC_EXTRAPOLATE, BC_EXTRAPOLATE)
     spec: object = None            # worked-example parameters, when applicable
+    anchor_basis: tuple = None     # K anchor nodes spanning g and h in tau
     psi_clamp_count: int = 0
     _q_cache: dict = field(default_factory=dict, repr=False)
 
@@ -159,7 +167,8 @@ def toy_anchored_model(time_inconsistent=True):
 
     The anchor weight w(tau) = 1 + 0.5 tau makes it time-inconsistent;
     with ``time_inconsistent=False`` the weight is frozen at one.  Q(x)
-    comes from the tanh geometry.
+    comes from the tanh geometry.  g and h are affine in tau, so the
+    anchor basis is the nodes (0, T), or (0,) when the weight is frozen.
     """
     def weight(tau):
         return 1.0 + (0.5 * tau if time_inconsistent else 0.0)
@@ -182,7 +191,8 @@ def toy_anchored_model(time_inconsistent=True):
         control_set=ControlSet(lo=-1.0, hi=1.0),
         T=1.0, dynamics=dynamics,
         geometry=tanh_threshold_geometry(), levy=uniform_mark_density(),
-        x_domain=(-2.0, 2.0), bc=(BC_EXTRAPOLATE, BC_EXTRAPOLATE))
+        x_domain=(-2.0, 2.0), bc=(BC_EXTRAPOLATE, BC_EXTRAPOLATE),
+        anchor_basis=(0.0, 1.0) if time_inconsistent else (0.0,))
 
 
 def merton_spec(time_inconsistent=True, kappa=1.0, T=1.0):

@@ -2,6 +2,8 @@ import json
 import os
 import sys
 
+import pytest
+
 from switchctl.cli import main
 
 SIM_CFG = """
@@ -387,13 +389,14 @@ def test_workers_env_must_be_a_positive_integer(tmp_path, capsys, monkeypatch):
 
 
 def test_oversized_two_time_field_exit_code_2(tmp_path, capsys, monkeypatch):
-    # verify keeps one two-time row; the march's estimate counts it, the
-    # two-level buffer, the controls and the diagonal, and on a machine
-    # with less than twice that memory the run is refused before the
-    # march starts
+    # verify marches the 751 times of [t0, T] = [0.25, 1] and keeps one
+    # two-time row; the march's estimate counts it, the controls, the
+    # diagonal and the two-level buffer of toy-lq's two anchor-basis
+    # rows, and on a machine with less than twice that memory the run is
+    # refused before the march starts
     from switchctl import equilibrium, fields
-    need = equilibrium.march_bytes(1001, 401, 2, 1, 1, False)
-    assert need == 8 * 1001 * 401 * 2 * (1 + 2 + 1 + 1)
+    need = equilibrium.march_bytes(751, 401, 2, 1, 2, 1, False)
+    assert need == 8 * 401 * 2 * (751 * (1 + 1 + 1) + 2 * 2)
     monkeypatch.setattr(fields, "physical_memory_bytes", lambda: need)
 
     def no_march(*args, **kwargs):
@@ -409,7 +412,7 @@ def test_oversized_two_time_field_exit_code_2(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert str(need) in err["message"]
-    assert "n_t=1001" in err["message"] and "n_x=401" in err["message"]
+    assert "n_t=751" in err["message"] and "n_x=401" in err["message"]
     assert not (out / "verify.json").exists()
 
 
@@ -502,6 +505,70 @@ def test_verify_checks_the_spike_ladder_before_the_march(tmp_path, capsys,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ResolutionError"
     assert not (out / "verify.json").exists()
+
+
+def test_verify_refuses_an_empty_or_repeated_ladder_before_the_march(
+        tmp_path, capsys, monkeypatch):
+    # an empty ladder has no gain to report, and a repeated width makes
+    # the intercept fit singular
+    import switchctl.cli as cli
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the equilibrium march must not start")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_march)
+    for name, ladder, words in (("empty", "", "at least one width"),
+                                ("repeated", "0.125, 0.125", "distinct")):
+        cfg = VERIFY_CFG.replace("0.125, 0.0625", ladder)
+        code, out = run_cli(tmp_path, name, cfg, ("verify",))
+        assert code == 2, name
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and words in err["message"]
+        assert "epsilons" in err["message"]
+        assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize("preset", ["toy-lq", "merton-ti"])
+def test_verify_marches_from_the_spike_anchor(tmp_path, capsys, monkeypatch,
+                                              preset):
+    # the march covers [t0, T] only, and verify's artifacts are byte for
+    # byte those of a full-grid solve followed by the same ladder
+    import numpy as np
+    from switchctl import cli, equilibrium
+    from switchctl.costs import anchored_minimizer_policy, spike_ladder
+    from switchctl.fields import write_csv
+    march = equilibrium.solve_rows_batch
+    lengths = []
+
+    def recording(problem, times, *args, **kwargs):
+        lengths.append(len(times))
+        return march(problem, times, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "solve_rows_batch", recording)
+    cfg = VERIFY_CFG.replace("toy-lq", preset)
+    code, out = run_cli(tmp_path, preset, cfg, ("verify",))
+    assert code == 0
+    assert lengths == [65 - 16]          # times[16:], t0 = 0.25 on n_t = 64
+    config = cli.parse_config(cfg)
+    model = cli._model_from_config(config)
+    grid, times = cli._grids(config, model)
+    boundary = cli._merton_boundary(model, times, grid, 1e-10)
+    sol = equilibrium.solve_equilibrium(model, grid, times,
+                                        boundary=boundary, keep_rows=[16])
+    assert lengths[1:] == [65]
+    ladder = spike_ladder(model, sol, 0.25, [0.125, 0.0625],
+                          anchored_minimizer_policy(model, sol, 0.25),
+                          boundary=boundary)
+    want = json.dumps({"epsilon": ladder["epsilons"],
+                       "min_gain": ladder["min_gains"],
+                       "intercept_estimate": ladder["intercept"],
+                       "anchor": 0.25}, sort_keys=True, default=float) + "\n"
+    assert (out / "verify.json").read_text() == want
+    write_csv(str(tmp_path / "gain.csv"), ("x", "i", "gain"),
+              (grid.x[:, None], np.arange(1, model.m + 1),
+               ladder["gains"][-1].gain))
+    assert (out / "gain.csv").read_bytes() == \
+        (tmp_path / "gain.csv").read_bytes()
 
 
 def test_artifact_record_hashes_in_blocks(tmp_path):

@@ -406,7 +406,10 @@ def test_march_matches_slab_oracle_merton():
 
 
 def test_march_matches_slab_oracle_toy_lq_bit_exact():
+    # the anchor-row march; the basis march is pinned to it below
+    from dataclasses import replace
     model, grid, times, _ = _preset_case("toy-lq", 41, 64)
+    model = replace(model, anchor_basis=None)
     sol = solve_equilibrium(model, grid, times)
     ref = slab_solve(model, grid, times, tol=1e-10)
     assert np.array_equal(sol.theta.values, ref.theta.values, equal_nan=True)
@@ -417,7 +420,10 @@ def test_march_matches_slab_oracle_toy_lq_bit_exact():
 def test_march_rows_are_representation_solves(toy_ti):
     # the march solves the discrete system exactly: under the strategy
     # read off its own diagonal, each row re-solved alone is the row
+    # (on the anchor-row march)
+    from dataclasses import replace
     from switchctl.pde import solve_representation
+    toy_ti = replace(toy_ti, anchor_basis=None)
     grid = toy_ti.default_grid(21)
     times = time_grid(0, 1, 24)
     sol = solve_equilibrium(toy_ti, grid, times)
@@ -580,3 +586,88 @@ def test_recursive_cost_in_z_is_a_drift_shift():
             got.value.values - want.value.values)[:, interior])))
     assert gaps[0] <= 1e-6
     assert gaps[0] / gaps[1] >= 3.5
+
+
+def _relative_gap(got, want):
+    return float(np.nanmax(np.abs(got - want)) / np.nanmax(np.abs(want)))
+
+
+@pytest.mark.parametrize("n_x, n_t", [(41, 64), (81, 256)])
+def test_basis_march_matches_the_anchor_row_march_toy_lq(n_x, n_t):
+    # toy-lq's weight 1 + 0.5 tau: the rows are exact mixes of the rows
+    # anchored at 0 and 1, up to rounding
+    from dataclasses import replace
+    model, grid, times, _ = _preset_case("toy-lq", n_x, n_t)
+    assert model.anchor_basis == (0.0, 1.0)
+    got = solve_equilibrium(model, grid, times, keep_rows=[16], residual=True)
+    want = solve_equilibrium(replace(model, anchor_basis=None), grid, times,
+                             keep_rows=[16], residual=True)
+    assert _relative_gap(got.value.values, want.value.values) <= 1e-13
+    assert _relative_gap(got.theta.row(16).values,
+                         want.theta.row(16).values) <= 1e-13
+    assert np.array_equal(got.strategy.values, want.strategy.values)
+    assert abs(got.residual - want.residual) <= 1e-12 * want.residual
+
+
+def test_basis_rows_are_representation_solves(toy_ti):
+    # each mixed row is, up to rounding, the row re-solved alone under
+    # the strategy read off the basis diagonal
+    from switchctl.pde import solve_representation
+    grid = toy_ti.default_grid(21)
+    times = time_grid(0, 1, 24)
+    sol = solve_equilibrium(toy_ti, grid, times)
+    for tau_idx in (0, 7, 23, 24):
+        problem = toy_ti.hjb_problem(float(times[tau_idx]), grid)
+        row = solve_representation(problem, times[tau_idx:], sol.strategy)
+        assert _relative_gap(sol.theta.values[tau_idx, tau_idx:],
+                             row.values) <= 1e-13
+    assert residual(toy_ti, sol) == reference_residual(toy_ti, sol)
+
+
+def test_one_node_basis_rows_are_one_row(toy_tc):
+    # toy-lq-tc has no anchor in g or h: one basis row, and every anchor
+    # row at a level is that row exactly
+    grid = toy_tc.default_grid(21)
+    times = time_grid(0, 1, 16)
+    assert toy_tc.anchor_basis == (0.0,)
+    values = solve_equilibrium(toy_tc, grid, times).theta.values
+    assert np.nanmax(values, axis=0).tolist() == \
+        np.nanmin(values, axis=0).tolist()
+    assert not np.isnan(values[0]).any()
+
+
+def test_contradicted_anchor_basis_refused_before_the_march(toy_ti,
+                                                            monkeypatch):
+    from dataclasses import replace
+    from switchctl import equilibrium
+    from switchctl.fields import BC_DIRICHLET
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(equilibrium, "solve_rows_batch", no_march)
+    g0, h0 = toy_ti.g, toy_ti.h
+    grid = toy_ti.default_grid(21)
+    times = time_grid(0, 1, 16)
+    bad = [
+        (replace(toy_ti, g=lambda tau, s, x, i, y, z, qv, u:
+                 g0(tau, s, x, i, y, z, qv, u) + tau**2 * x**2),
+         "g is not a polynomial"),
+        (replace(toy_ti, g=lambda tau, s, x, i, y, z, qv, u:
+                 g0(tau, s, x, i, y, z, qv, u) + 0.1 * y**2), "not affine"),
+        (replace(toy_ti, g=lambda tau, s, x, i, y, z, qv, u:
+                 g0(tau, s, x, i, y, z, qv, u) + tau * z), "not affine"),
+        (replace(toy_ti, h=lambda tau, x, i: h0(tau, x, i) * (1 + tau**2)),
+         "h is not a polynomial"),
+        (replace(toy_ti, anchor_basis=(0.0, 0.0)), "distinct"),
+    ]
+    for model, words in bad:
+        with pytest.raises(ConfigError, match="anchor_basis") as err:
+            solve_equilibrium(model, grid, times)
+        assert err.value.exit_code == 2
+        assert words in str(err.value)
+    # Dirichlet data quadratic in the anchor contradict a two-node basis
+    edges = toy_ti.default_grid(21, bc=(BC_DIRICHLET, BC_DIRICHLET))
+    with pytest.raises(ConfigError, match="anchor_basis .*Dirichlet"):
+        solve_equilibrium(toy_ti, edges, times, boundary=lambda tau: (
+            lambda t: np.full((len(t), 2, 2), tau**2)))

@@ -49,8 +49,8 @@ def test_equilibrium_is_one_march(tmp_path):
     counts = tracer.layer_metrics(tracer.op)
     n_nodes = 17
     assert counts["pde.rows_batch_calls"] == 1
-    # row j steps from T down to its anchor times[j]
-    assert counts["pde.row_steps"] == n_nodes * (n_nodes - 1) // 2 == 136
+    # toy-lq's two anchor-basis rows each step from T down to times[0]
+    assert counts["pde.row_steps"] == 2 * (n_nodes - 1) == 32
     # one minimizer call per level of the diagonal
     assert counts["pde.minimizer_calls"] == n_nodes == 17
     # the CLI keeps no two-time row
@@ -61,9 +61,21 @@ def test_verify_keeps_one_two_time_row(tmp_path):
     cfg = TOY_CFG + "[solver]\nepsilons = 0.125\nspike_anchor = 0.25\n"
     tracer = traced_run(tmp_path, "verify", cfg)
     counts = tracer.layer_metrics(tracer.op)
-    # the spike anchor's row: 17 times x 21 nodes x 2 regimes of float64
-    assert counts["equilibrium.theta_mb"] == 17 * 21 * 2 * 8 / 1e6
+    # the spike anchor's row on the 13 times of [0.25, 1] that verify
+    # marches, x 21 nodes x 2 regimes of float64
+    assert counts["equilibrium.theta_mb"] == 13 * 21 * 2 * 8 / 1e6
     assert counts["pde.rows_batch_calls"] == 1 + 1      # march + one spike
+
+
+def test_verify_spike_policy_searches_each_node_once(tmp_path):
+    cfg = TOY_CFG + "[solver]\nepsilons = 0.25, 0.125\nspike_anchor = 0.25\n"
+    tracer = traced_run(tmp_path, "verify", cfg)
+    counts = tracer.layer_metrics(tracer.op)
+    # one minimizer call per level of the 13-time march, then one per
+    # node the wider window steps from; the narrower rung's 2 nodes
+    # are among those 4
+    assert counts["pde.minimizer_calls"] == 13 + 4
+    assert counts["pde.row_steps"] == 2 * 12 + 4 + 2
 
 
 def test_partition_solve_cycle_and_write_spans(tmp_path):
