@@ -15,15 +15,17 @@ merged grid.  Ensembles are therefore order-independent across paths
 and bit-reproducible for a fixed seed.
 
 The contract is per path; the implementation is per chunk and block.
-``_Noise`` builds one generator per chunk and, before each path draws,
-sets it to exactly the state of a fresh ``Philox(key=[s, p])``, so no
-Philox is constructed per path.  It keeps one reused state per chunk:
-the state mapping is built once per chunk and block, and each path
-rebinds only its key (to resume, also its counter and buffer) before the
-state setter reads it.  Jump times and marks are drawn for the whole
-horizon.  Normals are drawn B base steps at a time into a time-major
-window of the chunk's paths, with B set by the window's byte budget (512
-steps at 8192 paths), and each path's stream is paused between blocks.
+``_Noise`` builds one generator per chunk and moves it between paths by
+copying 14 words: numpy's Philox state struct (counter and key
+pointers, buffer position, buffer) and the key and counter stored right
+after it.  A path enters its stream, in the state of a fresh
+``Philox(key=[s, p])``, by one copy of a template row that holds its
+index in the key word, so no Philox is constructed per path; the layout
+is checked against numpy's public state once per chunk, before any
+draw.  Jump times and marks are drawn for the whole horizon.  Normals
+are drawn B base steps at a time into a time-major window of the chunk's
+paths, with B set by the window's byte budget (256 steps at 8192 paths),
+and each path's stream is paused between blocks as a copy of its words.
 A block draws one normal per base step and per jump up to its end node,
 which bounds what the path consumes there; a normal that a zero-length
 sub-step (a jump at a node, two jumps at one time) left unconsumed
@@ -49,6 +51,7 @@ sub-steps with the same normals whatever the grouping, so with
 elementwise coefficients and policies the outputs do not depend on it.
 """
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +62,13 @@ from .fields import write_csv
 _MAX_JUMP_DRAWS = 4096
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 # a chunk's normals window holds B base steps of every path, B the most
-# that fits here: 512 steps at 8192 paths
-_NORMALS_BLOCK_BYTES = 32 << 20
+# that fits here: 256 steps at 8192 paths
+_NORMALS_BLOCK_BYTES = 16 << 20
+# a Philox position as uint64 words: numpy's philox_state struct (counter
+# and key pointers, buffer_pos, the 4-word buffer, has_uint32 and
+# uinteger), then the key and the counter the generator stores after it
+_STATE_WORDS = 14
+_KEY_WORD = 9           # key[1], the path index
 # the row-major tile that paths draw their blocks into before its
 # transposed copy into the window: at most this many paths and, unless a
 # single path's block is larger, this many bytes
@@ -176,29 +184,31 @@ def _as_policy(policy, control_dim=1):
     return f
 
 
-def _stream_state(seed):
-    """The Philox state mapping through which a chunk's paths enter their streams.
+def _state_words(bitgen):
+    """A uint64 view of the Philox position of ``bitgen``, in 14 words.
 
-    As built it is the state of a fresh ``path_stream(seed, 0)``.  A path
-    enters its stream by rebinding ``["state"]["key"][1]`` to its index
-    (to resume, also the counter, buffer and buffer_pos) and handing the
-    mapping to the state setter, so the mapping and the masked seed are
-    made once per chunk and block, not per path.  The setter copies the
-    values element by element, so lists and tuples stand in for the
-    arrays the getter returns.  Only 64-bit draws are made, so no half-used
-    32-bit word is ever pending.
+    Copying a row into the view moves the generator to the position the
+    row holds, and copying the view out pauses the stream there.  The
+    view aliases the generator's memory: whoever holds it holds the
+    generator too.  Words 0 and 1 point into that memory, so a row goes
+    back only into the view it came from.  The layout is numpy's, not its
+    public API, so it is checked against one read of the public state.
+    Only 64-bit draws are made, so no half-used 32-bit word is ever
+    pending.
     """
-    return {"bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": [seed & _MASK64, 0]},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _save_stream(bitgen, row):
-    """Write ``bitgen``'s position into ``row``: counter, buffer, buffer_pos."""
+    address = bitgen.ctypes.state_address
+    words = np.frombuffer((ctypes.c_uint64 * _STATE_WORDS).from_address(address),
+                          dtype=np.uint64)
     st = bitgen.state
-    row[:4] = st["state"]["counter"]
-    row[4:8] = st["buffer"]
-    row[8] = st["buffer_pos"]
+    # words 0 and 1 point at the counter (word 10) and the key (word 8)
+    public = [address + 80, address + 64, st["buffer_pos"], *st["buffer"],
+              *st["state"]["key"], *st["state"]["counter"]]
+    seen = [words[0], words[1], words[2] & 0xFFFF_FFFF, *words[3:7], *words[8:]]
+    if [int(w) for w in seen] != [int(w) for w in public]:
+        raise NumericError(f"numpy {np.__version__} lays out the Philox state "
+                           f"differently from the {_STATE_WORDS} words through "
+                           f"which Monte Carlo streams are paused")
+    return words
 
 
 def _jump_columns(horizon):
@@ -243,15 +253,18 @@ class _Noise:
     consumes by then, since a zero-length sub-step consumes nothing; the
     last block brings the total to ``n_steps + n_jumps[p]``.
 
-    One generator serves the chunk.  Each path draws, in turn, its jump
-    times, its marks and its first block; between blocks its stream is
-    paused as one row of ``position``, kept only when there is a second
-    block.  A path draws its block into a row of a row-major tile, and each
-    full tile is copied, transposed, into the window.
+    One generator serves the chunk, and ``_words`` is its position.  Each
+    path enters its stream by one copy of ``entry``, a fresh stream of the
+    seed with the path's index in the key word, and draws, in turn, its
+    jump times, its marks and its first block.  Between blocks its stream
+    is paused as its row of ``position`` (n, 14), which is kept only when
+    there is a second block, and resumed by copying that row back.  A path
+    draws its block into a row of a row-major tile, and each full tile is
+    copied, transposed, into the window.
     """
 
     def __init__(self, seed, path_indices, nodes, with_jumps):
-        self.seed, self.paths, self.nodes = seed, path_indices, nodes
+        self.paths, self.nodes = path_indices, nodes
         self.n_steps = n_steps = len(nodes) - 1
         n = len(path_indices)
         self.block = e = max(1, min(n_steps, _NORMALS_BLOCK_BYTES // (8 * n)))
@@ -265,22 +278,21 @@ class _Noise:
         tile_paths = max(1, min(n, _TILE_PATHS, _TILE_BYTES // (8 * (e + cap))))
         self.tile = tile = np.zeros((tile_paths, e + cap))
         heads = list(tile[:, :e])       # where a jump-free path draws its first block
-        position = None if one_block else np.empty((n, 9), dtype=np.uint64)
+        position = None if one_block else np.empty((n, _STATE_WORDS), dtype=np.uint64)
         self.position = position
         fill = None if one_block else np.empty(n, dtype=np.int64)
         gen = self.gen = path_stream(seed, path_indices[0])
-        bitgen = gen.bit_generator
+        words = self._words = _state_words(gen.bit_generator)
+        entry = words.copy()
         exponentials, uniforms = gen.standard_exponential, gen.random
         normals = gen.standard_normal
-        state = _stream_state(seed)
-        key = state["state"]["key"]
         first = np.empty(8)
         for g0 in range(0, n, tile_paths):
             g1 = min(n, g0 + tile_paths)
             for j, p in enumerate(path_indices[g0:g1].tolist()):
                 k = g0 + j
-                key[1] = p
-                bitgen.state = state
+                entry[_KEY_WORD] = p
+                words[:] = entry
                 nj = 0
                 if with_jumps:
                     exponentials(out=first)
@@ -303,7 +315,7 @@ class _Noise:
                     q = e + (nj and int(np.searchsorted(jt[k, :nj], nodes[e], "right")))
                     fill[k] = q
                     normals(out=tile[j, :q] if nj else heads[j])
-                    _save_stream(bitgen, position[k])
+                    position[k] = words
             self._flush(g0, g1)
         if one_block:
             fill = n_steps + self.n_jumps
@@ -341,24 +353,19 @@ class _Noise:
         self.fill = left + need - self.drawn
         self.drawn = need
         tile, window = self.tile, self.normals
-        bitgen, normals = self.gen.bit_generator, self.gen.standard_normal
-        state = _stream_state(self.seed)
-        inner, key = state["state"], state["state"]["key"]
-        n, position = len(self.paths), self.position
+        words, normals = self._words, self.gen.standard_normal
+        n = len(self.paths)
         for g0 in range(0, n, len(tile)):
             g1 = min(n, g0 + len(tile))
-            group = zip(self.paths[g0:g1].tolist(), position[g0:g1].tolist(),
-                        left[g0:g1].tolist(), ptr[g0:g1].tolist(),
-                        self.fill[g0:g1].tolist())
-            for j, (p, r, a, start, end) in enumerate(group):
+            group = zip(self.position[g0:g1], left[g0:g1].tolist(),
+                        ptr[g0:g1].tolist(), self.fill[g0:g1].tolist())
+            for j, (row, a, start, end) in enumerate(group):
                 if a:
                     tile[j, :a] = window[start:start + a, g0 + j]
-                key[1] = p
-                inner["counter"], state["buffer"], state["buffer_pos"] = r[:4], r[4:8], r[8]
-                bitgen.state = state
+                words[:] = row
                 normals(out=tile[j, a:end])
                 if not last:
-                    _save_stream(bitgen, position[g0 + j])
+                    row[:] = words
             self._flush(g0, g1)
         ptr[:] = 0
 
@@ -390,9 +397,9 @@ def _check_counts(n_paths, chunk_size):
         raise ConfigError("chunk_size must be >= 1")
 
 
-def _check_regimes(i0, dynamics, geometry):
+def _check_regimes(i0, dynamics, geometry, what="start regime"):
     """Reject a geometry whose regime count is not the dynamics' m, and
-    start regimes outside 1..m (scalar or per path)."""
+    regimes ``i0`` (scalar or per path) outside 1..m."""
     m = dynamics.m
     if geometry is not None and geometry.m != m:
         raise ConfigError(f"the switching geometry has {geometry.m} regimes "
@@ -400,8 +407,20 @@ def _check_regimes(i0, dynamics, geometry):
     i0 = np.asarray(i0)
     ok = (i0 >= 1) & (i0 <= m) & (i0 == np.floor(i0))
     if not ok.all():
-        raise ConfigError(f"start regime {i0[~ok].ravel()[0].item()!r} "
+        raise ConfigError(f"{what} {i0[~ok].ravel()[0].item()!r} "
                           f"is not a regime label in 1..{m}")
+
+
+def _per_path(v, n_paths, name):
+    """``v`` as one value per path: a scalar or a single value is repeated."""
+    v = np.asarray(v)
+    if v.ndim > 1:
+        raise ConfigError(f"per-path {name} must be one-dimensional, "
+                          f"not of shape {v.shape}")
+    if v.size not in (1, n_paths):
+        raise ConfigError(f"per-path {name} has {v.size} entries "
+                          f"but n_paths is {n_paths}")
+    return np.broadcast_to(v, (n_paths,))
 
 
 def _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=None,
@@ -521,8 +540,8 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
     _check_regimes(i0, dynamics, geometry)
     nodes = _base_nodes(t0, t_end, h)
     n_steps = len(nodes) - 1
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,)).copy()
-    i0 = np.broadcast_to(np.asarray(i0), (n_paths,)).astype(np.int64).copy()
+    x0 = _per_path(x0, n_paths, "x0").astype(float)
+    i0 = _per_path(i0, n_paths, "i0").astype(np.int64)
     pol = _as_policy(policy, dynamics.control_dim)
 
     res = EnsembleResult(nodes=nodes,
@@ -606,6 +625,7 @@ def estimate_transition_rate(dynamics, geometry, levy, x, i, j, ds, n_paths,
     standard error.  If ``q_theory`` is supplied and no transition is
     seen although q*ds*n_paths > 25, the estimate is flagged anomalous.
     """
+    _check_regimes(j, dynamics, geometry, "target regime")
     if j == i:
         raise ConfigError("transition rate needs j != i")
     res = simulate_ensemble(dynamics, geometry, levy, (0.0, x, i), None, ds,

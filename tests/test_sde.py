@@ -341,6 +341,65 @@ def test_pregenerate_widens_jump_columns_in_short_blocks(monkeypatch):
     test_pregenerate_widens_jump_columns(monkeypatch)
 
 
+def public_position(bitgen):
+    """The words ``sde._state_words`` compares with numpy's state: buffer_pos,
+    the buffer, the key and the counter."""
+    st = bitgen.state
+    return [st["buffer_pos"], *st["buffer"], *st["state"]["key"],
+            *st["state"]["counter"]]
+
+
+def word_position(words):
+    return [int(words[2]) & 0xFFFF_FFFF, *map(int, words[3:7]), *map(int, words[8:])]
+
+
+@pytest.mark.parametrize("seed", [1, 2**70 + 9])
+def test_state_words_round_trip_the_public_state(seed):
+    gen = sde.path_stream(seed, 5)
+    bitgen = gen.bit_generator
+    words = sde._state_words(bitgen)
+    assert words.shape == (sde._STATE_WORDS,)
+    assert word_position(words) == [int(w) for w in public_position(bitgen)]
+    assert int(words[8]) == seed & 0xFFFF_FFFF_FFFF_FFFF
+    assert int(words[sde._KEY_WORD]) == 5
+    seen_pos = set()
+    for draws in (1, 2, 3, 5, 7):
+        bitgen.random_raw(draws)
+        assert word_position(words) == [int(w) for w in public_position(bitgen)]
+        seen_pos.add(bitgen.state["buffer_pos"])
+        saved, state = words.copy(), bitgen.state
+        ahead = gen.standard_normal(9)
+        words[:] = saved
+        assert np.array_equal(gen.standard_normal(9), ahead)
+        # a generator of another path resumed through the public setter
+        # draws the same
+        public = sde.path_stream(seed, 6)
+        public.bit_generator.state = state
+        assert np.array_equal(public.standard_normal(9), ahead)
+        words[:] = saved
+    assert seen_pos == {1, 2, 3}
+
+
+class _ShiftedState:
+    """A Philox whose public state reads one counter step ahead of its memory."""
+
+    def __init__(self, bitgen):
+        self.ctypes = bitgen.ctypes
+        self._bitgen = bitgen
+
+    @property
+    def state(self):
+        st = self._bitgen.state
+        st["state"]["counter"][0] += 1
+        return st
+
+
+def test_state_words_layout_mismatch_is_a_numeric_error():
+    gen = sde.path_stream(3, 0)
+    with pytest.raises(NumericError, match=f"numpy {np.__version__}"):
+        sde._state_words(_ShiftedState(gen.bit_generator))
+
+
 @pytest.mark.parametrize("chunk_size", [0, -4])
 def test_chunk_size_must_be_positive(chunk_size):
     with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
@@ -368,6 +427,30 @@ def test_start_regime_outside_labels_rejected(i0):
     with pytest.raises(ConfigError, match="regime"):
         coupled_pair_divergence(drifted(), tanh_geometry(), uniform_levy(), None,
                                 0.5, 0.6, i0, n_paths=4, seed=0, h=0.1, t_end=1.0)
+
+
+@pytest.mark.parametrize("j", [0, -1, 3, 1.5])
+def test_target_regime_outside_labels_rejected_before_simulating(monkeypatch, j):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the target regime")
+
+    monkeypatch.setattr(sde, "simulate_ensemble", no_simulation)
+    with pytest.raises(ConfigError, match=f"target regime {j!r} is not a regime "
+                                          r"label in 1\.\.2"):
+        estimate_transition_rate(dyn(), tanh_geometry(), uniform_levy(), 0.0, 1, j,
+                                 0.01, 100, 0)
+
+
+@pytest.mark.parametrize("x0, i0, message", [
+    (np.zeros(3), 1, "per-path x0 has 3 entries but n_paths is 4"),
+    (0.0, np.ones(5, dtype=int), "per-path i0 has 5 entries but n_paths is 4"),
+    (np.zeros(0), 1, "per-path x0 has 0 entries but n_paths is 4"),
+    (np.zeros((4, 1)), 1, r"per-path x0 must be one-dimensional, not of shape \(4, 1\)"),
+])
+def test_per_path_start_length_must_be_n_paths(x0, i0, message):
+    with pytest.raises(ConfigError, match=message):
+        simulate_ensemble(drifted(), tanh_geometry(), uniform_levy(), (0.0, x0, i0),
+                          None, h=0.1, t_end=1.0, n_paths=4, seed=0)
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -509,6 +592,13 @@ def test_normals_window_bounded_by_its_budget(n, n_steps):
     assert noise.normals.nbytes <= sde._NORMALS_BLOCK_BYTES + n * cap * 8
     assert noise.tile.nbytes <= tile_cap
     assert noise.block == min(n_steps, sde._NORMALS_BLOCK_BYTES // (8 * n))
+    # a one-block chunk keeps no paused positions; else one row of words a path
+    if noise.block == n_steps:
+        assert noise.position is None
+    else:
+        assert noise.position.nbytes == n * sde._STATE_WORDS * 8
+    if (n, n_steps) == (8192, 1000):
+        assert noise.block == 256
 
 
 def test_ensemble_rows_equal_simulate_path_in_short_blocks(monkeypatch):
