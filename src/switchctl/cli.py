@@ -82,11 +82,9 @@ def main(argv=None):
     try:
         config = parse_config(text)
         outdir = _output_dir(config, args.out)
-        workers = _workers(config)
         runner = _RUNNERS[args.subcommand]
         if args.dry_run:
             plan = {"subcommand": args.subcommand, "output": outdir,
-                    "workers": workers,
                     "artifacts": runner(config, outdir, plan_only=True)}
             print(json.dumps(plan, sort_keys=True))
             return 0
@@ -117,25 +115,6 @@ def _output_dir(config, override):
     if env:
         return env
     return config.get("output", "directory")
-
-
-def _workers(config):
-    """``[run] workers``, or ``SWITCHCTL_WORKERS`` when set, validated.
-
-    Every subcommand runs serially, so the value only appears in the
-    dry-run plan; it is still checked so existing configs stay valid.
-    """
-    env = os.environ.get("SWITCHCTL_WORKERS")
-    if not env:
-        return config.get("run", "workers")
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ConfigError(
-            f"SWITCHCTL_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ConfigError(f"SWITCHCTL_WORKERS must be >= 1, got {workers}")
-    return workers
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ SCHEMA = {
     },
     "run": {
         "seed": (_parse_int, 12345),
-        "workers": (_parse_int, 1),
+        "workers": (_parse_int, 1),     # accepted and checked; runs are serial
     },
 }
 

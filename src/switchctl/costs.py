@@ -62,9 +62,9 @@ def evaluate_cost(model, strategy, t, grid, times, boundary=None):
     """Price a feedback strategy from anchor t through the representation PDE.
 
     ``times`` must start at t and end at the model horizon; ``strategy``
-    is a FeedbackStrategy or a callable (s, x, i) -> control defined on
-    the whole window.  ``boundary`` is an optional factory tau ->
-    dirichlet, with dirichlet(times) the (n_t, m, 2) edge values.
+    is any form ``fields.as_policy`` reads, defined on the whole window.
+    ``boundary`` is an optional factory tau -> dirichlet, with
+    dirichlet(times) the (n_t, m, 2) edge values.
     """
     times = np.asarray(times, dtype=float)
     if abs(times[0] - t) > 1e-9:
@@ -82,19 +82,6 @@ class SpikeGain:
     gain: np.ndarray          # (n_x, m) field of (J_perturbed - J_eq)/eps
     min_gain: float
     interior: np.ndarray
-
-
-def _as_spike_policy(perturbation, control_dim):
-    if isinstance(perturbation, (int, float, tuple, list, np.ndarray)):
-        const = np.atleast_1d(np.asarray(perturbation, dtype=float))
-        if const.size != control_dim:
-            raise ConfigError("constant perturbation has the wrong control size")
-
-        def policy(s, x, i):
-            return np.broadcast_to(const, (len(np.atleast_1d(x)), const.size)).copy()
-
-        return policy
-    return perturbation
 
 
 def spike_window(times, t, eps):
@@ -139,8 +126,7 @@ def spike_gain(model, solution, t, eps, perturbation, boundary=None):
     problem = model.hjb_problem(float(t), grid,
                                 dirichlet=boundary(float(t)) if boundary else None)
     problem.terminal = row[e_idx - t_idx].copy()
-    policy = _as_spike_policy(perturbation, model.control_dim)
-    pert = solve_representation(problem, times[t_idx:e_idx + 1], policy)
+    pert = solve_representation(problem, times[t_idx:e_idx + 1], perturbation)
     base = row[0]
     gain = (pert.values[0] - base) / eps
     interior = grid.interior_mask()

@@ -250,6 +250,31 @@ class FeedbackStrategy:
                    *np.moveaxis(self.values, -1, 0)))
 
 
+def as_policy(policy, control_dim):
+    """Any policy form as a feedback map f(s, x, i) -> (len(x), control_dim).
+
+    None is the zero control; a number or a sequence is a constant of
+    exactly ``control_dim`` entries (a ConfigError otherwise); a callable,
+    a FeedbackStrategy included, is called, and a 1-D result becomes one
+    column.
+    """
+    if callable(policy):
+        def f(s, x, i):
+            out = np.asarray(policy(s, x, i), dtype=float)
+            return out[:, None] if out.ndim == 1 else out
+
+        return f
+    const = np.zeros(control_dim) if policy is None else np.ravel(policy).astype(float)
+    if const.size != control_dim:
+        raise ConfigError(f"a constant control needs {control_dim} entries, "
+                          f"got {const.size}")
+
+    def f(s, x, i):
+        return np.broadcast_to(const, (len(np.atleast_1d(x)), control_dim)).copy()
+
+    return f
+
+
 # lines joined and written per block: large enough to amortize the
 # per-block numpy calls, small enough that the joined text stays small
 CSV_BLOCK = 256

@@ -316,8 +316,8 @@ class _Spline:
     coefficients c[0..3] per interval, highest power first, in ``c``
     (n-1, 4).  A point reads interval searchsorted(x[1:-1], s, "right"),
     so the end intervals extrapolate, and sums its row in the order of
-    scipy's evaluate_poly1.  A call reads a float or a 1-D array; ``at``
-    is the same arithmetic on Python floats, for one float.
+    scipy's evaluate_poly1.  ``at`` reads one point on Python floats, and
+    a call maps it over an array.
     """
 
     def __init__(self, x, y):
@@ -364,20 +364,14 @@ class _Spline:
             s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(),
                                b.tolist()))
         t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.x = x
-        self.inner = x[1:-1]
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]),
                           axis=1)
-        self._inner = self.inner.tolist()
+        self._inner = x[1:-1].tolist()
         self._rows = list(zip(x[:-1].tolist(), *self.c.T.tolist()))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        j = self.inner.searchsorted(s, "right")
-        c0, c1, c2, c3 = self.c[j].T
-        d = s - self.x[j]
-        d2 = d * d
-        return ((0.0 + c3 + c2 * d) + c1 * d2) + c0 * (d2 * d)
+        return np.array([self.at(v) for v in s.ravel().tolist()]).reshape(s.shape)
 
     def at(self, s):
         s = float(s)

@@ -51,7 +51,8 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fields import (BC_EXTRAPOLATE, FeedbackStrategy, ValueField, d1, d2)
+from .fields import (BC_EXTRAPOLATE, FeedbackStrategy, ValueField, as_policy,
+                     d1, d2)
 
 
 class TruncationWarning(UserWarning):
@@ -407,26 +408,27 @@ def solve_hjb(problem, times):
 
 
 def _strategy_nodes(strategy, s, grid, m, control_dim):
-    """Controls at one time node for every (x, regime); exact on node hits."""
+    """Controls at one time node for every (x, regime) from any policy
+    form (``fields.as_policy``); a FeedbackStrategy's own node values on
+    a node hit."""
     if isinstance(strategy, FeedbackStrategy):
         k = int(np.argmin(np.abs(strategy.times - s)))
         if abs(strategy.times[k] - s) <= 1e-9 and strategy.grid == grid:
             return strategy.node_values(k)
+    policy = as_policy(strategy, control_dim)
     out = np.empty((grid.n_x, m, control_dim))
     for lab in range(1, m + 1):
-        u = np.asarray(strategy(s, grid.x, lab), dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
-        out[:, lab - 1, :] = u
+        out[:, lab - 1, :] = policy(s, grid.x, lab)
     return out
 
 
 def solve_representation(problem, times, strategy):
     """Linear representation solve: the HJB stepping with a given strategy.
 
-    ``strategy`` is a FeedbackStrategy or a callable (s, x, i) -> control;
-    it is evaluated at the known time level of each step and frozen, the
-    exact counterpart of the policy-evaluation splitting in solve_hjb.
+    ``strategy`` is any form ``fields.as_policy`` reads (None, a constant,
+    a callable or a FeedbackStrategy); it is evaluated at the known time
+    level of each step and frozen, the exact counterpart of the
+    policy-evaluation splitting in solve_hjb.
     Solving with the strategy returned by solve_hjb reproduces its value
     field bit for bit.  This is a one-row solve_rows_batch.
     """

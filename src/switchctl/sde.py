@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fields import write_csv
+from .fields import as_policy, write_csv
 
 _MAX_JUMP_DRAWS = 4096
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -159,29 +159,6 @@ class EnsembleResult:
     n_jumps: np.ndarray
     states: np.ndarray = None     # (n_paths, n_nodes) if recorded
     regimes: np.ndarray = None
-
-
-def _as_policy(policy, control_dim=1):
-    """Normalize policies to f(s, x, i) -> (len(x), control_dim)."""
-    if policy is None:
-        const = np.zeros(control_dim)
-        policy = const
-    if isinstance(policy, (int, float, tuple, list, np.ndarray)):
-        const = np.atleast_1d(np.asarray(policy, dtype=float))
-
-        def f(s, x, i):
-            return np.broadcast_to(const, (len(np.atleast_1d(x)), const.size)).copy()
-
-        return f
-    raw = policy
-
-    def f(s, x, i):
-        out = np.asarray(raw(s, x, i), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        return out
-
-    return f
 
 
 def _state_words(bitgen):
@@ -542,7 +519,7 @@ def simulate_ensemble(dynamics, geometry, levy, init, policy, h, t_end, n_paths,
     n_steps = len(nodes) - 1
     x0 = _per_path(x0, n_paths, "x0").astype(float)
     i0 = _per_path(i0, n_paths, "i0").astype(np.int64)
-    pol = _as_policy(policy, dynamics.control_dim)
+    pol = as_policy(policy, dynamics.control_dim)
 
     res = EnsembleResult(nodes=nodes,
                          state_T=np.empty(n_paths),
@@ -583,6 +560,7 @@ def simulate_path(dynamics, geometry, levy, init, policy, h, t_end, seed,
     t0, x0, i0 = init
     _check_regimes(i0, dynamics, geometry)
     nodes = _base_nodes(t0, t_end, h)
+    pol = as_policy(policy, dynamics.control_dim)
     noise = _Noise(seed, np.array([path_index]), nodes, geometry is not None)
     x = np.full((1, 1), x0, dtype=float)
     alpha = np.full((1, 1), i0, dtype=np.int64)
@@ -600,8 +578,7 @@ def simulate_path(dynamics, geometry, levy, init, policy, h, t_end, seed,
                                     regime_to=int(alpha[0, 0]), state=float(x[0, 0])))
             record(jumps[-1].time)
 
-    _march(dynamics, geometry, levy, _as_policy(policy, dynamics.control_dim),
-           nodes, noise, x, alpha, on_jump=on_jump,
+    _march(dynamics, geometry, levy, pol, nodes, noise, x, alpha, on_jump=on_jump,
            on_node=lambda k, s, u: record(s))
     return Path(times=np.asarray(times), states=np.asarray(states),
                 regimes=np.asarray(regimes, dtype=np.int64),
@@ -650,9 +627,12 @@ def coupled_pair_divergence(dynamics, geometry, levy, strategy, xi1, xi2, i,
     E[sup_{s<=T} |X1 - X2|^2 on full agreement]).
     """
     _check_counts(n_paths, chunk_size)
+    for name, v in (("xi1", xi1), ("xi2", xi2), ("i", i)):
+        if np.ndim(v):
+            raise ConfigError(f"{name} must be a scalar, not of shape {np.shape(v)}")
     _check_regimes(i, dynamics, geometry)
     nodes = _base_nodes(t0, t_end, h)
-    pol = _as_policy(strategy, dynamics.control_dim)
+    pol = as_policy(strategy, dynamics.control_dim)
     split = 0
     sup_sum = 0.0
     for lo in range(0, n_paths, chunk_size):

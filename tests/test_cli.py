@@ -117,8 +117,7 @@ def test_rates_empty_geometry_exact_zeros(tmp_path, capsys):
     assert all(r["q_theory"] == 0.0 and r["q_empirical"] == 0.0 for r in table)
 
 
-def test_rates_threaded_cells_match_serial(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SWITCHCTL_WORKERS", raising=False)
+def test_rates_threaded_cells_match_serial(tmp_path, capsys):
     tables = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)   # interleave the cells' threads finely
@@ -378,14 +377,24 @@ def test_nonconvergence_exit_code_4(tmp_path, capsys, monkeypatch):
     assert err["error"] == "ConvergenceError"
 
 
-def test_workers_env_must_be_a_positive_integer(tmp_path, capsys, monkeypatch):
-    for value in ("abc", "0"):
-        monkeypatch.setenv("SWITCHCTL_WORKERS", value)
-        code, _ = run_cli(tmp_path, "workers", SIM_CFG, ("simulate", "--dry-run"))
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
-        assert "SWITCHCTL_WORKERS" in err["message"]
+def test_workers_key_is_checked_and_nothing_else_reads_it(tmp_path, capsys,
+                                                         monkeypatch):
+    # every run is serial: [run] workers is range-checked for old configs,
+    # the plan does not show it, and no environment variable overrides it
+    monkeypatch.setenv("SWITCHCTL_WORKERS", "abc")
+    code, _ = run_cli(tmp_path, "workers", SIM_CFG + "workers = 1\n",
+                      ("simulate", "--dry-run"))
+    assert code == 0
+    assert "workers" not in json.loads(capsys.readouterr().out)
+    code, out = run_cli(tmp_path, "workers1", SIM_CFG + "workers = 1\n",
+                        ("simulate",))
+    assert code == 0 and (out / "path.csv").exists()
+    capsys.readouterr()
+    code, _ = run_cli(tmp_path, "workers0", SIM_CFG + "workers = 0\n",
+                      ("simulate", "--dry-run"))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "workers" in err["message"]
 
 
 def test_oversized_two_time_field_exit_code_2(tmp_path, capsys, monkeypatch):

@@ -132,6 +132,15 @@ def test_constant_spikes_gain_floor(toy_eq):
     assert max(ladder[-0.8]["min_gains"]) > 0
 
 
+def test_spike_constant_of_the_wrong_size_rejected(toy_eq):
+    model, grid, times, sol = toy_eq
+    for pert in ((0.1, 0.2), []):
+        with pytest.raises(ConfigError, match="constant control needs 1 entries") \
+                as info:
+            spike_gain(model, sol, 0.25, 0.05, pert)
+        assert info.value.exit_code == 2
+
+
 def test_anchored_minimizer_spike_two_sided(toy_eq):
     model, grid, times, sol = toy_eq
     t = 0.25

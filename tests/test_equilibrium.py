@@ -588,6 +588,82 @@ def test_recursive_cost_in_z_is_a_drift_shift():
     assert gaps[0] / gaps[1] >= 3.5
 
 
+def test_recursive_cost_in_y_is_a_discount_weight():
+    # Duffie-Epstein: a running cost - rho Y with rho = kappa/(1+kappa(s-tau))
+    # discounts by (1+kappa(s-tau))/(1+kappa(r-tau)), so under g = h = 1 the
+    # rows are the hyperbolic model's (weight 1/(1+kappa(s-tau)), bequest
+    # 1/(1+kappa(T-tau))) times 1+kappa(s-tau); the diagonals agree to
+    # second order in dt
+    from dataclasses import replace
+    from switchctl.fields import node_index
+    from switchctl.merton import MertonSpec, solve_equilibrium_ode
+    from switchctl.models import ansatz_dirichlet, merton_model, merton_spec
+    kappa = 1.0
+    market = merton_spec(True, kappa=kappa)
+    T = market.T
+
+    def spec(g, h):
+        return MertonSpec(b=market.b, sigma=market.sigma, gamma=market.gamma,
+                          g=g, h=h, q=market.q, T=T)
+
+    hyp = spec(lambda tau, s: 1.0 / (1.0 + kappa * (s - tau)),
+               lambda tau: 1.0 / (1.0 + kappa * (T - np.asarray(tau, dtype=float))))
+    flat = spec(lambda tau, s: 1.0 + 0.0 * (np.asarray(s) - tau),
+                lambda tau: np.ones_like(np.asarray(tau, dtype=float)))
+    twin = merton_model(hyp)
+    flat_model = merton_model(flat)
+    g0 = flat_model.g
+    rec = replace(flat_model, g=lambda tau, s, x, i, y, z, qv, u:
+                  g0(tau, s, x, i, y, z, qv, u) - kappa / (1.0 + kappa * (s - tau)) * y)
+    grid = twin.default_grid(61)
+    gaps = []
+    for n_t in (96, 192):
+        times = time_grid(0.0, T, n_t)
+        phi = solve_equilibrium_ode(hyp, times, tol=1e-12)
+
+        def rec_boundary(tau):
+            scale = 1.0 + kappa * (times - tau)
+            rows = phi.eq[node_index(times, tau)] * scale[:, None]
+            return ansatz_dirichlet(grid, times, rows, hyp.gamma)
+
+        want = solve_equilibrium(twin, grid, times, keep_rows=(),
+                                 boundary=merton_equilibrium_boundary(twin, phi, grid))
+        got = solve_equilibrium(rec, grid, times, keep_rows=(), boundary=rec_boundary)
+        gaps.append(float(np.max(np.abs(got.value.values - want.value.values))))
+    assert gaps[0] <= 2e-5
+    assert gaps[0] / gaps[1] >= 3.5
+
+
+def test_recursive_cost_in_qv_is_a_scaled_generator():
+    # a running cost + 0.5 QV is the generator scaled by 1.5; the regime
+    # weights (1, 2) make the regimes' rows differ, so Q(x) moves them
+    from dataclasses import replace
+    from switchctl.models import MODEL_PRESETS
+    base = MODEL_PRESETS["toy-lq"]()
+    w = (1.0, 2.0)
+    asym = replace(
+        base,
+        g=lambda tau, s, x, i, y, z, qv, u:
+            u[:, 0] ** 2 + w[i - 1] * (1.0 + 0.5 * tau) * x**2,
+        h=lambda tau, x, i:
+            w[i - 1] * (1.0 + 0.5 * tau) * np.asarray(x, dtype=float) ** 2)
+    assert asym.anchor_basis == (0.0, 1.0)
+    g0 = asym.g
+    rec = replace(asym, g=lambda tau, s, x, i, y, z, qv, u:
+                  g0(tau, s, x, i, y, z, qv, u) + 0.5 * qv)
+    scaled = replace(asym)
+    scaled.q_table = lambda grid: 1.5 * asym.q_table(grid)
+    grid = base.default_grid(41)
+    for n_t in (64, 128):
+        times = time_grid(0.0, base.T, n_t)
+        got = solve_equilibrium(rec, grid, times, keep_rows=())
+        want = solve_equilibrium(scaled, grid, times, keep_rows=())
+        plain = solve_equilibrium(asym, grid, times, keep_rows=())
+        assert _relative_gap(got.value.values, want.value.values) <= 1e-12
+        assert np.array_equal(got.strategy.values, want.strategy.values)
+        assert _relative_gap(want.value.values, plain.value.values) >= 1e-3
+
+
 def _relative_gap(got, want):
     return float(np.nanmax(np.abs(got - want)) / np.nanmax(np.abs(want)))
 

@@ -598,6 +598,32 @@ def test_dirichlet_edge_without_data_rejected():
             call()
 
 
+def test_representation_reads_every_policy_form():
+    # a constant is the matching callable bit for bit, a FeedbackStrategy
+    # off its nodes is called like any callable, and a constant of the
+    # wrong size is a ConfigError
+    grid = SpatialGrid(-2, 2, 41)
+    times = time_grid(0, 1, 16)
+    problem = toy_hjb(grid, ControlSet(lo=-1.0, hi=1.0))
+    want = solve_representation(problem, times,
+                                lambda s, x, i: np.full(len(x), 0.25)).values
+    for policy in (0.25, (0.25,), np.array([0.25])):
+        got = solve_representation(problem, times, policy).values
+        assert np.array_equal(got, want)
+    strategy = solve_hjb(problem, time_grid(0, 1, 7)).strategy
+    got = solve_representation(problem, times, strategy).values
+    want = solve_representation(problem, times,
+                                lambda s, x, i: strategy(s, x, i)).values
+    assert np.array_equal(got, want)
+    zero = solve_representation(problem, times, None).values
+    assert np.array_equal(zero, solve_representation(problem, times, 0.0).values)
+    for policy in ((0.1, 0.2), []):
+        with pytest.raises(ConfigError, match="constant control needs 1 entries") \
+                as info:
+            solve_representation(problem, times, policy)
+        assert info.value.exit_code == 2
+
+
 def test_one_node_window_returns_terminal_data():
     grid = SpatialGrid(-2, 2, 21)
     times = time_grid(0, 1, 8)[-1:]

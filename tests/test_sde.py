@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from switchctl import sde
 from switchctl.errors import ConfigError, NumericError
+from switchctl.fields import as_policy
 from switchctl.sde import (ControlledDynamics, coupled_pair_divergence,
                            estimate_transition_rate, simulate_ensemble,
                            simulate_path)
@@ -429,6 +430,49 @@ def test_start_regime_outside_labels_rejected(i0):
                                 0.5, 0.6, i0, n_paths=4, seed=0, h=0.1, t_end=1.0)
 
 
+@pytest.mark.parametrize("xi1, i, name", [
+    (np.zeros(3), 1, r"xi1 must be a scalar, not of shape \(3,\)"),
+    (0.5, np.array([1, 2]), r"i must be a scalar, not of shape \(2,\)"),
+])
+def test_coupled_pair_starts_must_be_scalars(monkeypatch, xi1, i, name):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("drew paths before checking the starts")
+
+    monkeypatch.setattr(sde, "_Noise", no_paths)
+    with pytest.raises(ConfigError, match=name) as info:
+        coupled_pair_divergence(drifted(), tanh_geometry(), uniform_levy(), None,
+                                xi1, 0.6, i, n_paths=4, seed=0, h=0.1, t_end=1.0)
+    assert info.value.exit_code == 2
+
+
+def test_constant_policy_of_the_wrong_size_rejected(monkeypatch):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("drew paths before checking the policy")
+
+    monkeypatch.setattr(sde, "_Noise", no_paths)
+    kw = dict(h=0.1, t_end=1.0, seed=0)
+    for policy in ((0.1, 0.2), [], np.zeros(3)):
+        with pytest.raises(ConfigError, match="constant control needs 1 entries"):
+            simulate_ensemble(drifted(), tanh_geometry(), uniform_levy(),
+                              (0.0, 0.0, 1), policy, n_paths=4, **kw)
+        with pytest.raises(ConfigError, match="constant control needs 1 entries"):
+            simulate_path(drifted(), tanh_geometry(), uniform_levy(),
+                          (0.0, 0.0, 1), policy, **kw)
+
+
+def test_constant_policy_equals_its_callable():
+    kw = dict(h=0.05, t_end=1.0, n_paths=64, seed=8, record_nodes=True)
+    dynamics = ControlledDynamics(
+        drift=lambda s, x, i, u: u[:, 0] - 0.1 * x,
+        diffusion=lambda s, x, i, u: 0.2 + 0.0 * x, m=2)
+    runs = [simulate_ensemble(dynamics, tanh_geometry(), uniform_levy(),
+                              (0.0, 0.5, 1), policy, **kw)
+            for policy in (0.3, [0.3], lambda s, x, i: np.full(len(x), 0.3))]
+    for res in runs[1:]:
+        assert np.array_equal(res.states, runs[0].states)
+        assert np.array_equal(res.regimes, runs[0].regimes)
+
+
 @pytest.mark.parametrize("j", [0, -1, 3, 1.5])
 def test_target_regime_outside_labels_rejected_before_simulating(monkeypatch, j):
     def no_simulation(*args, **kwargs):
@@ -511,7 +555,7 @@ def march_fixed_arrivals(monkeypatch, arrivals, nodes, seed=1):
     x = np.full((1, 1), 0.25)
     alpha = np.ones((1, 1), dtype=np.int64)
     jumps = []
-    sde._march(dyn(0.0, 1.0), empty_geometry(), uniform_levy(), sde._as_policy(None),
+    sde._march(dyn(0.0, 1.0), empty_geometry(), uniform_levy(), as_policy(None, 1),
                nodes, noise, x, alpha, on_jump=lambda rows, s, th: jumps.extend(s))
     return jumps, x[0, 0], z, noise
 
