@@ -198,9 +198,7 @@ def _geometry_from_config(config):
     if density_expr is None:
         levy = uniform_mark_density(model_cfg["beta0"])
     else:
-        levy = LevyMeasure(lambda th: np.broadcast_to(
-            np.asarray(density_expr(x=np.asarray(th, dtype=float)), dtype=float),
-            np.asarray(th, dtype=float).shape), model_cfg["beta0"])
+        levy = LevyMeasure(_expr_of_x(density_expr), model_cfg["beta0"])
     return geometry, levy
 
 
@@ -227,12 +225,13 @@ def _dynamics_from_config(config):
 
 
 def _model_from_config(config):
-    preset = config.get("model", "preset")
-    model = MODEL_PRESETS[preset]()
+    """The preset's model, each end of its x_domain overridden by
+    ``[grid] x_min`` or ``x_max`` when set."""
+    model = MODEL_PRESETS[config.get("model", "preset")]()
     x_min = config.get("grid", "x_min")
     x_max = config.get("grid", "x_max")
-    if x_min is not None and x_max is not None:
-        model.x_domain = (x_min, x_max)
+    model.x_domain = (model.x_domain[0] if x_min is None else x_min,
+                      model.x_domain[1] if x_max is None else x_max)
     return model
 
 

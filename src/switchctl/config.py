@@ -13,31 +13,13 @@ import configparser
 import difflib
 import io
 
+from . import models
 from .errors import ConfigError, ExpressionError
 from .expressions import CoefficientExpression
 
-_GEOMETRY_PRESETS = ("constant", "tanh", "affine", "empty")
-_MODEL_PRESETS = ("merton-ti", "merton-tc", "toy-lq", "toy-lq-tc")
 # formats that write the value field; "json" is accepted too, as the JSON
 # artifacts are always written
 _FIELD_FORMATS = ("csv", "bin", "binary")
-
-
-def _parse_float(text):
-    return float(text)
-
-
-def _parse_int(text):
-    value = int(text)
-    return value
-
-
-def _parse_str(text):
-    return text.strip()
-
-
-def _parse_expr(text):
-    return CoefficientExpression(text.strip())
 
 
 def _split_top_level(text, sep=","):
@@ -57,91 +39,68 @@ def _split_top_level(text, sep=","):
     return [p.strip() for p in parts if p.strip()]
 
 
-def _parse_expr_list(text):
-    return [CoefficientExpression(p) for p in _split_top_level(text)]
+def _list_of(parse):
+    return lambda text: [parse(p) for p in _split_top_level(text)]
 
 
-def _parse_float_list(text):
-    return [float(p) for p in _split_top_level(text)]
-
-
-def _parse_int_list(text):
-    return [int(p) for p in _split_top_level(text)]
-
-
-def _parse_str_list(text):
-    return [p for p in _split_top_level(text)]
-
-
-# section -> key -> (parser, default); None default means "required
-# only when the consuming subcommand needs it" (checked there).
+# section -> key -> (parser, default, check).  The parser reads the
+# value text (configparser strips it); a None default means "required
+# only when the consuming subcommand needs it" (checked there); a check
+# returns True or the violation's message.  The preset names are the
+# live keys of the tables in ``models``.
 SCHEMA = {
     "model": {
-        "preset": (_parse_str, "merton-ti"),
-        "regimes": (_parse_int, 2),
-        "beta0": (_parse_float, 1.0),
-        "geometry": (_parse_str, None),      # geometry preset for simulate/rates
-        "beta_1": (_parse_expr_list, None),
-        "beta_2": (_parse_expr_list, None),
-        "beta_3": (_parse_expr_list, None),
-        "beta_4": (_parse_expr_list, None),
-        "density": (_parse_expr, None),
-        "drift": (_parse_expr, None),
-        "sigma": (_parse_expr, None),
-        "x0": (_parse_float, 0.0),
-        "i0": (_parse_int, 1),
+        "preset": (str, "merton-ti", lambda v: v in models.MODEL_PRESETS or
+                   f"unknown preset (valid: {', '.join(models.MODEL_PRESETS)})"),
+        "regimes": (int, 2, lambda v: 1 <= v <= 4 or "regimes must lie in 1..4"),
+        "beta0": (float, 1.0, None),
+        "geometry": (str, None, lambda v: v in models.GEOMETRY_PRESETS or
+                     f"unknown geometry (valid: {', '.join(models.GEOMETRY_PRESETS)})"),
+        "beta_1": (_list_of(CoefficientExpression), None, None),
+        "beta_2": (_list_of(CoefficientExpression), None, None),
+        "beta_3": (_list_of(CoefficientExpression), None, None),
+        "beta_4": (_list_of(CoefficientExpression), None, None),
+        "density": (CoefficientExpression, None, None),
+        "drift": (CoefficientExpression, None, None),
+        "sigma": (CoefficientExpression, None, None),
+        "x0": (float, 0.0, None),
+        "i0": (int, 1, None),
     },
     "grid": {
-        "x_min": (_parse_float, None),
-        "x_max": (_parse_float, None),
-        "n_x": (_parse_int, 81),
-        "n_t": (_parse_int, 160),
-        "t_max": (_parse_float, 1.0),
-        "buffer": (_parse_float, 0.15),
+        "x_min": (float, None, None),
+        "x_max": (float, None, None),
+        "n_x": (int, 81, lambda v: v >= 3 or "n_x must be at least 3"),
+        "n_t": (int, 160, lambda v: v >= 1 or "n_t must be at least 1"),
+        "t_max": (float, 1.0, lambda v: v > 0 or "t_max must be positive"),
+        "buffer": (float, 0.15,
+                   lambda v: 0 <= v < 0.5 or "buffer must lie in [0, 0.5)"),
     },
     "solver": {
-        "tol": (_parse_float, 1e-9),
-        "partitions": (_parse_int_list, [1, 2, 4]),
-        "knots": (_parse_float_list, None),
-        "epsilons": (_parse_float_list, [0.1, 0.05, 0.025]),
-        "spike_anchor": (_parse_float, 0.25),
-        "anchor": (_parse_float, 0.0),
-        "n_paths": (_parse_int, 100000),
-        "h": (_parse_float, 0.01),
-        "ds": (_parse_float, 1e-3),
-        "rate_states": (_parse_float_list, [-1.0, 0.0, 1.0]),
-        "variant": (_parse_str, "eq"),
+        "tol": (float, 1e-9, lambda v: v > 0 or "tol must be positive"),
+        "partitions": (_list_of(int), [1, 2, 4], None),
+        "knots": (_list_of(float), None, None),
+        "epsilons": (_list_of(float), [0.1, 0.05, 0.025], None),
+        "spike_anchor": (float, 0.25, None),
+        "anchor": (float, 0.0, None),
+        "n_paths": (int, 100000, lambda v: v >= 1 or "n_paths must be >= 1"),
+        "h": (float, 0.01, lambda v: v > 0 or "h must be positive"),
+        "ds": (float, 1e-3, lambda v: v > 0 or "ds must be positive"),
+        "rate_states": (_list_of(float), [-1.0, 0.0, 1.0], None),
+        "variant": (str, "eq", lambda v: v in ("tc", "pre", "eq")
+                    or "variant must be one of tc, pre, eq"),
     },
     "output": {
-        "directory": (_parse_str, "out"),
-        "formats": (_parse_str_list, ["csv", "json"]),
+        "directory": (str, "out", None),
+        "formats": (_list_of(str), ["csv", "json"],
+                    lambda v: (set(v) <= {*_FIELD_FORMATS, "json"}
+                               and not set(v).isdisjoint(_FIELD_FORMATS))
+                    or "formats must name csv, bin or binary, optionally with json"),
     },
     "run": {
-        "seed": (_parse_int, 12345),
-        "workers": (_parse_int, 1),     # accepted and checked; runs are serial
+        "seed": (int, 12345, None),
+        # accepted and checked; runs are serial
+        "workers": (int, 1, lambda v: v >= 1 or "workers must be >= 1"),
     },
-}
-
-_VALIDATORS = {
-    ("grid", "n_x"): lambda v: v >= 3 or "n_x must be at least 3",
-    ("grid", "n_t"): lambda v: v >= 1 or "n_t must be at least 1",
-    ("grid", "t_max"): lambda v: v > 0 or "t_max must be positive",
-    ("grid", "buffer"): lambda v: 0 <= v < 0.5 or "buffer must lie in [0, 0.5)",
-    ("solver", "tol"): lambda v: v > 0 or "tol must be positive",
-    ("solver", "n_paths"): lambda v: v >= 1 or "n_paths must be >= 1",
-    ("solver", "h"): lambda v: v > 0 or "h must be positive",
-    ("solver", "ds"): lambda v: v > 0 or "ds must be positive",
-    ("solver", "variant"): lambda v: v in ("tc", "pre", "eq")
-        or "variant must be one of tc, pre, eq",
-    ("model", "preset"): lambda v: v in _MODEL_PRESETS
-        or f"unknown preset (valid: {', '.join(_MODEL_PRESETS)})",
-    ("model", "geometry"): lambda v: v in _GEOMETRY_PRESETS
-        or f"unknown geometry (valid: {', '.join(_GEOMETRY_PRESETS)})",
-    ("model", "regimes"): lambda v: 1 <= v <= 4 or "regimes must lie in 1..4",
-    ("run", "workers"): lambda v: v >= 1 or "workers must be >= 1",
-    ("output", "formats"): lambda v: (set(v) <= {*_FIELD_FORMATS, "json"}
-                                      and not set(v).isdisjoint(_FIELD_FORMATS))
-        or "formats must name csv, bin or binary, optionally with json",
 }
 
 
@@ -171,7 +130,7 @@ def parse_config(text):
     errors = []
     sections = {}
     for name, keys in SCHEMA.items():
-        sections[name] = {k: default for k, (_p, default) in keys.items()}
+        sections[name] = {k: default for k, (_p, default, _c) in keys.items()}
     for name in parser.sections():
         if name not in SCHEMA:
             hint = difflib.get_close_matches(name, SCHEMA.keys(), n=1)
@@ -184,21 +143,19 @@ def parse_config(text):
                 suffix = f"; did you mean '{hint[0]}'?" if hint else ""
                 errors.append(f"[{name}] {key}: unknown key{suffix}")
                 continue
-            parse_fn = SCHEMA[name][key][0]
+            parse, _default, check = SCHEMA[name][key]
             try:
-                value = parse_fn(raw)
+                value = parse(raw)
             except ExpressionError as exc:
                 errors.append(f"[{name}] {key}: {exc}")
                 continue
             except (TypeError, ValueError) as exc:
                 errors.append(f"[{name}] {key}: invalid value {raw!r} ({exc})")
                 continue
-            check = _VALIDATORS.get((name, key))
-            if check is not None:
-                verdict = check(value)
-                if verdict is not True:
-                    errors.append(f"[{name}] {key}: {verdict}")
-                    continue
+            verdict = True if check is None else check(value)
+            if verdict is not True:
+                errors.append(f"[{name}] {key}: {verdict}")
+                continue
             sections[name][key] = value
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))

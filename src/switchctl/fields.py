@@ -253,10 +253,11 @@ class FeedbackStrategy:
 def as_policy(policy, control_dim):
     """Any policy form as a feedback map f(s, x, i) -> (len(x), control_dim).
 
-    None is the zero control; a number or a sequence is a constant of
-    exactly ``control_dim`` entries (a ConfigError otherwise); a callable,
-    a FeedbackStrategy included, is called, and a 1-D result becomes one
-    column.
+    None is the zero control; a number or a sequence of numbers is a
+    constant of exactly ``control_dim`` entries; a callable, a
+    FeedbackStrategy included, is called, and a 1-D result becomes one
+    column.  Anything else, or a constant of another size, is a
+    ConfigError.
     """
     if callable(policy):
         def f(s, x, i):
@@ -264,7 +265,12 @@ def as_policy(policy, control_dim):
             return out[:, None] if out.ndim == 1 else out
 
         return f
-    const = np.zeros(control_dim) if policy is None else np.ravel(policy).astype(float)
+    try:
+        const = (np.zeros(control_dim) if policy is None
+                 else np.ravel(policy).astype(float))
+    except (TypeError, ValueError):
+        raise ConfigError("a policy must be None, a number, a sequence of numbers "
+                          f"or a callable f(s, x, i), got {policy!r}") from None
     if const.size != control_dim:
         raise ConfigError(f"a constant control needs {control_dim} entries, "
                           f"got {const.size}")

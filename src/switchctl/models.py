@@ -2,9 +2,10 @@
 of coefficients the PDE/game layers consume.
 
 A ControlModel packages the Hamiltonian data (b, sigma, g, h, psi,
-control set), the generator source (state-dependent geometry or a
-constant matrix), and simulation dynamics.  Minimization convention
-throughout: maximization examples are negated at this boundary.
+control set) and the generator source (state-dependent geometry or a
+constant matrix); its simulation dynamics are its own b and sigma.
+Minimization convention throughout: maximization examples are negated
+at this boundary.
 """
 
 from dataclasses import dataclass, field
@@ -126,13 +127,19 @@ class ControlModel:
     q_const: np.ndarray = None
     geometry: RegimeGeometry = None
     levy: LevyMeasure = None
-    dynamics: ControlledDynamics = None
     x_domain: tuple = (-2.0, 2.0)
     bc: tuple = (BC_EXTRAPOLATE, BC_EXTRAPOLATE)
     spec: object = None            # worked-example parameters, when applicable
     anchor_basis: tuple = None     # K anchor nodes spanning g and h in tau
     psi_clamp_count: int = 0
     _q_cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def dynamics(self):
+        """The Monte Carlo engine's view of the same b and sigma."""
+        return ControlledDynamics(drift=self.b, diffusion=self.sigma, m=self.m,
+                                  control_dim=self.control_dim,
+                                  u0=(0.0,) * self.control_dim)
 
     def q_table(self, grid):
         if self.q_const is not None:
@@ -179,17 +186,13 @@ def toy_anchored_model(time_inconsistent=True):
     def h(tau, x, i):
         return weight(tau) * np.asarray(x, dtype=float) ** 2
 
-    dynamics = ControlledDynamics(
-        drift=lambda s, x, i, u: u[:, 0],
-        diffusion=lambda s, x, i, u: np.full_like(x, 0.4),
-        m=2, control_dim=1)
     return ControlModel(
         name="toy-lq", m=2,
         b=lambda s, x, i, u: u[:, 0],
         sigma=lambda s, x, i, u: np.full_like(np.asarray(x, dtype=float), 0.4),
         g=g, h=h,
         control_set=ControlSet(lo=-1.0, hi=1.0),
-        T=1.0, dynamics=dynamics,
+        T=1.0,
         geometry=tanh_threshold_geometry(), levy=uniform_mark_density(),
         x_domain=(-2.0, 2.0), bc=(BC_EXTRAPOLATE, BC_EXTRAPOLATE),
         anchor_basis=(0.0, 1.0) if time_inconsistent else (0.0,))
@@ -235,12 +238,6 @@ def merton_model(spec, x_domain=(0.5, 2.5)):
             model.psi_clamp_count += fired
         return np.stack([u, c], axis=1)
 
-    def b(s, x, i, u):
-        return spec.b[i - 1] * u[:, 0] - u[:, 1]
-
-    def sigma(s, x, i, u):
-        return spec.sigma[i - 1] * u[:, 0]
-
     def g(tau, s, x, i, y, z, qv, u):
         c = np.maximum(u[:, 1], 0.0)
         return -np.asarray(spec.g(tau, s), dtype=float) * c**gam
@@ -249,13 +246,14 @@ def merton_model(spec, x_domain=(0.5, 2.5)):
         return -float(spec.h(tau)) * np.asarray(x, dtype=float) ** gam
 
     geometry = constant_rate_geometry(spec.q)
+    wealth = merton_mod.wealth_dynamics(spec)
     model = ControlModel(
-        name=spec.name, m=spec.m, b=b, sigma=sigma, g=g, h=h,
+        name=spec.name, m=spec.m, b=wealth.drift, sigma=wealth.diffusion,
+        g=g, h=h,
         control_set=ControlSet(lo=-np.inf, hi=np.inf),
         T=spec.T, control_dim=2, control_names=["invest", "consume"],
         psi=psi, q_const=spec.q,
         geometry=geometry, levy=uniform_mark_density(),
-        dynamics=merton_mod.wealth_dynamics(spec),
         x_domain=x_domain, bc=(BC_DIRICHLET, BC_DIRICHLET),
         spec=spec)
     return model

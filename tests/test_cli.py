@@ -1,6 +1,5 @@
 import json
 import os
-import sys
 
 import pytest
 
@@ -117,18 +116,13 @@ def test_rates_empty_geometry_exact_zeros(tmp_path, capsys):
     assert all(r["q_theory"] == 0.0 and r["q_empirical"] == 0.0 for r in table)
 
 
-def test_rates_threaded_cells_match_serial(tmp_path, capsys):
+def test_rates_workers_setting_changes_no_byte(tmp_path, capsys):
     tables = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)   # interleave the cells' threads finely
-    try:
-        for workers in (1, 2):
-            code, out = run_cli(tmp_path, f"rates{workers}",
-                                RATES_TANH_CFG.format(workers=workers), ("rates",))
-            assert code == 0
-            tables[workers] = (out / "rates.json").read_bytes()
-    finally:
-        sys.setswitchinterval(interval)
+    for workers in (1, 2):
+        code, out = run_cli(tmp_path, f"rates{workers}",
+                            RATES_TANH_CFG.format(workers=workers), ("rates",))
+        assert code == 0
+        tables[workers] = (out / "rates.json").read_bytes()
     assert tables[1] == tables[2]
     assert any(r["q_empirical"] > 0 for r in json.loads(tables[1]))
 
@@ -290,6 +284,44 @@ seed = 5
     assert table[0]["sup_diff_V"] is None
     assert table[1]["sup_diff_V"] >= 0.0
     assert (out / "value.csv").exists()
+
+
+TOY_GRID_CFG = """
+[model]
+preset = toy-lq
+[grid]
+GRID
+n_x = 11
+n_t = 8
+[solver]
+partitions = 1
+[run]
+seed = 1
+"""
+
+
+@pytest.mark.parametrize("line, ends", [("x_min = -1.0", (-1.0, 2.0)),
+                                        ("x_max = 1.5", (-2.0, 1.5))])
+def test_lone_grid_end_overrides_its_own_end(tmp_path, capsys, line, ends):
+    # toy-lq's preset x_domain is (-2, 2)
+    code, out = run_cli(tmp_path, "lone", TOY_GRID_CFG.replace("GRID", line),
+                        ("partition-solve",))
+    assert code == 0
+    xs = [float(row.split(",")[1])
+          for row in (out / "value.csv").read_text().splitlines()[1:]]
+    assert (min(xs), max(xs)) == ends
+
+
+def test_reversed_grid_ends_rejected(tmp_path, capsys):
+    for name, lines in (("reversed", "x_min = 1.0\nx_max = -1.0"),
+                        ("lone_past_end", "x_min = 2.5")):
+        code, out = run_cli(tmp_path, name, TOY_GRID_CFG.replace("GRID", lines),
+                            ("partition-solve",))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "x_max must exceed x_min" in err["message"]
+        assert not (out / "value.csv").exists()
 
 
 def test_dry_run_all_subcommands(tmp_path, capsys):

@@ -6,9 +6,11 @@ from switchctl.costs import (anchored_minimizer_policy, evaluate_cost,
 from switchctl.equilibrium import solve_equilibrium
 from switchctl.errors import ConfigError, ResolutionError
 from switchctl.fields import d1, time_grid
-from switchctl.models import toy_anchored_model
-from switchctl.pde import solve_hjb
+from switchctl.models import (ControlModel, toy_anchored_model,
+                              uniform_mark_density)
+from switchctl.pde import ControlSet, solve_hjb
 from switchctl.sde import simulate_ensemble
+from switchctl.switching import RegimeGeometry, rate_matrix
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,44 @@ def test_cost_without_running_term_matches_monte_carlo():
     mc, se = float(np.mean(payoff)), float(np.std(payoff, ddof=1) / np.sqrt(n))
     pde_val = float(cost.cost(0.4, 1))
     assert abs(pde_val - mc) <= 3 * se + 2e-3
+
+
+def test_state_dependent_generator_matches_monte_carlo():
+    # uniform marks on [-1, 1] with Delta_12 = [0, c(x)) and
+    # Delta_21 = [-1, -1 + d(x)): q_12 rises and q_21 falls across [0, 0.4],
+    # and h = 3 1{i = 2} prices the regime at T, so the PDE's Q(x) is
+    # checked against the exact-jump simulation of the same model
+    def c(x):
+        return 0.4 * (1 + np.tanh(3 * x))
+
+    def d_end(x):
+        return -1 + 0.4 * (1 - np.tanh(3 * x))
+
+    geometry = RegimeGeometry([[0.0, 0.0, c], [-1.0, d_end, d_end]], beta0=1.0)
+    model = ControlModel(
+        name="switch-payoff", m=2,
+        b=lambda s, x, i, u: u[:, 0],
+        sigma=lambda s, x, i, u: np.full_like(np.asarray(x, dtype=float), 0.4),
+        g=lambda tau, s, x, i, y, z, qv, u: np.zeros_like(np.asarray(x, float)),
+        h=lambda tau, x, i: np.full_like(np.asarray(x, float), 3.0 * (i == 2)),
+        control_set=ControlSet(lo=-1.0, hi=1.0), T=1.0,
+        geometry=geometry, levy=uniform_mark_density(), x_domain=(-2.5, 3.0))
+    assert model.dynamics.drift is model.b and model.dynamics.diffusion is model.sigma
+    grid = model.default_grid(121)
+    times = time_grid(0, 1, 100)
+    n = 20_000
+    res = simulate_ensemble(model.dynamics, model.geometry, model.levy,
+                            (0.0, 0.0, 1), 0.3, h=0.01, t_end=1.0,
+                            n_paths=n, seed=1)
+    payoff = 3.0 * (res.regime_T == 2)
+    mc, se = float(np.mean(payoff)), float(np.std(payoff, ddof=1) / np.sqrt(n))
+    z = {}
+    for label, q_const in (("Q(x)", None),
+                           ("Q(0)", rate_matrix(geometry, model.levy, 0.0))):
+        model.q_const = q_const
+        cost = evaluate_cost(model, 0.3, 0.0, grid, times)
+        z[label] = (float(cost.cost(0.0, 1)) - mc) / se
+    assert abs(z["Q(x)"]) <= 3 and abs(z["Q(0)"]) >= 4, z
 
 
 def test_verification_inequality_toy(toy_eq):

@@ -460,6 +460,24 @@ def test_constant_policy_of_the_wrong_size_rejected(monkeypatch):
                           (0.0, 0.0, 1), policy, **kw)
 
 
+@pytest.mark.parametrize("policy", ["abc", object()])
+def test_unreadable_policy_is_a_config_error(policy):
+    with pytest.raises(ConfigError, match="a policy must be None, a number") as info:
+        as_policy(policy, 1)
+    assert info.value.exit_code == 2
+
+
+def test_unreadable_policy_rejected_before_paths(monkeypatch):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("drew paths before checking the policy")
+
+    monkeypatch.setattr(sde, "_Noise", no_paths)
+    with pytest.raises(ConfigError, match="or a callable") as info:
+        simulate_ensemble(drifted(), tanh_geometry(), uniform_levy(), (0.0, 0.0, 1),
+                          "abc", h=0.1, t_end=1.0, n_paths=4, seed=0)
+    assert info.value.exit_code == 2
+
+
 def test_constant_policy_equals_its_callable():
     kw = dict(h=0.05, t_end=1.0, n_paths=64, seed=8, record_nodes=True)
     dynamics = ControlledDynamics(
