@@ -182,7 +182,8 @@ def _geometry_from_config(config):
     model_cfg = config["model"]
     preset = model_cfg.get("geometry")
     if preset is not None:
-        return GEOMETRY_PRESETS[preset](), uniform_mark_density(model_cfg["beta0"])
+        beta0 = model_cfg["beta0"]
+        return GEOMETRY_PRESETS[preset](beta0=beta0), uniform_mark_density(beta0)
     m = model_cfg["regimes"]
     rows = []
     for i in range(1, m + 1):

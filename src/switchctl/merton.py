@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, DomainError, NumericError,
                      ResolutionError)
+from .fields import refuse_oversized
 from .partition import Partition
 from .sde import ControlledDynamics, simulate_ensemble
 
@@ -82,12 +83,37 @@ class MertonSpec:
 
 @dataclass
 class PhiSolution:
-    """phi tables on a shared time grid (NaN where a row is undefined)."""
+    """The equilibrium phi triangle on a shared time grid, packed by level.
+
+    Level k (time s_k) holds phi(tau_j, s_k, .) for the rows j = 0..k as
+    the contiguous block ``levels[k(k+1)/2 : (k+1)(k+2)/2]``, so the
+    (n(n+1)/2, m) array is half the dense (n, n, m) triangle.  ``row(j)``
+    copies one row out; ``eq`` builds the dense triangle anew on each
+    access.  Both are NaN where a row is undefined (s < tau_j).
+    """
 
     times: np.ndarray
-    eq: np.ndarray = None          # (n, n, m) triangular rows
     eq_diag: np.ndarray = None     # (n, m)
     iterations: list = field(default_factory=list)
+    levels: np.ndarray = None      # (n(n+1)/2, m), level by level
+
+    def row(self, j):
+        """phi(tau_j, s, .) on every time node as a new (n, m) array."""
+        n = len(self.times)
+        k = np.arange(j, n)
+        out = np.full((n, self.levels.shape[1]), np.nan)
+        out[j:] = self.levels[k * (k + 1) // 2 + j]
+        return out
+
+    @property
+    def eq(self):
+        """The dense (n, n, m) triangle phi[tau_j, s_k, .], NaN for k < j."""
+        n = len(self.times)
+        out = np.full((n, n, self.levels.shape[1]), np.nan)
+        for k in range(n):
+            at = k * (k + 1) // 2
+            out[:k + 1, k] = self.levels[at:at + k + 1]
+        return out
 
 
 def _rk4_stages(s_hi, s_lo):
@@ -198,6 +224,12 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
     rows 0..k-1 take the step once.  ``iterations[j]`` of the returned
     PhiSolution is the largest change any step saw in round j.
 
+    The triangle is stored packed by level (see PhiSolution): the step
+    reads level k's rows 0..k-1 and writes level k-1 as contiguous
+    slices.  Its n(n+1)/2 m float64 values are refused with a
+    ConfigError, before they are allocated, when they exceed half the
+    physical memory.
+
     What the grid fixes is tabled once per step: the three stage times,
     their Lagrange weights, g(s, s) and the column g(tau_j, s) of rows
     0..k-1.  k1 sits on s_k, where the unknown's Lagrange weight is
@@ -207,12 +239,16 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
     """
     times = np.asarray(times, dtype=float)
     n = len(times)
+    size = n * (n + 1) // 2
+    refuse_oversized(8 * size * spec.m,
+                     f"the equilibrium phi triangle (n_t={n}, m={spec.m})")
     A = spec.drift_gain()
     gam = spec.gamma
     p_c, p_g = 1 / (1 - gam), gam / (1 - gam)
     qT = spec.q.T
-    phi = np.full((n, n, spec.m), np.nan)
-    phi[:, -1, :] = np.asarray(spec.h(times), dtype=float)[:, None]
+    at = [k * (k + 1) // 2 for k in range(n + 1)]   # level k is at[k]:at[k + 1]
+    phi = np.empty((size, spec.m))
+    phi[at[n - 1]:] = np.asarray(spec.h(times), dtype=float)[:, None]
     log = []
 
     def rhs(stage, y):
@@ -222,7 +258,7 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
     for k in range(n - 1, 0, -1):
         dt, s_stages = _rk4_stages(times[k], times[k - 1])
         nodes = times[k - 1:k + 3]
-        known = [phi[j, j] for j in range(k, min(k + 3, n))]
+        known = [phi[at[j] + j] for j in range(k, min(k + 3, n))]
         weights = [[math.prod((s - t) / (t_j - t) for t in nodes if t != t_j)
                     for t_j in nodes] for s in s_stages]
         g_diag = [float(spec.g(s, s)) for s in s_stages]
@@ -240,12 +276,12 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
             return r ** p_c, r ** p_g
 
         # d(s_{k-1})'s weight at s_k is 0.0, so k1 is the same every round
-        r_c, r_g = stage_powers(weights[0], g_diag[0], phi[k, k])
+        d_lo = phi[at[k] + k]
+        r_c, r_g = stage_powers(weights[0], g_diag[0], d_lo)
         first = (r_c, g_rows[0] * r_g)
-        y_row = phi[k - 1:k, k]
+        y_row = phi[at[k] + k - 1:at[k] + k]
         row_first = (r_c, first[1][k - 1:])
         k1_row = rhs(row_first, y_row)
-        d_lo = phi[k, k]
         for rnd in range(max_iter):
             pw = [stage_powers(w, g_ss, d_lo) for w, g_ss in zip(weights[1:], g_diag[1:])]
             stages = [row_first] + [(r_c, g[k - 1:] * r_g)
@@ -263,9 +299,10 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
                 f"equilibrium phi diagonal at s={times[k - 1]:g} did not reach "
                 f"{tol:g} in {max_iter} rounds", history=log)
         stages = [first] + [(r_c, g * r_g) for (r_c, r_g), g in zip(pw, g_rows[1:])]
-        phi[:k, k - 1] = _rk4_step(rhs, dt, stages, phi[:k, k], times[k - 1])
-    idx = np.arange(n)
-    return PhiSolution(times=times, eq=phi, eq_diag=phi[idx, idx], iterations=log)
+        phi[at[k - 1]:at[k]] = _rk4_step(rhs, dt, stages, phi[at[k]:at[k] + k],
+                                         times[k - 1])
+    diag = phi[np.asarray(at[:n]) + np.arange(n)]
+    return PhiSolution(times=times, eq_diag=diag, iterations=log, levels=phi)
 
 
 def _gtsv(dl, d, du, b):
@@ -536,7 +573,7 @@ def wealth_dynamics(spec):
         return sg[i - 1] * u[:, 0]
 
     return ControlledDynamics(drift=drift, diffusion=diffusion, m=spec.m,
-                              control_dim=2, lipschitz=50.0, u0=(0.0, 0.0))
+                              control_dim=2)
 
 
 def monte_carlo_payoff(spec, policy, t, x, i, n_paths, seed, h_step,

@@ -138,8 +138,7 @@ class ControlModel:
     def dynamics(self):
         """The Monte Carlo engine's view of the same b and sigma."""
         return ControlledDynamics(drift=self.b, diffusion=self.sigma, m=self.m,
-                                  control_dim=self.control_dim,
-                                  u0=(0.0,) * self.control_dim)
+                                  control_dim=self.control_dim)
 
     def q_table(self, grid):
         if self.q_const is not None:
@@ -290,12 +289,18 @@ def merton_partition_boundary(model, mirror, grid):
 
 
 def merton_equilibrium_boundary(model, phi_solution, grid):
-    """Per-row Dirichlet data for the equilibrium solver, from phi rows."""
+    """Per-row Dirichlet data for the equilibrium solver, from phi rows.
+
+    Each anchor's table copies its row out of the packed triangle
+    (``PhiSolution.row``) when it is built, so the anchors of a march hold
+    no row between their calls.
+    """
     times = phi_solution.times
 
     def boundary(tau):
-        rows = phi_solution.eq[node_index(times, tau)]
-        return ansatz_dirichlet(grid, times, rows, model.spec.gamma)
+        j = node_index(times, tau)
+        return lambda s: ansatz_dirichlet(grid, times, phi_solution.row(j),
+                                          model.spec.gamma)(s)
 
     return boundary
 

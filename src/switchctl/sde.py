@@ -101,23 +101,6 @@ class ControlledDynamics:
     diffusion: callable
     m: int
     control_dim: int = 1
-    lipschitz: float = 10.0
-    u0: tuple = (0.0,)
-
-    def validate(self, times=(0.0,)):
-        """Spot-check |b(s,0,i,u0)| + |sigma(s,0,i,u0)| <= L."""
-        u = np.asarray(self.u0, dtype=float).reshape(1, -1)
-        x = np.zeros(1)
-        for s in times:
-            for i in range(1, self.m + 1):
-                b = float(np.asarray(self.drift(s, x, i, u)).ravel()[0])
-                sg = float(np.asarray(self.diffusion(s, x, i, u)).ravel()[0])
-                if not np.isfinite(b) or not np.isfinite(sg):
-                    raise ConfigError(f"coefficients not finite at (s={s}, x=0, i={i})")
-                if abs(b) + abs(sg) > self.lipschitz:
-                    raise ConfigError(
-                        f"|b| + |sigma| = {abs(b) + abs(sg):g} at (s={s}, x=0, i={i}) "
-                        f"exceeds the declared Lipschitz constant {self.lipschitz:g}")
 
 
 @dataclass

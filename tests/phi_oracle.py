@@ -6,16 +6,20 @@ column g(tau_rows, s) inside every right-hand-side call, and the
 partition mirror evaluates each player's consumption rate by one scalar
 spline call per regime and stage.  ``switchctl.merton`` tables all of it
 once per step (per segment for the partition mirror); elementwise
-float64 arithmetic does not fuse, so the two agree bit for bit.
+float64 arithmetic does not fuse, so the two agree bit for bit.  The
+march keeps the dense (n, n, m) triangle and returns it as a plain
+record with PhiSolution's attribute names, so it is also the oracle of
+the packed level layout.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from switchctl.errors import ConvergenceError, NumericError
-from switchctl.merton import PartitionPhi, PhiSolution
+from switchctl.merton import PartitionPhi
 from switchctl.partition import Partition
 
 
@@ -89,7 +93,8 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
                 f"{tol:g} in {max_iter} rounds", history=log)
         phi[:k, k - 1] = step(k, slice(0, k), d_lo)
     idx = np.arange(n)
-    return PhiSolution(times=times, eq=phi, eq_diag=phi[idx, idx], iterations=log)
+    return SimpleNamespace(times=times, eq=phi, eq_diag=phi[idx, idx],
+                           iterations=log)
 
 
 def partition_phi(spec, knots, times):

@@ -138,6 +138,38 @@ def test_rates_pinned_bitwise(tmp_path, capsys):
                                                  0.1175, 0.05]
 
 
+RATES_CONSTANT_CFG = """
+[model]
+geometry = constant
+beta0 = BETA0
+[solver]
+n_paths = 100
+ds = 0.01
+rate_states = 0.0
+[run]
+seed = 3
+"""
+
+
+def test_geometry_preset_reads_model_beta0():
+    from switchctl.cli import _geometry_from_config
+    from switchctl.config import parse_config
+    cfg = parse_config(RATES_CONSTANT_CFG.replace("BETA0", "2"))
+    geometry, levy = _geometry_from_config(cfg)
+    assert geometry.beta0 == 2.0 and levy.beta0 == 2.0
+
+
+def test_geometry_preset_outside_model_beta0_exit_2(tmp_path, capsys):
+    # the constant preset's threshold -0.6 leaves [-0.5, 0.5]
+    code, out = run_cli(tmp_path, "narrow",
+                        RATES_CONSTANT_CFG.replace("BETA0", "0.5"), ("rates",))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GeometryError"
+    assert "[-beta0, beta0]" in err["message"]
+    assert not (out / "rates.json").exists()
+
+
 def test_equilibrium_run_and_residual_log(tmp_path, capsys):
     code, out = run_cli(tmp_path, "eq", EQ_CFG, ("equilibrium",))
     assert code == 0
@@ -455,6 +487,26 @@ def test_oversized_two_time_field_exit_code_2(tmp_path, capsys, monkeypatch):
     assert str(need) in err["message"]
     assert "n_t=751" in err["message"] and "n_x=401" in err["message"]
     assert not (out / "verify.json").exists()
+
+
+def test_oversized_phi_triangle_exit_code_2(tmp_path, capsys, monkeypatch):
+    # merton-ti at n_t 64: the 65-node phi triangle packed by level takes
+    # 65 * 66 / 2 * 2 float64 values; with less than twice that memory the
+    # merton run and the merton equilibrium and verify boundaries are
+    # refused before the phi march allocates it
+    from switchctl import fields
+    need = 8 * 65 * 66 // 2 * 2
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: 2 * need - 2)
+    verify = VERIFY_CFG.replace("toy-lq", "merton-ti")
+    for sub, cfg, artifact in (("merton", EQ_CFG, "phi.csv"),
+                               ("equilibrium", EQ_CFG, "value.csv"),
+                               ("verify", verify, "verify.json")):
+        code, out = run_cli(tmp_path, sub, cfg, (sub,))
+        assert code == 2, sub
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError", sub
+        assert "phi triangle" in err["message"] and str(need) in err["message"]
+        assert not (out / artifact).exists(), sub
 
 
 def test_equilibrium_memory_stays_off_the_triangle(tmp_path, capsys):

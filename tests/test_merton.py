@@ -418,6 +418,58 @@ def test_equilibrium_ode_nonconvergence_matches_oracle():
     assert got.history == want.history
 
 
+def test_phi_rows_are_the_dense_triangle_rows():
+    # merton-ti: each row copied out of the packed levels is, bit for bit,
+    # the row of the dense triangle that ``eq`` builds from them
+    spec = merton_spec(time_inconsistent=True)
+    sol = solve_equilibrium_ode(spec, time_grid(0.0, spec.T, 96), tol=1e-13)
+    eq = sol.eq
+    for j in range(len(sol.times)):
+        assert np.array_equal(sol.row(j), eq[j], equal_nan=True), j
+
+
+def _phi_bytes(n, m):
+    return 8 * n * (n + 1) // 2 * m
+
+
+def test_phi_march_stores_the_packed_triangle_only():
+    # n(n+1)/2 m float64 values; the dense n^2 m layout would peak at twice
+    import tracemalloc
+    spec = hyperbolic_spec()
+    times = time_grid(0.0, spec.T, 400)
+    packed = _phi_bytes(len(times), spec.m)
+    tracemalloc.start()
+    try:
+        sol = solve_equilibrium_ode(spec, times, tol=1e-13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.levels.nbytes == packed
+    assert peak < 1.25 * packed, (peak, packed)
+
+
+def test_oversized_phi_triangle_refused_before_allocation(monkeypatch):
+    import tracemalloc
+    from switchctl import fields
+    spec = hyperbolic_spec()
+    times = time_grid(0.0, spec.T, 400)
+    need = _phi_bytes(401, spec.m)
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: 2 * need - 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            solve_equilibrium_ode(spec, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.exit_code == 2
+    assert str(need) in str(info.value) and "n_t=401" in str(info.value)
+    assert peak < need / 10, peak
+    # twice the triangle is enough
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: 2 * need)
+    assert solve_equilibrium_ode(spec, times).levels.nbytes == need
+
+
 @pytest.mark.parametrize("n_players", [4, 8])
 def test_partition_phi_matches_per_stage_oracle(n_players):
     spec = hyperbolic_spec()

@@ -195,15 +195,6 @@ def test_bad_horizon_rejected():
                           n_paths=1, seed=0)
 
 
-def test_dynamics_validate_anchor_bound():
-    d = ControlledDynamics(
-        drift=lambda s, x, i, u: np.full_like(x, 100.0),
-        diffusion=lambda s, x, i, u: np.zeros_like(x),
-        m=1, lipschitz=1.0)
-    with pytest.raises(ConfigError, match="Lipschitz"):
-        d.validate()
-
-
 def test_zero_transition_anomaly_flagged():
     est = estimate_transition_rate(dyn(), empty_geometry(), uniform_levy(),
                                    x=0.0, i=1, j=2, ds=0.01, n_paths=10_000,
