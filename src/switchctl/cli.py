@@ -26,7 +26,8 @@ from .equilibrium import solve_equilibrium
 from .equilibrium import residual as equilibrium_residual  # noqa: F401
 from .errors import ConfigError, SwitchctlError
 from .expressions import CoefficientExpression
-from .fields import node_index, time_grid, write_csv
+from .fields import (node_index, refuse_oversized, time_grid, write_csv,
+                     write_csv_blocks)
 from .models import (GEOMETRY_PRESETS, MODEL_PRESETS,
                      merton_equilibrium_boundary, merton_partition_boundary,
                      uniform_mark_density)
@@ -384,8 +385,14 @@ def _run_merton(config, outdir, plan_only):
         phi_rows = phi_pre
         report["max_gap_pre_tc"] = float(np.nanmax(np.abs(phi_pre - phi_tc)))
     else:
+        n, m = len(times), spec.m
+        refuse_oversized(merton_mod.phi_bytes(n, m, csv=True),
+                         f"the equilibrium phi triangle of "
+                         f"{merton_mod.phi_bytes(n, m)} bytes (n_t={n}, m={m}) "
+                         f"with its phi.csv rows")
         sol = merton_mod.solve_equilibrium_ode(spec, times, tol=min(tol, 1e-12))
-        _write_phi_table(art, "phi.csv", times, times, sol.eq)
+        write_csv_blocks(art.path("phi.csv"), _PHI_HEADER, sol.csv_rows())
+        art.add("phi.csv")
         phi_rows = sol.eq_diag
         report["max_gap_eq_tc"] = float(np.nanmax(np.abs(sol.eq_diag - phi_tc)))
         report["rounds"] = len(sol.iterations)
@@ -405,10 +412,13 @@ def _run_merton(config, outdir, plan_only):
     return report
 
 
+_PHI_HEADER = ("tau", "s", "i", "phi")
+
+
 def _write_phi_table(art, name, taus, times, phi):
     """phi[tau_idx, s_idx, i - 1] in long format; NaN entries are dropped."""
     a, k, i = np.nonzero(~np.isnan(phi))
-    write_csv(art.path(name), ("tau", "s", "i", "phi"),
+    write_csv(art.path(name), _PHI_HEADER,
               (np.asarray(taus, dtype=float)[a], times[k], i + 1, phi[a, k, i]))
     art.add(name)
 

@@ -100,7 +100,7 @@ def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
     """
     times = np.asarray(times, dtype=float)
     n_t = len(times)
-    shape = (grid.n_x, model.m)
+    shape = (model.m, grid.n_x)                     # regime-major levels
     n_kept = n_t if keep_rows is None else len(set(keep_rows))
     basis = model.anchor_basis
     n_marched = n_t if basis is None else len(basis)
@@ -119,12 +119,12 @@ def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
     kept = theta.anchor_rows
     levels = np.empty((n_marched, 2) + shape)   # level k of row j: [j, k % 2]
     for j, tau in enumerate(anchors):
-        levels[j, (n_t - 1) % 2] = model.terminal_values(float(tau), grid)
+        levels[j, (n_t - 1) % 2] = model.terminal_values(float(tau), grid).T
     dirichlet_fns = [boundary(float(t)) for t in anchors] \
         if boundary is not None else None
     problem = model.hjb_problem(0.0, grid)
     diag = np.empty((n_t,) + shape)
-    controls = np.empty((n_t,) + shape + (model.control_dim,))
+    controls = np.empty((n_t, grid.n_x, model.m, model.control_dim))
     residual_level = _residual_levels(model, grid, times, controls) \
         if residual else None
     worst = None
@@ -139,9 +139,9 @@ def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
         level = levels[:, k % 2]
         diag[k] = anchor_rows(level, slice(k, k + 1))[0]
         n = np.searchsorted(kept, k, side="right")    # kept rows reaching k
-        theta.values[:n, k] = anchor_rows(level, kept[:n])
+        theta.values[:n, k] = anchor_rows(level, kept[:n]).swapaxes(1, 2)
         problem.anchor = float(times[k])
-        controls[k] = controls_on_grid(problem, float(times[k]), diag[k])
+        controls[k] = controls_on_grid(problem, float(times[k]), diag[k].T)
         if residual_level is not None:
             worst = residual_level(
                 k, anchor_rows(level, slice(0, min(k + 1, n_t - 1))))
@@ -158,7 +158,8 @@ def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
     strategy = FeedbackStrategy(times, grid, controls,
                                 bounds=[(cs.lo, cs.hi)] * model.control_dim,
                                 names=model.control_names)
-    return EquilibriumSolution(theta=theta, value=ValueField(times, grid, diag),
+    return EquilibriumSolution(theta=theta,
+                               value=ValueField(times, grid, diag.swapaxes(1, 2)),
                                strategy=strategy, residual=worst)
 
 
@@ -260,8 +261,9 @@ def _residual_levels(model, grid, times, controls):
     """The residual of the equilibrium system, fed one level at a time.
 
     Returns ``level(k, rows)``, to be called for k from the last level
-    down with ``rows`` holding rows 0..min(k, n_t - 2) at level k, after
-    ``controls[k]`` is set; it returns the running maximum.  The
+    down with ``rows`` holding rows 0..min(k, n_t - 2) at level k,
+    regime-major (n_rows, m, n_x), after ``controls[k]`` is set; it
+    returns the running maximum.  The
     residual of every row and interior node at the pair (k, k+1)
     couples the forward time difference with the average of the
     Hamiltonian at the two levels, evaluated along the strategy.  Rows
@@ -279,16 +281,18 @@ def _residual_levels(model, grid, times, controls):
     upper = None                     # (rows, Hamiltonian) at level k + 1
 
     def hamiltonian(k, v):
-        """The rows ``v`` (n_rows, n_x, m) at level k: (n_rows, n_x, m)."""
-        vx = d1(v, grid.dx, axis=1)
-        vxx = d2(v, grid.dx, axis=1)
+        """The rows ``v`` (n_rows, m, n_x) at level k: (n_rows, m, n_x)."""
+        vx = d1(v, grid.dx)
+        vxx = d2(v, grid.dx)
         qv = _qv(q_table, v)
         tau = times[:len(v), None]
         s = float(times[k])
-        return np.stack([_hamiltonian(model, tau, s, grid.x, i + 1, v[..., i],
-                                      vx[..., i], vxx[..., i], qv[..., i],
-                                      controls[k, :, i, :])
-                         for i in range(model.m)], axis=-1)
+        out = np.empty(v.shape)
+        for i in range(model.m):
+            out[:, i] = _hamiltonian(model, tau, s, grid.x, i + 1, v[:, i],
+                                     vx[:, i], vxx[:, i], qv[:, i],
+                                     controls[k, :, i, :])
+        return out
 
     def level(k, rows):
         nonlocal worst, upper
@@ -300,7 +304,7 @@ def _residual_levels(model, grid, times, controls):
             v_hi, ham_hi = upper
             dt = times[k + 1] - times[k]
             res = (v_hi[:k + 1] - v) / dt + 0.5 * (ham_hi[:k + 1] + ham)
-            worst = max(worst, float(np.max(np.abs(res[:, interior]))))
+            worst = max(worst, float(np.max(np.abs(res[..., interior]))))
         upper = (v, ham)
         return worst
 
@@ -322,7 +326,7 @@ def residual(model, solution):
                              solution.strategy.values)
     worst = 0.0
     for k in range(len(theta.times) - 1, -1, -1):
-        worst = level(k, theta.values[:, k])
+        worst = level(k, theta.values[:, k].swapaxes(1, 2))
     return worst
 
 

@@ -70,37 +70,37 @@ def node_index(times, s):
     return k
 
 
+def regime_index(i, m):
+    """The 0-based regime axis index of label ``i``; a DomainError that
+    names the label unless it is one of 1..m."""
+    try:
+        ok = 0 < i <= m and i == int(i)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise DomainError(f"regime label {i!r} is not in 1..{m}")
+    return int(i) - 1
+
+
 def d1(values, dx, axis=-1):
     """First derivative, central inside, one-sided second order at edges."""
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float).swapaxes(axis, -1)
     out = np.empty_like(v)
-    sl = _axis_slicer(v.ndim, axis)
-    out[sl(slice(1, -1))] = (v[sl(slice(2, None))] - v[sl(slice(None, -2))]) / (2 * dx)
-    out[sl(0)] = (-3 * v[sl(0)] + 4 * v[sl(1)] - v[sl(2)]) / (2 * dx)
-    out[sl(-1)] = (3 * v[sl(-1)] - 4 * v[sl(-2)] + v[sl(-3)]) / (2 * dx)
-    return out
+    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2 * dx)
+    out[..., 0] = (-3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]) / (2 * dx)
+    out[..., -1] = (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * dx)
+    return out.swapaxes(axis, -1)
 
 
 def d2(values, dx, axis=-1):
     """Second derivative, central inside, one-sided second order at edges."""
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float).swapaxes(axis, -1)
     out = np.empty_like(v)
-    sl = _axis_slicer(v.ndim, axis)
-    out[sl(slice(1, -1))] = (
-        v[sl(slice(2, None))] - 2 * v[sl(slice(1, -1))] + v[sl(slice(None, -2))]
-    ) / dx**2
-    out[sl(0)] = (2 * v[sl(0)] - 5 * v[sl(1)] + 4 * v[sl(2)] - v[sl(3)]) / dx**2
-    out[sl(-1)] = (2 * v[sl(-1)] - 5 * v[sl(-2)] + 4 * v[sl(-3)] - v[sl(-4)]) / dx**2
-    return out
-
-
-def _axis_slicer(ndim, axis):
-    axis = axis % ndim
-    def sl(idx):
-        out = [slice(None)] * ndim
-        out[axis] = idx
-        return tuple(out)
-    return sl
+    out[..., 1:-1] = (v[..., 2:] - 2 * v[..., 1:-1] + v[..., :-2]) / dx**2
+    out[..., 0] = (2 * v[..., 0] - 5 * v[..., 1] + 4 * v[..., 2] - v[..., 3]) / dx**2
+    out[..., -1] = (2 * v[..., -1] - 5 * v[..., -2] + 4 * v[..., -3]
+                    - v[..., -4]) / dx**2
+    return out.swapaxes(axis, -1)
 
 
 def _bracket(nodes, value):
@@ -135,10 +135,11 @@ class ValueField:
 
     def at(self, s, x, i):
         """Bilinear interpolation in (s, x) for regime label i."""
+        col = regime_index(i, self.m)
         k, ws = _bracket(self.times, s)
         x = np.asarray(x, dtype=float)
-        lo = np.interp(x, self.grid.x, self.values[k, :, i - 1])
-        hi = np.interp(x, self.grid.x, self.values[k + 1, :, i - 1])
+        lo = np.interp(x, self.grid.x, self.values[k, :, col])
+        hi = np.interp(x, self.grid.x, self.values[k + 1, :, col])
         return (1 - ws) * lo + ws * hi
 
     def sup_diff(self, other, interior=None):
@@ -208,8 +209,9 @@ class FeedbackStrategy:
         """Control at (s, x-array, regime label i); shape (len(x), control_dim).
 
         ``s`` is one time for every point of x, or an array of one time
-        per point.
+        per point.  A label outside 1..m is a DomainError.
         """
+        col = regime_index(i, self.m)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         s = np.asarray(s, dtype=float)
         times = self.times
@@ -224,8 +226,8 @@ class FeedbackStrategy:
             # a scalar s puts every point in one bracket
             sel = slice(None) if ks.ndim == 0 else ks == k
             for c in range(self.control_dim):
-                lo = np.interp(x[sel], self.grid.x, self.values[k, :, i - 1, c])
-                hi = np.interp(x[sel], self.grid.x, self.values[k + 1, :, i - 1, c])
+                lo = np.interp(x[sel], self.grid.x, self.values[k, :, col, c])
+                hi = np.interp(x[sel], self.grid.x, self.values[k + 1, :, col, c])
                 out[sel, c] = np.clip((1 - ws[sel]) * lo + ws[sel] * hi,
                                       self.bounds[c][0], self.bounds[c][1])
         return out
@@ -296,6 +298,20 @@ def write_csv(path, header, columns):
     stays bounded; each entry carries its separator, and a block's lines
     are the columns' texts summed as object arrays.
     """
+    write_csv_blocks(path, header, [columns])
+
+
+def write_csv_blocks(path, header, blocks):
+    """``write_csv`` of the lines of each column tuple in ``blocks``, one
+    tuple after the other; ``blocks`` may be a generator, so that only
+    one tuple's columns are held at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            _write_lines(fh, columns)
+
+
+def _write_lines(fh, columns):
     columns = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     n_lines = math.prod(shape)
@@ -306,16 +322,14 @@ def write_csv(path, header, columns):
             parts.append((np.broadcast_to(_csv_text(c, end), shape).flat, None))
         else:
             parts.append((np.broadcast_to(c, shape).flat, end))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_lines, CSV_BLOCK):
-            block = slice(start, start + CSV_BLOCK)
-            texts = [flat[block] if end is None else _csv_text(flat[block], end)
-                     for flat, end in parts]
-            lines = texts[0]
-            for text in texts[1:]:
-                lines = lines + text
-            fh.write("".join(lines.tolist()))
+    for start in range(0, n_lines, CSV_BLOCK):
+        block = slice(start, start + CSV_BLOCK)
+        texts = [flat[block] if end is None else _csv_text(flat[block], end)
+                 for flat, end in parts]
+        lines = texts[0]
+        for text in texts[1:]:
+            lines = lines + text
+        fh.write("".join(lines.tolist()))
 
 
 def _csv_text(values, end):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, DomainError, NumericError,
                      ResolutionError)
-from .fields import refuse_oversized
+from .fields import refuse_oversized, regime_index
 from .partition import Partition
 from .sde import ControlledDynamics, simulate_ensemble
 
@@ -90,6 +90,7 @@ class PhiSolution:
     (n(n+1)/2, m) array is half the dense (n, n, m) triangle.  ``row(j)``
     copies one row out; ``eq`` builds the dense triangle anew on each
     access.  Both are NaN where a row is undefined (s < tau_j).
+    ``csv_rows`` hands out the long-format table row by row.
     """
 
     times: np.ndarray
@@ -105,6 +106,18 @@ class PhiSolution:
         out[j:] = self.levels[k * (k + 1) // 2 + j]
         return out
 
+    def csv_rows(self):
+        """The (tau, s, i, phi) columns of the long-format table, one
+        tuple per row tau_j, in (tau, s, i) order: the dense triangle's
+        entries that are not NaN, with no dense array formed.  A tuple
+        holds one row's arrays only (``phi_bytes(n, m, csv=True)``)."""
+        times = self.times
+        n = len(times)
+        labels = np.arange(1, self.levels.shape[1] + 1)
+        for j in range(n):
+            k = np.arange(j, n)
+            yield times[j], times[j:, None], labels, self.levels[k * (k + 1) // 2 + j]
+
     @property
     def eq(self):
         """The dense (n, n, m) triangle phi[tau_j, s_k, .], NaN for k < j."""
@@ -114,6 +127,13 @@ class PhiSolution:
             at = k * (k + 1) // 2
             out[:k + 1, k] = self.levels[at:at + k + 1]
         return out
+
+
+def phi_bytes(n, m, csv=False):
+    """Bytes of the packed phi triangle on n times and m regimes; with
+    ``csv``, plus the largest row tuple of ``PhiSolution.csv_rows`` (its
+    values and four n-long index temporaries)."""
+    return 8 * (n * (n + 1) // 2) * m + (8 * n * (m + 4) if csv else 0)
 
 
 def _rk4_stages(s_hi, s_lo):
@@ -240,7 +260,7 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
     times = np.asarray(times, dtype=float)
     n = len(times)
     size = n * (n + 1) // 2
-    refuse_oversized(8 * size * spec.m,
+    refuse_oversized(phi_bytes(n, spec.m),
                      f"the equilibrium phi triangle (n_t={n}, m={spec.m})")
     A = spec.drift_gain()
     gam = spec.gamma
@@ -504,17 +524,12 @@ def strategies(spec, phi_ss, s, x, i, g_weight=None):
     """
     if x <= 0:
         raise DomainError("wealth must be positive")
-    if not 0 < i <= spec.m:
-        raise DomainError(_label_message(i, spec.m))
+    col = regime_index(i, spec.m)
     if g_weight is None:
         g_weight = float(spec.g(s, s))
-    u = spec.investment_fraction()[i - 1] * x
+    u = spec.investment_fraction()[col] * x
     c = (g_weight / phi_ss) ** (1 / (1 - spec.gamma)) * x
     return u, c
-
-
-def _label_message(i, m):
-    return f"regime label {i!r} is not in 1..{m}"
 
 
 def _spline_feedback(spec, times, phi, weight):
@@ -534,15 +549,14 @@ def _spline_feedback(spec, times, phi, weight):
     m = spec.m
 
     def policy(s, x, i):
-        if not 0 < i <= m:
-            raise DomainError(_label_message(i, m))
+        col = regime_index(i, m)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         w = np.asarray(weight(s_arr), dtype=float)
-        sp = splines[i - 1]
+        sp = splines[col]
         phi_s = sp.at(s) if isinstance(s, float) else sp(s_arr)
         out = np.empty((x.shape[0], 2))
-        out[:, 0] = frac[i - 1] * x
+        out[:, 0] = frac[col] * x
         out[:, 1] = (w / phi_s) ** p_c * x
         return out
 

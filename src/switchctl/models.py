@@ -229,13 +229,15 @@ def merton_model(spec, x_domain=(0.5, 2.5)):
         pp_eff = np.maximum(pp, 1e-8)
         u_raw = -spec.b[i - 1] * p_eff / (spec.sigma[i - 1] ** 2 * pp_eff)
         c_raw = (gam * float(spec.g(tau, s)) / (-p_eff)) ** (1 / (1 - gam))
-        u = np.clip(u_raw, -100.0, 100.0)
-        c = np.clip(c_raw, 0.0, 100.0)
-        fired = int(np.sum(p_eff != p) + np.sum(pp_eff != pp)
-                    + np.sum(u != u_raw) + np.sum(c != c_raw))
+        out = np.empty((len(u_raw), 2))
+        # np.clip's values, in two ufunc calls without its wrapper
+        u = np.minimum(np.maximum(u_raw, -100.0), 100.0, out=out[:, 0])
+        c = np.clip(c_raw, 0.0, 100.0, out=out[:, 1])
+        fired = (np.count_nonzero(p_eff != p) + np.count_nonzero(pp_eff != pp)
+                 + np.count_nonzero(u != u_raw) + np.count_nonzero(c != c_raw))
         if fired and model is not None:
             model.psi_clamp_count += fired
-        return np.stack([u, c], axis=1)
+        return out
 
     def g(tau, s, x, i, y, z, qv, u):
         c = np.maximum(u[:, 1], 0.0)

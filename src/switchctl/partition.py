@@ -108,15 +108,15 @@ def run_cycles(model, partition, grid, times, boundary=None):
     kidx = partition.knot_indices(times)
     anchors = partition.knots[:-1]
     n_rows = partition.n_players
-    rows = np.empty((n_rows, len(times), grid.n_x, model.m))
+    rows = np.empty((n_rows, len(times), model.m, grid.n_x))  # regime-major
     for j, tau in enumerate(anchors):
-        rows[j, -1] = model.terminal_values(float(tau), grid)
+        rows[j, -1] = model.terminal_values(float(tau), grid).T
     problem = model.hjb_problem(0.0, grid)
-    controls = np.empty(rows.shape[1:] + (model.control_dim,))
+    controls = np.empty((len(times), grid.n_x, model.m, model.control_dim))
 
     def minimizer(r, k):
         problem.anchor = float(anchors[r])
-        return pde.controls_on_grid(problem, float(times[k]), rows[r, k])
+        return pde.controls_on_grid(problem, float(times[k]), rows[r, k].T)
 
     def step_controls(k):
         r = int(np.searchsorted(kidx, k)) - 1      # the owner of the step
@@ -139,11 +139,14 @@ def run_cycles(model, partition, grid, times, boundary=None):
     strategy = FeedbackStrategy(times, grid, controls,
                                 bounds=[(cs.lo, cs.hi)] * model.control_dim,
                                 names=model.control_names)
+    # the fields are (n_t, n_x, m) views of the regime-major rows
+    fields = rows.swapaxes(2, 3)
     return PiSolution(
         partition=partition, times=times, grid=grid,
-        value=ValueField(times, grid, rows[owner, np.arange(len(times))]),
+        value=ValueField(times, grid, fields[owner, np.arange(len(times))]),
         strategy=strategy, knot_idx=kidx,
-        theta_blocks={j + 1: ValueField(times[kidx[j]:], grid, rows[j, kidx[j]:])
+        theta_blocks={j + 1: ValueField(times[kidx[j]:], grid,
+                                        fields[j, kidx[j]:])
                       for j in range(n_rows)})
 
 

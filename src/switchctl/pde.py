@@ -19,7 +19,12 @@ data.  The row axis is the vectorized one: a step makes one LAPACK
 factorization of the m regimes' banded matrices, stacked
 block-diagonally, and two back-substitutions (predictor, corrector) with
 all R rows as right-hand sides, and the source calls g once per regime
-for all rows.  solve_linear_parabolic marches one row under prescribed
+for all rows.  The march holds its rows regime-major, (R, m, n_x): each
+row is already the column-major right-hand side (m*n_x,) of LAPACK's
+``dgbtrs``, so ``rhs.reshape(R, -1).T`` hands it the R rows with no
+copy, and every regime's values lie in one contiguous run of n_x.
+Fields handed out (ValueField, TwoTimeField) stay (n_t, n_x, m), as
+transposed views of the march's levels where they can.  solve_linear_parabolic marches one row under prescribed
 coefficients.  Every controlled solve goes through the one backward
 march, solve_rows_batch, which freezes the controls a caller's callback
 returns at each level: solve_representation passes the node values of a
@@ -87,7 +92,7 @@ class LinearPDEProblem:
     grid: object
     m: int
     q_table: np.ndarray = None  # (n_x, m, m) generator on the grid
-    source: callable = None     # source(s, x, i, v_i, vx_i, qv_i) -> (n_x,)
+    source: callable = None     # source(s, x, i, v_i, vx_i, qv_i), pointwise in x
     terminal: np.ndarray = None         # (n_x, m)
     dirichlet: callable = None          # dirichlet(times) -> (n_t, m, 2) edges
 
@@ -139,45 +144,64 @@ def _check_stability(q_table, times):
 
 
 def _qv(q_table, v):
-    """[Q(x) v(x, .)]_i on the grid; ``v`` is (..., n_x, m).
+    """[Q(x) v(x, .)]_i on the grid; ``v`` is regime-major, (..., m, n_x),
+    and ``q_table`` is (n_x, m, m).
 
     The sum over j runs in order from zero, one whole-array product per
-    j: for m <= 2 that is the one rounding of the exact sum, the value
-    np.einsum gives, at a fraction of its cost on a batch of rows.
+    j that adds regime row j: for m <= 2 that is the one rounding of the
+    exact sum, the value np.einsum gives, at a fraction of its cost on a
+    batch of rows.
     """
     out = np.zeros(v.shape)
     if q_table is not None:
-        for j in range(v.shape[-1]):
-            out += q_table[:, :, j] * v[..., j, None]
+        # [j, i, x] = Q(x)_ij, copied so that each product reads rows
+        q_ji = np.ascontiguousarray(q_table.transpose(2, 1, 0))
+        for j in range(v.shape[-2]):
+            out += q_ji[j] * v[..., j, None, :]
     return out
 
 
 def _implicit_bands(a, beta, dt, dx, bc):
     """I - dt/2 (a D2 + beta D1) with BC rows, for all regimes at once.
 
-    ``a`` and ``beta`` are (n_x, m).  The m (2,2)-banded matrices sit
+    ``a`` and ``beta`` are (m, n_x).  The m (2,2)-banded matrices sit
     block-diagonally in one (7, m*n_x) Fortran-ordered array in LAPACK's
     gbtrf layout: A[j, j+d] in row 4 - d, rows 0-1 free for the fill-in
-    of pivoting.  The entries coupling two blocks are zero.
+    of pivoting.  The entries coupling two blocks are zero.  The edge
+    rows come from a copy of ``_boundary_bands``; only the interior rows
+    j = 1..n_x-2 are formed here.
     """
-    n_x, m = a.shape
-    a, beta = a.T, beta.T
-    ab = np.zeros((m, n_x, 7))          # memory order of the (7, m*n_x) array
-    ab[:, :, 4] = 1.0 + dt * a / dx**2
-    ab[:, 1:, 3] = (-0.5 * dt * (a / dx**2 + beta / (2 * dx)))[:, :-1]  # A[j, j+1]
-    ab[:, :-1, 5] = (-0.5 * dt * (a / dx**2 - beta / (2 * dx)))[:, 1:]  # A[j, j-1]
-    # boundary rows: identity (Dirichlet) or a vanishing second difference
-    extrapolate = [edge == BC_EXTRAPOLATE for edge in bc]
-    ab[:, [0, -1], 4] = 1.0
-    ab[:, 1, 3], ab[:, 2, 2] = (-2.0, 1.0) if extrapolate[0] else (0.0, 0.0)
-    ab[:, -2, 5], ab[:, -3, 6] = (-2.0, 1.0) if extrapolate[1] else (0.0, 0.0)
+    m, n_x = a.shape
+    ab = _boundary_bands(m, n_x, tuple(bc)).copy()
+    a, beta = a[:, 1:-1], beta[:, 1:-1]
+    a_dx2, beta_dx = a / dx**2, beta / (2 * dx)
+    ab[:, 1:-1, 4] = 1.0 + dt * a / dx**2                    # A[j, j]
+    ab[:, 2:, 3] = -0.5 * dt * (a_dx2 + beta_dx)            # A[j, j+1]
+    ab[:, :-2, 5] = -0.5 * dt * (a_dx2 - beta_dx)           # A[j, j-1]
     return ab.reshape(m * n_x, 7).T
 
 
+@cache
+def _boundary_bands(m, n_x, bc):
+    """The (m, n_x, 7) memory of ``_implicit_bands``' array with only its
+    edge rows set: identity (Dirichlet) or a vanishing second
+    difference.  Read-only; each step copies it."""
+    ab = np.zeros((m, n_x, 7))          # memory order of the (7, m*n_x) array
+    ab[:, 0, 4] = ab[:, -1, 4] = 1.0
+    if bc[0] == BC_EXTRAPOLATE:
+        ab[:, 1, 3], ab[:, 2, 2] = -2.0, 1.0                # A[0, 1], A[0, 2]
+    if bc[1] == BC_EXTRAPOLATE:
+        ab[:, -2, 5], ab[:, -3, 6] = -2.0, 1.0              # A[-1, -2], A[-1, -3]
+    ab.flags.writeable = False
+    return ab
+
+
 def _by_regime(m, x, fn):
-    """(n_x, m) stack of ``fn(lab)`` for the labels 1..m, broadcast along x."""
-    return np.stack([np.broadcast_to(fn(i + 1), x.shape) for i in range(m)],
-                    axis=1)
+    """(m, n_x) stack of ``fn(lab)`` for the labels 1..m, broadcast along x."""
+    out = np.empty((m, len(x)))
+    for i in range(m):
+        out[i] = fn(i + 1)
+    return out
 
 
 def _edges(grid, fns, times, m):
@@ -232,24 +256,33 @@ def _lapack():
 def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
     """One backward step s_hi -> s_lo of the predictor/corrector scheme.
 
-    ``v_next`` is (R, n_x, m); the rows share ``a`` and ``beta`` ((n_x, m)
-    at the mid time) and differ in ``sources(s, v, qv)`` -> (R, n_x, m)
-    and in ``edges``, their (R, m, 2) Dirichlet data at s_lo.  The m
-    regimes' banded matrices, stacked block-diagonally, take one LAPACK
-    factorization (dgbtrf) per step and two back-substitutions (dgbtrs),
-    predictor and corrector, with the R rows as right-hand sides.
-    Partial pivoting never leaves a block, so each regime's solution is
-    the one of its own matrix.
+    ``v_next`` is regime-major, (R, m, n_x), and so is the result; the
+    rows share ``a`` and ``beta`` ((m, n_x) at the mid time) and differ
+    in their sources and in ``edges``, their (R, m, 2) Dirichlet data at
+    s_lo.  The explicit regime coupling and source enter the interior
+    rows of the system only (the edge rows carry the boundary
+    condition), so both are formed on the interior nodes alone:
+    ``sources(s, v, qv, vx)`` is given the rows, their coupling and their
+    central-difference x-derivative there, each (R, m, n_x - 2), and
+    returns the source there.  The predictor's derivative is the
+    explicit stencil's own gradient.
+    The m regimes' banded matrices, stacked block-diagonally, take one
+    LAPACK factorization (dgbtrf) per step and two back-substitutions
+    (dgbtrs), predictor and corrector, with the R rows as right-hand
+    sides: the C-ordered (R, m, n_x) right-hand sides are the
+    Fortran-ordered (m*n_x, R) ones dgbtrs reads, as a free view, and
+    its result reads back the same way.  Partial pivoting never leaves a
+    block, so each regime's solution is the one of its own matrix.
     """
     dt = s_hi - s_lo
     dx = grid.dx
-    n_rows, n_x, m = v_next.shape
-    lap = (v_next[:, 2:] - 2 * v_next[:, 1:-1] + v_next[:, :-2]) / dx**2
-    grad = (v_next[:, 2:] - v_next[:, :-2]) / (2 * dx)
+    n_rows = len(v_next)
+    lap = (v_next[..., 2:] - 2 * v_next[..., 1:-1] + v_next[..., :-2]) / dx**2
+    grad = (v_next[..., 2:] - v_next[..., :-2]) / (2 * dx)
     expl = v_next.copy()
-    expl[:, 1:-1] += 0.5 * dt * (a[1:-1] * lap + beta[1:-1] * grad)
+    expl[..., 1:-1] += 0.5 * dt * (a[:, 1:-1] * lap + beta[:, 1:-1] * grad)
     for edge, j in ((0, 0), (1, -1)):
-        expl[:, j] = 0.0 if grid.bc[edge] == BC_EXTRAPOLATE else edges[:, :, edge]
+        expl[..., j] = 0.0 if grid.bc[edge] == BC_EXTRAPOLATE else edges[..., edge]
     # bound on first use: `import switchctl` and the Monte Carlo paths never
     # load scipy, and no run loads the scipy.linalg package
     dgbtrf, dgbtrs = _lapack()
@@ -261,20 +294,19 @@ def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
 
     def solve(expl_extra):
         rhs = expl.copy()
-        rhs[:, 1:-1] += dt * expl_extra[:, 1:-1]
-        # (R, n_x, m) -> the Fortran-ordered (m*n_x, R) right-hand sides
-        rhs = np.ascontiguousarray(rhs.transpose(0, 2, 1)).reshape(n_rows, -1).T
-        out = dgbtrs(lu, 2, 2, rhs, piv, overwrite_b=1)[0]
-        return np.ascontiguousarray(
-            out.T.reshape(n_rows, m, n_x).transpose(0, 2, 1))
+        rhs[..., 1:-1] += dt * expl_extra
+        out = dgbtrs(lu, 2, 2, rhs.reshape(n_rows, -1).T, piv, overwrite_b=1)[0]
+        return out.T.reshape(expl.shape)
 
-    qv1 = _qv(q_table, v_next)
-    src1 = sources(s_hi, v_next, qv1)
+    q_inner = None if q_table is None else q_table[1:-1]
+    qv1 = _qv(q_inner, v_next[..., 1:-1])
+    src1 = sources(s_hi, v_next[..., 1:-1], qv1, grad)
     v_pred = solve(qv1 + src1)
-    qv2 = _qv(q_table, v_pred)
-    src2 = sources(s_lo, v_pred, qv2)
+    qv2 = _qv(q_inner, v_pred[..., 1:-1])
+    src2 = sources(s_lo, v_pred[..., 1:-1], qv2,
+                   (v_pred[..., 2:] - v_pred[..., :-2]) / (2 * dx))
     v_new = solve(0.5 * (qv1 + qv2) + 0.5 * (src1 + src2))
-    if not np.all(np.isfinite(v_new)):
+    if not np.isfinite(v_new).all():
         raise NumericError(f"backward step produced non-finite values at "
                            f"s={s_lo:g}")
     return v_new
@@ -287,17 +319,16 @@ def solve_linear_parabolic(problem, times):
     grid = problem.grid
     x = grid.x
     m = problem.m
-    values = np.empty((len(times), grid.n_x, m))
+    values = np.empty((len(times), m, grid.n_x))      # regime-major levels
     if problem.terminal is None:
         raise ConfigError("linear problem needs terminal data")
-    values[-1] = problem.terminal
+    values[-1] = np.asarray(problem.terminal, dtype=float).T
 
-    def sources(s, v, qv):
+    def sources(s, v, qv, vx):
         if problem.source is None:
             return np.zeros_like(v)
-        vx = d1(v[0], grid.dx, axis=0)
-        return _by_regime(m, x, lambda lab: problem.source(
-            s, x, lab, v[0, :, lab - 1], vx[:, lab - 1], qv[0, :, lab - 1]))[None]
+        return _by_regime(m, x[1:-1], lambda lab: problem.source(
+            s, x[1:-1], lab, v[0, lab - 1], vx[0, lab - 1], qv[0, lab - 1]))[None]
 
     edges = _edges(grid, [problem.dirichlet], times, m)
     for k in range(len(times) - 2, -1, -1):
@@ -307,7 +338,7 @@ def solve_linear_parabolic(problem, times):
                    for fn in (problem.a, problem.beta))
         values[k] = _step(values[k + 1][None], s_lo, s_hi, grid, a, beta,
                           problem.q_table, sources, edges[:, k])[0]
-    return ValueField(times, grid, values)
+    return ValueField(times, grid, values.swapaxes(1, 2))
 
 
 def _pointwise(name, out, shape):
@@ -344,28 +375,31 @@ def controls_on_grid(problem, s, v_all):
     a deterministic grid search over the (possibly clamped) control set,
     ties broken toward the smallest control.  The search evaluates one
     regime's Hamiltonian on all n_u x n_x (control, node) pairs at once.
+    ``v_all`` is (n_x, m); the derivatives are taken on its regime rows,
+    ``v_all.T``, which the march hands in contiguous.
     """
     grid = problem.grid
     x = grid.x
     n_x = grid.n_x
     out = np.empty((n_x, problem.m, problem.control_dim))
-    p_all = d1(v_all, grid.dx, axis=0)
-    pp_all = d2(v_all, grid.dx, axis=0)
+    v_rows = np.asarray(v_all, dtype=float).T        # (m, n_x)
+    p_rows = d1(v_rows, grid.dx)
+    pp_rows = d2(v_rows, grid.dx)
     if problem.psi is not None:
         for i in range(problem.m):
             u = np.asarray(problem.psi(problem.anchor, s, x, i + 1, v_all,
-                                       p_all[:, i], pp_all[:, i]), dtype=float)
+                                       p_rows[i], pp_rows[i]), dtype=float)
             out[:, i, :] = u[:, None] if u.ndim == 1 else u
         return out
-    qv = _qv(problem.q_table, v_all)
+    qv = _qv(problem.q_table, v_rows)
     grid_u, clamped = problem.control_set.search_grid()
     n_u = len(grid_u)
     x_stack = np.tile(x, n_u)
     u_stack = np.repeat(grid_u, n_x)[:, None]
     for i in range(problem.m):
         ham = _hamiltonian(problem, problem.anchor, s, x_stack, i + 1,
-                           np.tile(v_all[:, i], n_u), np.tile(p_all[:, i], n_u),
-                           np.tile(pp_all[:, i], n_u), np.tile(qv[:, i], n_u),
+                           np.tile(v_rows[i], n_u), np.tile(p_rows[i], n_u),
+                           np.tile(pp_rows[i], n_u), np.tile(qv[i], n_u),
                            u_stack)
         # first occurrence of the minimum = smallest control on ties
         best_idx = np.argmin(ham.reshape(n_u, n_x), axis=0)
@@ -388,18 +422,17 @@ def solve_hjb(problem, times):
     if problem.terminal is None:
         raise ConfigError("HJB problem needs terminal data")
     grid = problem.grid
-    values = np.empty((len(times), grid.n_x, problem.m))
-    values[-1] = problem.terminal
-    controls = np.empty(values.shape + (problem.control_dim,))
+    rows = _one_row(problem, times)
+    controls = np.empty((len(times), grid.n_x, problem.m, problem.control_dim))
 
     def minimizer(k):
-        controls[k] = controls_on_grid(problem, times[k], values[k])
+        controls[k] = controls_on_grid(problem, times[k], rows[0, k].T)
         return controls[k]
 
-    solve_rows_batch(problem, times, minimizer, [problem.anchor], values[None],
+    solve_rows_batch(problem, times, minimizer, [problem.anchor], rows,
                      [problem.dirichlet])
     minimizer(0)
-    value = ValueField(times, grid, values)
+    value = ValueField(times, grid, rows[0].swapaxes(1, 2))
     cs = problem.control_set
     bounds = [(cs.lo, cs.hi)] * problem.control_dim if cs is not None else None
     strategy = FeedbackStrategy(times, grid, controls, bounds=bounds,
@@ -436,24 +469,40 @@ def solve_representation(problem, times, strategy):
     if problem.terminal is None:
         raise ConfigError("representation problem needs terminal data")
     grid = problem.grid
-    m = problem.m
-    values = np.empty((len(times), grid.n_x, m))
-    values[-1] = problem.terminal
+    rows = _one_row(problem, times)
     solve_rows_batch(
         problem, times,
-        lambda k: _strategy_nodes(strategy, times[k], grid, m,
+        lambda k: _strategy_nodes(strategy, times[k], grid, problem.m,
                                   problem.control_dim),
-        [problem.anchor], values[None], [problem.dirichlet])
-    return ValueField(times, grid, values)
+        [problem.anchor], rows, [problem.dirichlet])
+    return ValueField(times, grid, rows[0].swapaxes(1, 2))
+
+
+def _one_row(problem, times):
+    """A one-row level buffer (1, n_t, m, n_x) holding the problem's
+    terminal data at its last level."""
+    rows = np.empty((1, len(times), problem.m, problem.grid.n_x))
+    rows[0, -1] = np.asarray(problem.terminal, dtype=float).T
+    return rows
+
+
+def _rows(idx):
+    """Row indices as a slice when they run consecutively, so that a step
+    reads and writes views of the level buffer; an index array otherwise."""
+    idx = np.asarray(idx, dtype=np.int64)
+    n = len(idx)
+    if n and idx[-1] - idx[0] == n - 1 and (n < 3 or np.all(idx[1:] > idx[:-1])):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def solve_rows_batch(problem, times, controls, anchors, rows,
                      dirichlet_fns=None, active_from=None):
     """The backward march: a batch of anchor rows under per-level controls.
 
-    ``rows`` is a caller-owned (R, L, n_x, m) level buffer: level k of
-    row r lives at ``rows[r, k % L]``, and the march steps it down in
-    place from each row's terminal data at level n_t - 1.  L = n_t keeps
+    ``rows`` is a caller-owned, regime-major (R, L, m, n_x) level buffer:
+    level k of row r lives at ``rows[r, k % L]``, and the march steps it
+    down in place from each row's terminal data at level n_t - 1.  L = n_t keeps
     every level (terminal data at ``[:, -1]``); L = 2 keeps the level a
     step reads and the one it writes.  The rows share the coefficients
     and differ only in the anchor entering g, the terminal data and
@@ -467,10 +516,14 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
     ``(row indices, controls)`` groups that split the active rows, one
     step each.  It is called once per level that some row steps from,
     after every row holds level k, so it may read the rows (and, with
-    L >= 2, level k + 1 too).  Each step factorizes the regimes' stacked
-    banded matrices once and solves its rows as the right-hand sides;
-    the source calls g once per regime and stage for all of them, with
-    their anchors as an (R, 1) column (see HJBProblem).
+    L >= 2, level k + 1 too); ``rows[r, k].T`` is the (n_x, m) level that
+    controls_on_grid reads.  Each step factorizes the regimes' stacked
+    banded matrices once and solves its rows as the right-hand sides; a
+    group of consecutive rows is stepped as a slice of the buffer.  The
+    coefficients b and sigma are evaluated once per group and time as
+    (m, n_x) stacks, and the source calls g once per regime and stage
+    for all rows, with their anchors as an (R, 1) column (see
+    HJBProblem).
     """
     times = np.asarray(times, dtype=float)
     _check_stability(problem.q_table, times)
@@ -483,6 +536,7 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
     edges = _edges(grid, [None] * len(anchors) if dirichlet_fns is None
                    else dirichlet_fns, times, m)
     n_levels = rows.shape[1]
+    n_inner = grid.n_x - 2
 
     def frozen(fn, s, u):
         return _by_regime(m, x, lambda lab: fn(s, x, lab, u[:, lab - 1]))
@@ -499,16 +553,21 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
         for idx, u_star in groups:
             if len(idx) == 0:
                 continue
-            tau = anchors[idx, None]
+            sel = _rows(idx)
+            tau = anchors[sel, None]
             a = 0.5 * frozen(problem.sigma, s_mid, u_star)**2
             beta = frozen(problem.b, s_mid, u_star)
 
-            def sources(s, v, qv):
-                z = d1(v, grid.dx, axis=1) * frozen(problem.sigma, s, u_star)
-                return np.stack([_pointwise("g", problem.g(
-                    tau, s, x, i + 1, v[..., i], z[..., i], qv[..., i],
-                    u_star[:, i]), v.shape[:2]) for i in range(m)], axis=-1)
+            def sources(s, v, qv, vx):
+                """g on the interior nodes, where the step reads it."""
+                z = vx * frozen(problem.sigma, s, u_star)[:, 1:-1]
+                out = np.empty(v.shape)
+                for i in range(m):
+                    out[:, i] = _pointwise("g", problem.g(
+                        tau, s, x[1:-1], i + 1, v[:, i], z[:, i], qv[:, i],
+                        u_star[1:-1, i]), (len(v), n_inner))
+                return out
 
-            rows[idx, (k - 1) % n_levels] = _step(
-                rows[idx, k % n_levels], s_lo, s_hi, grid, a, beta,
-                problem.q_table, sources, edges[idx, k - 1])
+            rows[sel, (k - 1) % n_levels] = _step(
+                rows[sel, k % n_levels], s_lo, s_hi, grid, a, beta,
+                problem.q_table, sources, edges[sel, k - 1])

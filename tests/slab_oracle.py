@@ -92,7 +92,8 @@ def _solve_with_slab(model, grid, times, tol, max_sweeps, slab, boundary, log):
         # tails of this slab's rows, solved once against the frozen strategy
         if b_idx < n_t - 1:
             solve_rows_batch(template, times[b_idx:], strategy_nodes(b_idx),
-                             anchors, block[:, b_idx:], dirichlet_fns)
+                             anchors, block[:, b_idx:].swapaxes(2, 3),
+                             dirichlet_fns)
         active_from = rows - a_idx
         sweep = 0
         prev_change = np.inf
@@ -100,7 +101,8 @@ def _solve_with_slab(model, grid, times, tol, max_sweeps, slab, boundary, log):
             sweep += 1
             solve_rows_batch(template, times[a_idx:b_idx + 1],
                              strategy_nodes(a_idx), anchors,
-                             block[:, a_idx:b_idx + 1], dirichlet_fns,
+                             block[:, a_idx:b_idx + 1].swapaxes(2, 3),
+                             dirichlet_fns,
                              active_from=active_from)
             new_diag = theta.values[rows, rows]
             change = float(np.max(np.abs(new_diag - diag[a_idx:b_idx])))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -509,6 +510,26 @@ def test_oversized_phi_triangle_exit_code_2(tmp_path, capsys, monkeypatch):
         assert not (out / artifact).exists(), sub
 
 
+def test_merton_eq_refusal_counts_the_phi_csv_rows(tmp_path, capsys,
+                                                  monkeypatch):
+    # the merton run's eq variant also writes phi.csv row by row: with
+    # room for the packed triangle but not for it and one row's arrays,
+    # the run is refused before the march
+    from switchctl import fields, merton
+    packed = 8 * 65 * 66 // 2 * 2
+    need = merton.phi_bytes(65, 2, csv=True)
+    assert need == packed + 8 * 65 * (2 + 4)
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: 2 * need - 2)
+    code, out = run_cli(tmp_path, "short", EQ_CFG, ("merton",))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert str(need) in err["message"] and str(packed) in err["message"]
+    assert not (out / "phi.csv").exists()
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: 2 * need)
+    code, out = run_cli(tmp_path, "room", EQ_CFG, ("merton",))
+    assert code == 0 and (out / "phi.csv").exists()
+
+
 def test_equilibrium_memory_stays_off_the_triangle(tmp_path, capsys):
     # merton-ti at n_x 61, n_t 192, where the n_t^2 triangle alone would
     # take 36 MB: the CLI keeps no two-time row, and its traced peak
@@ -705,3 +726,59 @@ def test_cli_keeps_freed_heap_for_the_grid_search():
         controls_on_grid(problem, 0.5, v)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 20 * 20, faults
+
+
+PDE_PIN_MERTON_CFG = """
+[model]
+preset = merton-ti
+[grid]
+n_x = 25
+n_t = 24
+[solver]
+partitions = 2, 4
+[run]
+seed = 3
+"""
+
+PDE_PIN_TOY_CFG = """
+[model]
+preset = toy-lq
+[grid]
+n_x = 21
+n_t = 32
+[solver]
+tol = 1e-10
+epsilons = 0.125, 0.0625
+spike_anchor = 0.25
+[run]
+seed = 3
+"""
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("sub, cfg_text, pins", [
+    ("partition-solve", PDE_PIN_MERTON_CFG, {
+        "value.csv":
+            "8cf9dcc629ddfd071144a2ae5ace0e2e2b48ef6f81f764a12f5b0fcdea2f32aa",
+        "strategy.csv":
+            "28f76e962089bbe2aef4bb7ecf832eb4d30d18d40179beb21cc4efaba587a433"}),
+    ("equilibrium", PDE_PIN_MERTON_CFG, {
+        "value.csv":
+            "c84b5f965ddd8254fdc55fcbee3ee12b4d9c88f474764fce676ca2cf1b9f6182",
+        "strategy.csv":
+            "68e813915f0acea11b6713b0d7cc8abc2265f2b02ad079b1ecb7f53cf8ca142d"}),
+    ("verify", PDE_PIN_TOY_CFG, {
+        "gain.csv":
+            "e478451bf3a1c32c0722db2487b3ccf80ad1ebd2ce3e65f9d7572784efd9d616"}),
+])
+def test_pde_subcommands_pinned_bitwise(tmp_path, capsys, sub, cfg_text, pins):
+    # recorded with the march's rows stored (R, n_x, m) (x86-64, numpy
+    # 2.4.6, scipy 1.17.1): merton-ti marches with the phi Dirichlet
+    # edges and the analytic minimizer, toy-lq with extrapolated edges
+    # and the grid search
+    code, out = run_cli(tmp_path, "pin", cfg_text, (sub,))
+    assert code == 0
+    assert {name: _sha256(out / name) for name in pins} == pins

@@ -478,8 +478,8 @@ def test_g_not_broadcasting_over_anchor_rows_rejected(toy_ti):
     bad = replace(toy_ti, g=lambda tau, s, x, i, y, z, qv, u:
                   np.zeros(len(x) + 1))
     problem = bad.hjb_problem(0.0, grid)
-    rows = np.empty((3, len(times), grid.n_x, bad.m))
-    rows[:, -1] = problem.terminal
+    rows = np.empty((3, len(times), bad.m, grid.n_x))
+    rows[:, -1] = problem.terminal.T
     with pytest.raises(ConfigError, match="callable g") as err:
         solve_rows_batch(problem, times, sol.strategy.node_values,
                          times[:3], rows)

@@ -183,6 +183,37 @@ def test_strategy_at_times_matches_scalar_calls():
         assert np.allclose(batch[k], single[0], atol=1e-14)
 
 
+@pytest.fixture(scope="module")
+def toy_lq_solution():
+    from switchctl.equilibrium import solve_equilibrium
+    from switchctl.models import MODEL_PRESETS
+    model = MODEL_PRESETS["toy-lq"]()
+    grid = model.default_grid(11)
+    return solve_equilibrium(model, grid, time_grid(0, 1, 8))
+
+
+@pytest.mark.parametrize("label", [0, -1, 3])
+def test_value_field_rejects_unknown_regime_label(toy_lq_solution, label):
+    # label 0 once answered for regime m, and 3 raised a bare IndexError
+    value = toy_lq_solution.value
+    assert value.m == 2
+    with pytest.raises(DomainError, match=f"regime label {label} ") as info:
+        value.at(0.3, np.array([0.0, 0.5]), label)
+    assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize("label", [0, -1, 3])
+def test_feedback_strategy_rejects_unknown_regime_label(toy_lq_solution, label):
+    # label 0 once answered for regime m, -1 for regime 1, and 3 raised
+    # a bare IndexError
+    strategy = toy_lq_solution.strategy
+    assert strategy.m == 2
+    for s in (0.3, np.array([0.3, 0.6])):
+        with pytest.raises(DomainError, match=f"regime label {label} ") as info:
+            strategy(s, np.array([0.0, 0.5]), label)
+        assert info.value.exit_code == 2
+
+
 def test_two_time_field_rows_and_diagonal():
     grid = SpatialGrid(-1, 1, 5)
     times = time_grid(0, 1, 3)

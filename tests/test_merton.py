@@ -470,6 +470,53 @@ def test_oversized_phi_triangle_refused_before_allocation(monkeypatch):
     assert solve_equilibrium_ode(spec, times).levels.nbytes == need
 
 
+PHI_HEADER = ("tau", "s", "i", "phi")
+
+
+def _dense_phi_csv(path, sol):
+    """phi.csv as written from the dense NaN-padded triangle."""
+    from switchctl.fields import write_csv
+    times, eq = sol.times, sol.eq
+    a, k, i = np.nonzero(~np.isnan(eq))
+    write_csv(path, PHI_HEADER, (times[a], times[k], i + 1, eq[a, k, i]))
+
+
+def test_phi_csv_rows_equal_the_dense_table(tmp_path):
+    from switchctl.cli import main
+    from switchctl.fields import write_csv_blocks
+    sol = solve_equilibrium_ode(hyperbolic_spec(), time_grid(0.0, 1.0, 48),
+                                tol=1e-12)
+    _dense_phi_csv(tmp_path / "dense.csv", sol)
+    write_csv_blocks(tmp_path / "rows.csv", PHI_HEADER, sol.csv_rows())
+    want = (tmp_path / "dense.csv").read_bytes()
+    assert want.count(b"\n") == 1 + 49 * 50 // 2 * 2
+    assert (tmp_path / "rows.csv").read_bytes() == want
+    # the CLI merton run's eq variant writes the same bytes
+    cfg = tmp_path / "eq.ini"
+    cfg.write_text("[model]\npreset = merton-ti\n[grid]\nn_t = 48\n"
+                   "[solver]\nvariant = eq\ntol = 1e-12\n")
+    assert main(["merton", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "phi.csv").read_bytes() == want
+
+
+def test_phi_csv_writer_holds_no_dense_triangle(tmp_path):
+    # the dense (n, n, m) triangle at n_t 400 takes 2.57 MB; the row
+    # writer holds one row's arrays and one block of text at a time
+    # (a 0.15 MB peak, against 11.8 MB writing from the triangle)
+    import tracemalloc
+    from switchctl.fields import write_csv_blocks
+    spec = hyperbolic_spec()
+    sol = solve_equilibrium_ode(spec, time_grid(0.0, spec.T, 400), tol=1e-13)
+    dense = 8 * 401 * 401 * spec.m
+    tracemalloc.start()
+    try:
+        write_csv_blocks(tmp_path / "phi.csv", PHI_HEADER, sol.csv_rows())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 4, (peak, dense)
+
+
 @pytest.mark.parametrize("n_players", [4, 8])
 def test_partition_phi_matches_per_stage_oracle(n_players):
     spec = hyperbolic_spec()

@@ -514,16 +514,16 @@ def test_rows_batch_rows_equal_representation(bc):
                           for tau in anchors])
     fns = [row_dirichlet(tau) for tau in anchors] \
         if "dirichlet" in grid.bc else None
-    batch = np.full((len(anchors), len(times), grid.n_x, 2), np.nan)
-    batch[:, -1] = terminals
+    batch = np.full((len(anchors), len(times), 2, grid.n_x), np.nan)
+    batch[:, -1] = terminals.swapaxes(1, 2)
     solve_rows_batch(problem, times, strategy.node_values, anchors, batch,
                      fns, active_from=active_from)
-    assert batch.shape == (len(anchors), len(times), grid.n_x, 2)
+    assert batch.shape == (len(anchors), len(times), 2, grid.n_x)
     for r, (tau, k0) in enumerate(zip(anchors, active_from)):
         row = replace(problem, anchor=tau, terminal=terminals[r],
                       dirichlet=fns[r] if fns else None)
         want = solve_representation(row, times[k0:], strategy).values
-        assert np.array_equal(batch[r, k0:], want)
+        assert np.array_equal(batch[r, k0:].swapaxes(1, 2), want)
         assert np.all(np.isnan(batch[r, :k0]))
 
 
@@ -551,8 +551,8 @@ def test_dirichlet_data_read_once_per_row_and_solve():
 
     active_from = np.array([0, 3, 7])
     fns = [counting(row_dirichlet(tau)) for tau in times[active_from]]
-    rows = np.empty((3, len(times), grid.n_x, 2))
-    rows[:, -1] = problem.terminal
+    rows = np.empty((3, len(times), 2, grid.n_x))
+    rows[:, -1] = problem.terminal.T
     solve_rows_batch(problem, times, sol.strategy.node_values,
                      times[active_from], rows, fns, active_from=active_from)
     assert [fn.calls for fn in fns] == [1, 1, 1]
@@ -565,8 +565,8 @@ def test_dirichlet_table_of_wrong_shape_rejected():
     linear = LinearPDEProblem(a=const(0.05), beta=const(0.0), grid=grid, m=2,
                               terminal=problem.terminal,
                               dirichlet=lambda t: row_dirichlet(0.0)(t)[:, 0])
-    rows = np.empty((2, len(times), grid.n_x, 2))
-    rows[:, -1] = problem.terminal
+    rows = np.empty((2, len(times), 2, grid.n_x))
+    rows[:, -1] = problem.terminal.T
     short = lambda t: row_dirichlet(0.5)(t[1:])
     calls = [lambda: solve_linear_parabolic(linear, times),
              lambda: solve_rows_batch(problem, times,
@@ -588,8 +588,8 @@ def test_dirichlet_edge_without_data_rejected():
     def controls(k):
         return np.zeros((grid.n_x, 2, 1))
 
-    rows = np.empty((1, len(times), grid.n_x, 2))
-    rows[:, -1] = problem.terminal
+    rows = np.empty((1, len(times), 2, grid.n_x))
+    rows[:, -1] = problem.terminal.T
     calls = [lambda: solve_linear_parabolic(linear, times),
              lambda: solve_hjb(problem, times),
              lambda: solve_rows_batch(problem, times, controls, [0.0], rows)]
@@ -649,21 +649,21 @@ def test_step_equals_per_regime_solve_banded(m, n_rows, bc):
     from step_oracle import step_per_regime
     grid = SpatialGrid(-2, 2, 33, bc=bc)
     rng = np.random.default_rng(100 * m + n_rows)
-    a = rng.uniform(0.01, 0.5, size=(grid.n_x, m))
-    beta = rng.normal(0.0, 1.0, size=(grid.n_x, m))
+    a = rng.uniform(0.01, 0.5, size=(grid.n_x, m)).T
+    beta = rng.normal(0.0, 1.0, size=(grid.n_x, m)).T
     q = rng.uniform(0.1, 0.6, size=(grid.n_x, m, m))
     q[:, np.arange(m), np.arange(m)] = 0.0
     q[:, np.arange(m), np.arange(m)] = -q.sum(axis=2)
-    v_next = rng.normal(size=(n_rows, grid.n_x, m))
+    v_next = rng.normal(size=(n_rows, grid.n_x, m)).swapaxes(1, 2)
     edges = rng.normal(size=(n_rows, m, 2))
-    weight = rng.uniform(0.5, 1.5, size=(n_rows, 1, m))
+    weight = rng.uniform(0.5, 1.5, size=(n_rows, 1, m)).swapaxes(1, 2)
 
-    def sources(s, v, qv):
-        return weight * np.sin(v + s) - 0.3 * qv
+    def sources(s, v, qv, vx):
+        return weight * np.sin(v + s) - 0.3 * qv + 0.2 * vx
 
     args = (v_next, 0.4, 0.45, grid, a, beta, q, sources, edges)
     got = _step(*args)
-    assert got.shape == (n_rows, grid.n_x, m)
+    assert got.shape == (n_rows, m, grid.n_x)
     assert np.array_equal(got, step_per_regime(*args))
 
 
@@ -674,11 +674,11 @@ def test_singular_step_raises_numeric_error():
     # block: the solve must fail with the step's time in the message
     from switchctl.pde import _step
     grid = SpatialGrid(0, 1, 3, bc="dirichlet")
-    a = np.array([[0.1, -0.5]] * 3)          # dx = dt = 0.5: exact zero
-    v = np.ones((2, 3, 2))
+    a = np.array([[0.1, -0.5]] * 3).T        # dx = dt = 0.5: exact zero
+    v = np.ones((2, 2, 3))
     with pytest.raises(NumericError, match="failed at s=0.25"):
-        _step(v, 0.25, 0.75, grid, a, np.zeros((3, 2)), None,
-              lambda s, v, qv: np.zeros_like(v), np.zeros((2, 2, 2)))
+        _step(v, 0.25, 0.75, grid, a, np.zeros((2, 3)), None,
+              lambda s, v, qv, vx: np.zeros_like(v), np.zeros((2, 2, 2)))
 
 
 def nan_at(fn, j):
@@ -699,8 +699,8 @@ def test_nan_coefficient_raises_numeric_error():
         solve_linear_parabolic(linear, times)
 
     problem.sigma = nan_at(problem.sigma, 7)
-    rows = np.empty((3, len(times), grid.n_x, 2))
-    rows[:, -1] = problem.terminal
+    rows = np.empty((3, len(times), 2, grid.n_x))
+    rows[:, -1] = problem.terminal.T
     with pytest.raises(NumericError):
         solve_rows_batch(problem, times, lambda k: np.zeros((grid.n_x, 2, 1)),
                          [0.0, 0.3, 0.6], rows)
@@ -712,9 +712,9 @@ def test_regime_coupling_equals_einsum(m):
     rng = np.random.default_rng(m)
     q = rng.normal(size=(17, m, m))
     q[3] = 0.0
-    v = rng.normal(size=(5, 17, m))
-    v[0, 4] = -0.0
-    want = np.einsum("xij,...xj->...xi", q, v)
+    v = rng.normal(size=(5, m, 17))
+    v[0, :, 4] = -0.0
+    want = np.einsum("xij,...jx->...ix", q, v)
     for got, ref in ((_qv(q, v), want), (_qv(q, v[2]), want[2])):
         if m <= 2:   # one rounding of the exact sum, signed zeros included
             assert np.array_equal(got, ref)

@@ -1,9 +1,9 @@
-"""The benchmark tracer's view of one equilibrium and one partition run.
+"""The benchmark tracer's view of equilibrium, verify and partition runs.
 
 ``perfbench/tracing.py`` counts layers by patching switchctl's public
 functions by module attribute.  A refactor that stops calling a patched
-name, or calls the backward march more than once per equilibrium solve,
-changes these counts.
+name, or calls the backward march more than once per equilibrium solve
+or cycle run, changes these counts.
 """
 
 import io
@@ -12,6 +12,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from switchctl import cli
+from switchctl.fields import time_grid
+from switchctl.partition import Partition
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -94,6 +96,49 @@ def test_partition_solve_cycle_and_write_spans(tmp_path):
     assert counts["pde.minimizer_calls"] == (16 + 1) + (16 + 2) + (16 + 4) == 55
     # value.csv and strategy.csv
     assert spans["fields.write"][1] == 2
+
+
+def cycle_counts(n_t, partitions):
+    """(row-steps, minimizer calls) of the cycle runs on n_t steps: row j
+    of a run steps from T down to knot t_j, and the minimizer runs once
+    per level, once more at each interior knot and once at s_0."""
+    times = time_grid(0, 1, n_t)
+    n_nodes = n_t + 1
+    kidx = [Partition.uniform(1.0, n).knot_indices(times) for n in partitions]
+    steps = sum(n_nodes - 1 - k for knots in kidx for k in knots[:-1])
+    calls = sum(n_nodes + n - 1 for n in partitions)
+    return steps, calls
+
+
+def test_partition_run_is_one_march_per_partition(tmp_path):
+    tracer = traced_run(tmp_path, "partition-solve",
+                        TOY_CFG + "[solver]\npartitions = 2, 4\n")
+    counts = tracer.layer_metrics(tracer.op)
+    assert counts["pde.rows_batch_calls"] == 2
+    steps, calls = cycle_counts(16, (2, 4))
+    assert counts["pde.row_steps"] == steps == (16 + 8) + (16 + 12 + 8 + 4)
+    assert counts["pde.minimizer_calls"] == calls == (17 + 1) + (17 + 3)
+
+
+def test_merton_pde_counts(tmp_path):
+    # the benchmark's merton-pde operation: both cycle runs, then the
+    # equilibrium march of the 97 anchor rows with one minimizer call per
+    # level of its diagonal
+    cfg = os.path.join(os.path.dirname(tracing.__file__), "configs",
+                       "merton-pde.ini")
+    with open(cfg, encoding="utf-8") as fh:
+        text = fh.read().format(seed=1)
+    keys = ("pde.rows_batch_calls", "pde.row_steps", "pde.minimizer_calls")
+    totals = dict.fromkeys(keys, 0)
+    for sub in ("partition-solve", "equilibrium"):
+        (tmp_path / sub).mkdir()
+        counts = traced_run(tmp_path / sub, sub, text).layer_metrics(0)
+        for key in keys:
+            totals[key] += counts[key]
+    steps, calls = cycle_counts(96, (4, 8))
+    assert steps + 96 * 97 // 2 == 5328 and calls + 97 == 301
+    assert totals == {"pde.rows_batch_calls": 3, "pde.row_steps": 5328,
+                      "pde.minimizer_calls": 301}
 
 
 MERTON_CFG = """
