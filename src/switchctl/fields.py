@@ -134,7 +134,8 @@ class ValueField:
         return node_index(self.times, s)
 
     def at(self, s, x, i):
-        """Bilinear interpolation in (s, x) for regime label i."""
+        """Bilinear interpolation in (s, x) for regime label i; a label
+        outside 1..m is a DomainError."""
         col = regime_index(i, self.m)
         k, ws = _bracket(self.times, s)
         x = np.asarray(x, dtype=float)

@@ -140,13 +140,14 @@ def run_cycles(model, partition, grid, times, boundary=None):
                                 bounds=[(cs.lo, cs.hi)] * model.control_dim,
                                 names=model.control_names)
     # the fields are (n_t, n_x, m) views of the regime-major rows
-    fields = rows.swapaxes(2, 3)
+    node_major = rows.swapaxes(2, 3)
     return PiSolution(
         partition=partition, times=times, grid=grid,
-        value=ValueField(times, grid, fields[owner, np.arange(len(times))]),
+        value=ValueField(times, grid,
+                         node_major[owner, np.arange(len(times))]),
         strategy=strategy, knot_idx=kidx,
         theta_blocks={j + 1: ValueField(times[kidx[j]:], grid,
-                                        fields[j, kidx[j]:])
+                                        node_major[j, kidx[j]:])
                       for j in range(n_rows)})
 
 

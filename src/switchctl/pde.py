@@ -24,7 +24,8 @@ row is already the column-major right-hand side (m*n_x,) of LAPACK's
 ``dgbtrs``, so ``rhs.reshape(R, -1).T`` hands it the R rows with no
 copy, and every regime's values lie in one contiguous run of n_x.
 Fields handed out (ValueField, TwoTimeField) stay (n_t, n_x, m), as
-transposed views of the march's levels where they can.  solve_linear_parabolic marches one row under prescribed
+transposed views of the march's levels where they can.
+solve_linear_parabolic marches one row under prescribed
 coefficients.  Every controlled solve goes through the one backward
 march, solve_rows_batch, which freezes the controls a caller's callback
 returns at each level: solve_representation passes the node values of a
@@ -106,14 +107,15 @@ class HJBProblem:
     search evaluates them on n_u * n_x stacked nodes, with a few
     n_u * n_x float64 temporaries per regime.  g must also broadcast
     over anchor rows: the march and the residual call it once per regime
-    for R rows, with tau an (R, 1) column, x (n_x,), y, z and qv
-    (R, n_x) and u (n_x, control_dim), and read the output broadcast to
-    (R, n_x); a g that ignores tau may return (n_x,).
+    for R rows, with tau an (R, 1) column, x (n,), y, z and qv (R, n)
+    and u (n, control_dim), and read the output broadcast to (R, n); a
+    g that ignores tau may return (n,).  The march passes the n_x - 2
+    interior nodes, the residual all n_x.
     """
 
     b: callable                 # b(s, x, i, u) -> (n,)
     sigma: callable             # sigma(s, x, i, u) -> (n,)
-    g: callable                 # g(tau, s, x, i, y, z, qv, u) -> (n,) or (R, n_x)
+    g: callable                 # g(tau, s, x, i, y, z, qv, u) -> (n,) or (R, n)
     anchor: float
     control_set: ControlSet
     grid: object
@@ -502,9 +504,9 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
 
     ``rows`` is a caller-owned, regime-major (R, L, m, n_x) level buffer:
     level k of row r lives at ``rows[r, k % L]``, and the march steps it
-    down in place from each row's terminal data at level n_t - 1.  L = n_t keeps
-    every level (terminal data at ``[:, -1]``); L = 2 keeps the level a
-    step reads and the one it writes.  The rows share the coefficients
+    down in place from each row's terminal data at level n_t - 1.
+    L = n_t keeps every level (terminal data at ``[:, -1]``); L = 2 keeps
+    the level a step reads and the one it writes.  The rows share the coefficients
     and differ only in the anchor entering g, the terminal data and
     (optionally) the Dirichlet data: row r's ``dirichlet_fns[r](times)``
     is called once as the solve starts and returns its (n_t, m, 2) edge

@@ -527,6 +527,28 @@ def test_rows_batch_rows_equal_representation(bc):
         assert np.all(np.isnan(batch[r, :k0]))
 
 
+def test_rows_batch_steps_scattered_rows_as_gathers():
+    # rows whose active sets are not consecutive are gathered and
+    # scattered by index, not sliced; each still equals its own solve
+    grid = SpatialGrid(-2, 2, 41)
+    times = time_grid(0, 1, 24)
+    problem = anchored_hjb(grid)
+    strategy = solve_hjb(problem, times).strategy
+    active_from = np.array([11, 0, 17, 0, 5])
+    anchors = times[active_from]
+    terminals = np.stack([np.stack([(1 + tau) * grid.x**2,
+                                    np.cos(grid.x) + tau], axis=1)
+                          for tau in anchors])
+    batch = np.full((len(anchors), len(times), 2, grid.n_x), np.nan)
+    batch[:, -1] = terminals.swapaxes(1, 2)
+    solve_rows_batch(problem, times, strategy.node_values, anchors, batch,
+                     active_from=active_from)
+    for r, (tau, k0) in enumerate(zip(anchors, active_from)):
+        row = replace(problem, anchor=tau, terminal=terminals[r])
+        want = solve_representation(row, times[k0:], strategy).values
+        assert np.array_equal(batch[r, k0:].swapaxes(1, 2), want)
+
+
 def counting(fn):
     def wrapped(times):
         wrapped.calls += 1
