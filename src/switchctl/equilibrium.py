@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .fields import (BC_DIRICHLET, FeedbackStrategy, TwoTimeField,
-                     ValueField, d1, d2, refuse_oversized)
+                     ValueField, d1, refuse_oversized)
 from .pde import (_hamiltonian, _pointwise, _qv, controls_on_grid,
                   solve_rows_batch)
 
@@ -263,10 +263,10 @@ def _residual_levels(model, grid, times, controls):
     Returns ``level(k, rows)``, to be called for k from the last level
     down with ``rows`` holding rows 0..min(k, n_t - 2) at level k,
     regime-major (n_rows, m, n_x), after ``controls[k]`` is set; it
-    returns the running maximum.  The
-    residual of every row and interior node at the pair (k, k+1)
-    couples the forward time difference with the average of the
-    Hamiltonian at the two levels, evaluated along the strategy.  Rows
+    returns the running maximum.  The residual of every row and
+    interior node at the pair (k, k+1) couples the forward time
+    difference with the average of the Hamiltonian at the two levels,
+    evaluated along the strategy on the interior nodes only.  Rows
     0..k share the level-k controls, so the Hamiltonian is evaluated
     once per level and regime over all of them.  The rows of level k+1
     and their Hamiltonian are held, not copied, until level k is fed, so
@@ -277,34 +277,43 @@ def _residual_levels(model, grid, times, controls):
     q_table = model.q_table(grid)
     interior = grid.interior_mask()
     interior[0] = interior[-1] = False
+    # the interior is one run of nodes away from both edges: a slice, with
+    # its left and right neighbours for the central differences
+    nodes = np.flatnonzero(interior)
+    lo, hi = (nodes[0], nodes[-1] + 1) if len(nodes) else (1, 1)
+    inner = slice(lo, hi)
+    left, right = slice(lo - 1, hi - 1), slice(lo + 1, hi + 1)
     worst = 0.0
     upper = None                     # (rows, Hamiltonian) at level k + 1
 
     def hamiltonian(k, v):
-        """The rows ``v`` (n_rows, m, n_x) at level k: (n_rows, m, n_x)."""
-        vx = d1(v, grid.dx)
-        vxx = d2(v, grid.dx)
-        qv = _qv(q_table, v)
+        """The rows ``v`` (n_rows, m, n_x) at level k: their interior
+        nodes (n_rows, m, n_inner) and the Hamiltonian there, with
+        ``fields.d1`` and ``d2``'s central differences."""
+        v_in = v[..., inner]
+        vx = (v[..., right] - v[..., left]) / (2 * grid.dx)
+        vxx = (v[..., right] - 2 * v_in + v[..., left]) / grid.dx**2
+        qv = _qv(q_table[inner], v_in)
         tau = times[:len(v), None]
         s = float(times[k])
-        out = np.empty(v.shape)
+        out = np.empty(v_in.shape)
         for i in range(model.m):
-            out[:, i] = _hamiltonian(model, tau, s, grid.x, i + 1, v[:, i],
-                                     vx[:, i], vxx[:, i], qv[:, i],
-                                     controls[k, :, i, :])
-        return out
+            out[:, i] = _hamiltonian(model, tau, s, grid.x[inner], i + 1,
+                                     v_in[:, i], vx[:, i], vxx[:, i], qv[:, i],
+                                     controls[k, inner, i, :])
+        return v_in, out
 
     def level(k, rows):
         nonlocal worst, upper
         v = rows[:min(k + 1, n_t - 1)]
         if len(v) == 0:
             return worst
-        ham = hamiltonian(k, v)
+        v, ham = hamiltonian(k, v)
         if upper is not None:
             v_hi, ham_hi = upper
             dt = times[k + 1] - times[k]
             res = (v_hi[:k + 1] - v) / dt + 0.5 * (ham_hi[:k + 1] + ham)
-            worst = max(worst, float(np.max(np.abs(res[..., interior]))))
+            worst = max(worst, float(np.max(np.abs(res))))
         upper = (v, ham)
         return worst
 

@@ -110,7 +110,7 @@ class HJBProblem:
     for R rows, with tau an (R, 1) column, x (n,), y, z and qv (R, n)
     and u (n, control_dim), and read the output broadcast to (R, n); a
     g that ignores tau may return (n,).  The march passes the n_x - 2
-    interior nodes, the residual all n_x.
+    interior nodes, the residual the interior nodes it checks.
     """
 
     b: callable                 # b(s, x, i, u) -> (n,)
