@@ -537,6 +537,10 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
         else np.asarray(active_from, dtype=np.int64)
     edges = _edges(grid, [None] * len(anchors) if dirichlet_fns is None
                    else dirichlet_fns, times, m)
+    if rows.shape[0] != len(anchors) or rows.shape[2:] != (m, grid.n_x):
+        raise ConfigError(f"level buffer of shape {rows.shape}; the march "
+                          f"needs (R, L, m, n_x) = ({len(anchors)}, L, {m}, "
+                          f"{grid.n_x})")
     n_levels = rows.shape[1]
     n_inner = grid.n_x - 2
 

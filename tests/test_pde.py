@@ -549,6 +549,18 @@ def test_rows_batch_steps_scattered_rows_as_gathers():
         assert np.array_equal(batch[r, k0:].swapaxes(1, 2), want)
 
 
+def test_rows_batch_refuses_a_buffer_of_another_layout():
+    grid = SpatialGrid(-2, 2, 21)
+    times = time_grid(0, 1, 8)
+    problem = anchored_hjb(grid)
+    controls = lambda k: np.zeros((grid.n_x, 2, 1))
+    for shape in ((2, len(times), grid.n_x, 2), (3, len(times), 2, grid.n_x)):
+        rows = np.zeros(shape)
+        with pytest.raises(ConfigError, match="level buffer of shape") as err:
+            solve_rows_batch(problem, times, controls, [0.0, 0.5], rows)
+        assert err.value.exit_code == 2
+
+
 def counting(fn):
     def wrapped(times):
         wrapped.calls += 1
