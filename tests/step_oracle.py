@@ -7,7 +7,10 @@ matrices block-diagonally and factorizes them once per step; partial
 pivoting never leaves a block, so the two agree bit for bit.  The
 regime coupling is ``pde._qv`` and the source's x-derivative
 ``fields.d1`` in both, so the comparison isolates the banded solves.
-Rows are regime-major, (R, m, n_x), as in the step.
+Rows are regime-major, (R, m, n_x), as in the step.  The oracle forms
+the coupling and the source on every node and adds their interior
+values; the step forms them on the interior nodes only, which agrees
+for a source that is pointwise in x.
 """
 
 import numpy as np
