@@ -69,7 +69,8 @@ SCHEMA = {
     "grid": {
         "x_min": (float, None, None),
         "x_max": (float, None, None),
-        "n_x": (int, 81, lambda v: v >= 3 or "n_x must be at least 3"),
+        "n_x": (int, 81, lambda v: v >= 4 or "n_x must be at least 4: the "
+                "one-sided second-derivative stencil at an edge reads four nodes"),
         "n_t": (int, 160, lambda v: v >= 1 or "n_t must be at least 1"),
         "t_max": (float, 1.0, lambda v: v > 0 or "t_max must be positive"),
         "buffer": (float, 0.15,

@@ -127,9 +127,6 @@ class ValueField:
                 f"({len(self.times)}, {grid.n_x}, m)")
         self.m = self.values.shape[2]
 
-    def copy(self):
-        return ValueField(self.times.copy(), self.grid, self.values.copy())
-
     def time_index(self, s):
         return node_index(self.times, s)
 
@@ -422,8 +419,3 @@ class TwoTimeField:
         n_t = len(self.times)
         diag = np.stack([self.row(k).values[0] for k in range(n_t)])
         return ValueField(self.times, self.grid, diag)
-
-    def copy(self):
-        out = TwoTimeField(self.times, self.grid, self.m, self.anchor_rows)
-        out.values[...] = self.values
-        return out

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (ConfigError, ConvergenceError, DomainError, NumericError,
                      ResolutionError)
 from .fields import refuse_oversized, regime_index
-from .partition import Partition
+from .partition import Partition, node_owners
 from .sde import ControlledDynamics, simulate_ensemble
 
 
@@ -216,19 +216,24 @@ def solve_proportional_cost(spec, tau, theta, kappa, times, terminal=None,
     ``theta(s)`` and ``kappa(s)`` return per-regime arrays; the payoff is
     anchored at ``tau``.  This is a linear system, integrated with the
     same scheme as the optimal variants, and serves as the independent
-    price for suboptimal feedback rules.
+    price for suboptimal feedback rules.  An array of R anchors prices
+    it under each at once, as the rows of an (n, R, m) result; a row
+    couples its regimes by its own one-row product with q^T, so it takes
+    the bits it takes alone.
     """
     times = np.asarray(times, dtype=float)
     gam = spec.gamma
+    qT = spec.q.T
 
     def rhs(s, y):
         th = np.asarray(theta(s), dtype=float)
         ka = np.asarray(kappa(s), dtype=float)
         lin = gam * (spec.b * th - ka) + 0.5 * spec.sigma**2 * th**2 * gam * (gam - 1)
-        return -(lin * y + y @ spec.q.T + float(spec.g(tau, s)) * ka**gam)
+        g = np.asarray(spec.g(tau, s), dtype=float)[..., None]
+        return -(lin * y + (y[..., None, :] @ qT)[..., 0, :] + g * ka**gam)
 
     if terminal is None:
-        terminal = float(spec.h(tau)) * np.ones(spec.m)
+        terminal = np.asarray(spec.h(tau), dtype=float)[..., None] * np.ones(spec.m)
     return _rk4_backward(times, np.asarray(terminal, dtype=float), rhs,
                          k_stop=k_stop)
 
@@ -440,7 +445,8 @@ class _Spline:
 
 @dataclass
 class PartitionPhi:
-    """ODE mirror of the N-player cycles under the x^gamma ansatz."""
+    """ODE mirror of the N-player cycles under the x^gamma ansatz; the
+    rows are views of the march's one (N, n, m) array."""
 
     times: np.ndarray
     knots: np.ndarray
@@ -451,66 +457,48 @@ class PartitionPhi:
 def partition_phi(spec, knots, times):
     """Mirror the whole partition-cycle construction at ODE level.
 
-    Knots must be nodes of ``times``.  Cycle k first prices the already
-    built strategy on [t_k, T] under the anchor t_{k-1} (a linear
-    system), then solves the anchored optimal system on [t_{k-1}, t_k]
-    with that terminal, and extends the strategy.  Integration proceeds
-    interval by interval, so no step straddles a strategy kink.  Each
-    player's consumption rate is tabled once, by one call per regime of
-    the in-package not-a-knot spline (``_Spline``, bit for bit scipy's
-    ``CubicSpline``) on all the RK4 stage times of its interval, which is
-    where the pricing of the earlier players reads it.
+    Knots must be nodes of ``times``.  Row r (player r + 1, anchored at
+    t_r) starts at h(t_r) at T, and one backward march takes the rows
+    over the intervals from the last: on player r + 1's interval
+    [t_r, t_{r+1}] row r solves the anchored optimal system, and rows
+    0..r-1 then price that player's strategy together as one (r, m)
+    linear system (``solve_proportional_cost`` with r anchors).  No step
+    straddles a strategy kink.  The player's consumption rate is tabled
+    by one call per regime of the in-package not-a-knot spline
+    (``_Spline``, bit for bit scipy's ``CubicSpline``) on all the RK4
+    stage times of its interval, which is where the pricing reads it.
+    The concatenated value at a node is the row of the player who owns
+    it (``partition.node_owners``).
     """
     times = np.asarray(times, dtype=float)
     knots = np.asarray(knots, dtype=float)
     n = len(times)
     N = len(knots) - 1
     kidx = Partition(knots).knot_indices(times)
-    gam = spec.gamma
     frac = spec.investment_fraction()
-
-    value = np.full((n, spec.m), np.nan)
-    rows = {}
-    interval_kappa = [None] * N   # seg -> s -> (m,) consumption rate
-
-    for k in range(N, 0, -1):
-        a_idx, b_idx = kidx[k - 1], kidx[k]
-        tau = knots[k - 1]
-        tail = np.full((n, spec.m), np.nan)
-        if k < N:
-            # price the built strategy on [t_k, T] under this player's anchor
-            y = float(spec.h(tau)) * np.ones(spec.m)
-            for seg in range(N - 1, k - 1, -1):
-                lo, hi = kidx[seg], kidx[seg + 1]
-                block = solve_proportional_cost(spec, tau, lambda s: frac,
-                                                interval_kappa[seg],
-                                                times[lo:hi + 1], terminal=y)
-                tail[lo:hi + 1] = block
-                y = block[0]
-            terminal = tail[b_idx]
-        else:
-            terminal = float(spec.h(tau)) * np.ones(spec.m)
-        # anchored optimal system on the player's own interval
-        seg_times = times[a_idx:b_idx + 1]
-        own = _rk4_backward(seg_times, terminal,
-                            _optimal_rhs(spec, lambda s: spec.g(tau, s)))
-        row = np.full((n, spec.m), np.nan)
-        row[a_idx:b_idx + 1] = own
-        if k < N:
-            row[b_idx:] = tail[b_idx:]
-        rows[k] = row
-        value[a_idx:b_idx + 1] = own
-        if k < N:
-            value[b_idx] = rows[k + 1][b_idx]   # right-continuous at knots
-
-        stage_s = np.ravel([_rk4_stages(seg_times[j], seg_times[j - 1])[1]
-                            for j in range(1, len(seg_times))])
-        phi_s = np.stack([_Spline(seg_times, own[:, i])(stage_s)
+    phi = np.full((N, n, spec.m), np.nan)
+    phi[:, -1] = np.asarray(spec.h(knots[:-1]), dtype=float)[:, None]
+    for r in range(N - 1, -1, -1):
+        lo, hi = kidx[r], kidx[r + 1]
+        seg = times[lo:hi + 1]
+        tau = knots[r]
+        phi[r, lo:hi + 1] = _rk4_backward(seg, phi[r, hi],
+                                          _optimal_rhs(spec, lambda s: spec.g(tau, s)))
+        if r == 0:
+            break
+        stage_s = np.ravel([_rk4_stages(seg[j], seg[j - 1])[1]
+                            for j in range(1, len(seg))])
+        phi_s = np.stack([_Spline(seg, phi[r, lo:hi + 1, i])(stage_s)
                           for i in range(spec.m)], axis=1)
         g_s = np.asarray(spec.g(tau, stage_s), dtype=float)[:, None]
-        kappa = (g_s / np.maximum(phi_s, 1e-300)) ** (1 / (1 - gam))
-        interval_kappa[k - 1] = dict(zip(stage_s.tolist(), kappa)).__getitem__
-    return PartitionPhi(times=times, knots=knots, value=value, rows=rows)
+        kappa = (g_s / np.maximum(phi_s, 1e-300)) ** (1 / (1 - spec.gamma))
+        priced = solve_proportional_cost(spec, knots[:r], lambda s: frac,
+                                         dict(zip(stage_s.tolist(), kappa)).__getitem__,
+                                         seg, terminal=phi[:r, hi])
+        phi[:r, lo:hi + 1] = priced.swapaxes(0, 1)
+    value = phi[node_owners(kidx, np.arange(n)), np.arange(n)]
+    return PartitionPhi(times=times, knots=knots, value=value,
+                        rows={r + 1: phi[r] for r in range(N)})
 
 
 def strategies(spec, phi_ss, s, x, i, g_weight=None):

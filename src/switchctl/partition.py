@@ -8,9 +8,12 @@ strategy the later players built.  These multi-person games are the rows
 of one backward march, pde.solve_rows_batch: row k - 1 is anchored at
 t_{k-1}, starts from h(t_{k-1}, ., .) at T and stops at t_{k-1}, and the
 controls of each step are those of the player who owns it.  The
-concatenated value is right-continuous at interior knots; each player's
-block equals the concatenated value on the player's own interval as an
-exact array identity by construction.
+concatenated value is right-continuous at interior knots: a node
+belongs to the player who starts there, and T to the last player, by the
+one rule ``node_owners`` that the cycles, their two-time rows and the
+ODE mirror merton.partition_phi read.  Each player's block equals the
+concatenated value on the player's own interval as an exact array
+identity by construction.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +22,8 @@ import numpy as np
 
 from . import pde
 from .errors import ConfigError, DomainError
-from .fields import FeedbackStrategy, TwoTimeField, ValueField, node_index
+from .fields import (BC_DIRICHLET, FeedbackStrategy, TwoTimeField, ValueField,
+                     node_index, refuse_oversized)
 # still bound because perfbench/tracing.py patches them here (ROADMAP item 5)
 from .pde import solve_hjb, solve_representation  # noqa: F401
 
@@ -63,6 +67,14 @@ class Partition:
         return [node_index(times, t) for t in self.knots]
 
 
+def node_owners(kidx, nodes):
+    """Player (0-based) owning each time node index in ``nodes``, from
+    the knots' node indices ``kidx``: player r owns [kidx[r], kidx[r+1]),
+    right-continuous at knots, and the last player also owns T."""
+    return np.minimum(np.searchsorted(kidx, nodes, side="right") - 1,
+                      len(kidx) - 2)
+
+
 @dataclass
 class PiSolution:
     """Outputs of one cycle run on a shared (times, grid) pair."""
@@ -77,18 +89,22 @@ class PiSolution:
 
     def theta_row(self, tau_idx):
         """Two-time row at times[tau_idx]: the block of the player owning tau."""
-        tau = self.times[tau_idx]
-        j = int(np.clip(np.searchsorted(self.partition.knots, tau, side="right") - 1,
-                        0, self.partition.n_players - 1))
-        block = self.theta_blocks[j + 1]
-        offset = tau_idx - self.knot_idx[j]
-        return block.values[offset:]
+        j = int(node_owners(self.knot_idx, tau_idx))
+        return self.theta_blocks[j + 1].values[tau_idx - self.knot_idx[j]:]
 
     def theta_two_time(self):
         out = TwoTimeField(self.times, self.grid, self.value.m)
         for tau_idx in range(len(self.times)):
             out.set_row(tau_idx, self.theta_row(tau_idx))
         return out
+
+
+def cycles_bytes(n_t, n_x, m, control_dim, n_players, dirichlet):
+    """Bytes run_cycles stores: the (n_players, n_t, m, n_x) rows, the
+    controls and, with Dirichlet edges, the (n_players, n_t, m, 2) edge
+    table."""
+    edges = 8 * n_players * n_t * m * 2 if dirichlet else 0
+    return 8 * n_t * n_x * m * (n_players + control_dim) + edges
 
 
 def run_cycles(model, partition, grid, times, boundary=None):
@@ -102,12 +118,17 @@ def run_cycles(model, partition, grid, times, boundary=None):
     step takes two control groups.  ``boundary`` is an optional factory
     tau -> dirichlet supplying anchored Dirichlet data (used with
     ansatz-consistent truncation): dirichlet(times) returns the
-    (n_t, m, 2) edge values on a window.
+    (n_t, m, 2) edge values on a window.  What is stored is refused
+    before allocation when it needs more than half the physical memory.
     """
     times = np.asarray(times, dtype=float)
     kidx = partition.knot_indices(times)
     anchors = partition.knots[:-1]
     n_rows = partition.n_players
+    refuse_oversized(cycles_bytes(len(times), grid.n_x, model.m, model.control_dim,
+                                  n_rows, BC_DIRICHLET in grid.bc),
+                     f"partition cycles of {n_rows} players (n_t={len(times)}, "
+                     f"n_x={grid.n_x}, m={model.m})")
     rows = np.empty((n_rows, len(times), model.m, grid.n_x))  # regime-major
     for j, tau in enumerate(anchors):
         rows[j, -1] = model.terminal_values(float(tau), grid).T
@@ -119,7 +140,7 @@ def run_cycles(model, partition, grid, times, boundary=None):
         return pde.controls_on_grid(problem, float(times[k]), rows[r, k].T)
 
     def step_controls(k):
-        r = int(np.searchsorted(kidx, k)) - 1      # the owner of the step
+        r = int(node_owners(kidx, k - 1))   # the step belongs to node k-1's owner
         own = minimizer(r, k)
         if k != kidx[r + 1] or r + 1 == n_rows:
             controls[k] = own
@@ -132,19 +153,16 @@ def run_cycles(model, partition, grid, times, boundary=None):
                          if boundary is not None else None,
                          active_from=kidx[:-1])
     controls[0] = minimizer(0, 0)
-    # the knot node belongs to the next player (right continuity)
-    owner = np.minimum(np.searchsorted(kidx, np.arange(len(times)),
-                                       side="right") - 1, n_rows - 1)
     cs = model.control_set
     strategy = FeedbackStrategy(times, grid, controls,
                                 bounds=[(cs.lo, cs.hi)] * model.control_dim,
                                 names=model.control_names)
     # the fields are (n_t, n_x, m) views of the regime-major rows
     node_major = rows.swapaxes(2, 3)
+    nodes = np.arange(len(times))
     return PiSolution(
         partition=partition, times=times, grid=grid,
-        value=ValueField(times, grid,
-                         node_major[owner, np.arange(len(times))]),
+        value=ValueField(times, grid, node_major[node_owners(kidx, nodes), nodes]),
         strategy=strategy, knot_idx=kidx,
         theta_blocks={j + 1: ValueField(times[kidx[j]:], grid,
                                         node_major[j, kidx[j]:])

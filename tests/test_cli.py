@@ -782,3 +782,44 @@ def test_pde_subcommands_pinned_bitwise(tmp_path, capsys, sub, cfg_text, pins):
     code, out = run_cli(tmp_path, "pin", cfg_text, (sub,))
     assert code == 0
     assert {name: _sha256(out / name) for name in pins} == pins
+
+
+@pytest.mark.parametrize("sub", ["equilibrium", "partition-solve"])
+def test_three_node_grid_exit_2(tmp_path, capsys, sub):
+    # the one-sided second derivative at an edge reads four nodes
+    cfg = TOY_GRID_CFG.replace("GRID\n", "").replace("n_x = 11", "n_x = 3")
+    code, out = run_cli(tmp_path, "three", cfg, (sub,))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "n_x must be at least 4" in err["message"]
+    assert "stencil" in err["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_oversized_cycles_exit_code_2(tmp_path, capsys, monkeypatch):
+    # toy-lq, four players on 1001 times x 401 nodes: the rows take
+    # 25.7 MB; on a machine with less than twice what the cycles store
+    # the run is refused before the rows are allocated
+    import tracemalloc
+    from switchctl import fields, partition
+    need = partition.cycles_bytes(1001, 401, 2, 1, 4, False)
+    rows = 8 * 4 * 1001 * 2 * 401
+    assert need == rows + 8 * 1001 * 401 * 2
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: need)
+    cfg = TOY_GRID_CFG.replace("GRID\n", "").replace(
+        "n_x = 11\nn_t = 8", "n_x = 401\nn_t = 1000").replace(
+        "partitions = 1", "partitions = 4")
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, "big", cfg, ("partition-solve",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert str(need) in err["message"]
+    assert "n_t=1001" in err["message"] and "n_x=401" in err["message"]
+    assert peak < rows, (peak, rows)
+    assert not (out / "value.csv").exists()

@@ -517,14 +517,59 @@ def test_phi_csv_writer_holds_no_dense_triangle(tmp_path):
     assert peak < dense / 4, (peak, dense)
 
 
-@pytest.mark.parametrize("n_players", [4, 8])
-def test_partition_phi_matches_per_stage_oracle(n_players):
-    spec = hyperbolic_spec()
+# node indices of uneven knots on 96 steps, two of them adjacent
+UNEVEN_KNOTS = [0, 5, 9, 40, 41, 77, 96]
+
+
+# N = 96, the uneven knots and merton-tc at N = 16 each break if the
+# earlier rows' regime coupling is one stacked (R, m) @ (m, m) product
+# instead of one one-row product per row
+@pytest.mark.parametrize("n_players, time_inconsistent", [
+    pytest.param(4, True, id="4"), pytest.param(8, True, id="8"),
+    pytest.param(96, True, id="96"), pytest.param(None, True, id="uneven"),
+    pytest.param(16, False, id="tc-16"), pytest.param(None, False, id="tc-uneven")])
+def test_partition_phi_matches_per_stage_oracle(n_players, time_inconsistent):
+    spec = merton_spec(time_inconsistent=time_inconsistent)
     times = time_grid(0.0, spec.T, 96)
-    knots = Partition.uniform(spec.T, n_players).knots
+    knots = (Partition.uniform(spec.T, n_players).knots if n_players
+             else times[UNEVEN_KNOTS])
     got = partition_phi(spec, knots, times)
     want = phi_oracle.partition_phi(spec, knots, times)
     assert np.array_equal(got.value, want.value, equal_nan=True)
     assert got.rows.keys() == want.rows.keys()
     for k in want.rows:
         assert np.array_equal(got.rows[k], want.rows[k], equal_nan=True), k
+
+
+@pytest.mark.parametrize("n_players", [1, 2, 8, 96])
+def test_partition_phi_is_one_backward_march(monkeypatch, n_players):
+    # one pass of the optimal system over [0, T] and one pricing pass over
+    # every interval but the first: 2n - n/N RK4 steps, not one re-pricing
+    # chain per player
+    calls = []
+    step = merton._rk4_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(merton, "_rk4_step", counted)
+    spec = hyperbolic_spec()
+    n = 96
+    partition_phi(spec, Partition.uniform(spec.T, n_players).knots,
+                  time_grid(0.0, spec.T, n))
+    assert len(calls) == 2 * n - n // n_players < 2 * n
+
+
+def test_proportional_cost_prices_anchors_as_rows():
+    # R anchors at once give each anchor's own solve, bit for bit
+    spec = hyperbolic_spec()
+    times = time_grid(0.0, spec.T, 48)
+    frac = spec.investment_fraction()
+    taus = np.array([0.0, 0.25, 0.5])
+    kappa = lambda s: np.array([0.8, 1.1]) + 0.2 * s
+    both = solve_proportional_cost(spec, taus, lambda s: frac, kappa, times)
+    assert both.shape == (len(times), len(taus), spec.m)
+    for r, tau in enumerate(taus):
+        one = solve_proportional_cost(spec, tau, lambda s: frac, kappa, times)
+        assert np.array_equal(both[:, r], one), tau

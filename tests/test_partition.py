@@ -5,7 +5,7 @@ from switchctl.errors import ConfigError, DomainError
 from switchctl.fields import time_grid
 from switchctl.merton import partition_phi
 from switchctl.models import ansatz_dirichlet, merton_partition_boundary
-from switchctl.partition import (Partition, refine_and_compare,
+from switchctl.partition import (Partition, node_owners, refine_and_compare,
                                  run_cycles)
 from switchctl.pde import solve_hjb, solve_representation
 
@@ -114,6 +114,23 @@ def test_two_time_rows_follow_anchor(mt_ti):
         tau = times[tau_idx]
         want = model.terminal_values(part.anchor(tau), grid)
         assert np.allclose(tt.values[tau_idx, -1], want, atol=1e-12)
+
+
+def test_theta_row_at_a_snapped_knot_is_the_next_players_row(toy_ti):
+    # the knot 0.6000000000000001 snaps to node 9 (0.6), which belongs to
+    # player 4 like the cycles' own value there
+    times = time_grid(0.0, 1.0, 15)
+    part = Partition.uniform(1.0, 5)
+    assert part.knots[3] > times[9] and part.knot_indices(times)[3] == 9
+    sol = run_cycles(toy_ti, part, toy_ti.default_grid(11), times)
+    assert np.array_equal(sol.theta_row(9), sol.theta_blocks[4].values)
+    assert np.array_equal(sol.theta_row(9)[0], sol.value.values[9])
+
+
+def test_node_owners_right_continuous_and_t_to_the_last():
+    kidx = [0, 3, 5, 9]
+    assert node_owners(kidx, np.arange(10)).tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2, 2]
+    assert node_owners(kidx, 3) == 1
 
 
 def test_knot_local_optimality(mt_ti):
