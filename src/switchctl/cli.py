@@ -31,7 +31,8 @@ from .fields import (node_index, refuse_oversized, time_grid, write_csv,
 from .models import (GEOMETRY_PRESETS, MODEL_PRESETS,
                      merton_equilibrium_boundary, merton_partition_boundary,
                      uniform_mark_density)
-from .partition import Partition, refine_and_compare, run_cycles
+from .partition import (Partition, refine_and_compare, refuse_oversized_cycles,
+                        run_cycles)
 from .sde import ControlledDynamics, estimate_transition_rate, simulate_path
 from .switching import LevyMeasure, RegimeGeometry, rate_matrix
 
@@ -49,11 +50,12 @@ def _keep_freed_heap():
     glibc returns the top of the heap to the system whenever more than
     its trim threshold (128 KiB) is free there, and raises that
     threshold only after the process frees a larger mmapped block.  The
-    grid-search minimizer allocates and frees about 1 MB of temporaries
-    per call, so until such a block is freed every call faults its
-    pages in again: 11,300 minor faults per toy-lq verify at n_x 41 and
-    n_t 64.  These are the values glibc's own adaptive thresholds top
-    out at.  Without glibc's mallopt this does nothing.
+    grid-search minimizer allocates and frees about 0.76 MB of
+    temporaries per call, so until such a block is freed every call
+    faults its pages in again: 8,700 minor faults per toy-lq verify at
+    n_x 41 and n_t 64, against a handful with this setting.  These are
+    the values glibc's own adaptive thresholds top out at.  Without
+    glibc's mallopt this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -320,6 +322,8 @@ def _run_partition_solve(config, outdir, plan_only):
     else:
         parts = [Partition.uniform(times[-1], n)
                  for n in config.get("solver", "partitions")]
+    for part in parts:      # every partition, before the first march runs
+        refuse_oversized_cycles(model, part, grid, len(times))
 
     def boundary_for(part):
         if model.spec is None:

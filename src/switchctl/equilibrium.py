@@ -293,7 +293,7 @@ def _residual_levels(model, grid, times, controls):
         v_in = v[..., inner]
         vx = (v[..., right] - v[..., left]) / (2 * grid.dx)
         vxx = (v[..., right] - 2 * v_in + v[..., left]) / grid.dx**2
-        qv = _qv(q_table[inner], v_in)
+        qv = _qv(q_table, v_in, inner)
         tau = times[:len(v), None]
         s = float(times[k])
         out = np.empty(v_in.shape)

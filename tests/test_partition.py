@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from switchctl.errors import ConfigError, DomainError
+from switchctl.errors import ConfigError
 from switchctl.fields import time_grid
 from switchctl.merton import partition_phi
 from switchctl.models import ansatz_dirichlet, merton_partition_boundary
@@ -12,29 +12,7 @@ from switchctl.pde import solve_hjb, solve_representation
 from cycles_oracle import cycles_loop
 
 
-# ---- anchor map -------------------------------------------------------------
-
-def test_anchor_left_knot_and_closing_interval():
-    part = Partition(np.array([0.0, 0.25, 0.5, 1.0]))
-    assert part.anchor(0.25) == 0.25
-    assert part.anchor(0.3) == 0.25
-    assert part.anchor(1.0) == 0.5       # closing indicator puts T with t_{N-1}
-    assert part.anchor(0.0) == 0.0
-
-
-def test_anchor_single_player():
-    part = Partition.uniform(1.0, 1)
-    for s in (0.0, 0.37, 1.0):
-        assert part.anchor(s) == 0.0
-
-
-def test_anchor_domain_error():
-    part = Partition.uniform(1.0, 2)
-    with pytest.raises(DomainError):
-        part.anchor(-0.1)
-    with pytest.raises(DomainError):
-        part.anchor(1.2)
-
+# ---- knots ------------------------------------------------------------------
 
 def test_knot_off_grid_rejected(toy_ti):
     times = time_grid(0, 1, 64)
@@ -110,9 +88,9 @@ def test_two_time_rows_follow_anchor(mt_ti):
     assert np.array_equal(r1[2:], r2)
     # terminal data of a row is the owning player's anchored bequest
     tt = sol.theta_two_time()
-    for tau_idx in (0, 41, 90, 140):
-        tau = times[tau_idx]
-        want = model.terminal_values(part.anchor(tau), grid)
+    owners = node_owners(part.knot_indices(times), [0, 41, 90, 140])
+    for tau_idx, owner in zip((0, 41, 90, 140), owners):
+        want = model.terminal_values(part.knots[owner], grid)
         assert np.allclose(tt.values[tau_idx, -1], want, atol=1e-12)
 
 
@@ -131,6 +109,7 @@ def test_node_owners_right_continuous_and_t_to_the_last():
     kidx = [0, 3, 5, 9]
     assert node_owners(kidx, np.arange(10)).tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2, 2]
     assert node_owners(kidx, 3) == 1
+    assert node_owners([0, 4], np.arange(5)).tolist() == [0] * 5   # one player
 
 
 def test_knot_local_optimality(mt_ti):

@@ -460,6 +460,81 @@ def test_grid_search_rejects_non_pointwise_callable():
     assert err.value.exit_code == 2
 
 
+def test_grid_search_alternating_problems_keep_their_own_stacks():
+    # two grids and two control sets in turn: a search never reads the
+    # stacks of the other problem
+    rng = np.random.default_rng(11)
+    problems = [toy_hjb(SpatialGrid(-2, 2, 41), ControlSet(lo=-1.0, hi=1.0)),
+                toy_hjb(SpatialGrid(-1, 3, 23), ControlSet(lo=-0.5, hi=2.0,
+                                                           n_grid=65))]
+    for k in range(6):
+        problem = problems[k % 2]
+        v = rng.normal(size=(problem.grid.n_x, 2))
+        got = controls_on_grid(problem, 0.1 * k, v)
+        assert got.shape == (problem.grid.n_x, 2, 1)
+        assert np.array_equal(got, reference_controls(problem, 0.1 * k, v))
+
+
+def test_grid_search_scalar_b_and_sigma():
+    grid = SpatialGrid(-1, 1, 21)
+    problem = HJBProblem(
+        b=lambda s, x, i, u: 0.3,
+        sigma=lambda s, x, i, u: 0.2 * i,
+        g=lambda tau, s, x, i, y, z, qv, u: (u[:, 0] - 0.1 * y) ** 2 + z * u[:, 0],
+        anchor=0.0, control_set=ControlSet(lo=-1.0, hi=1.0, n_grid=41),
+        grid=grid, m=2, q_table=q_const(grid, [[-0.2, 0.2], [0.3, -0.3]]))
+    v = np.random.default_rng(5).normal(size=(21, 2))
+    got = controls_on_grid(problem, 0.4, v)
+    assert np.array_equal(got, reference_controls(problem, 0.4, v))
+    assert len(np.unique(got)) > 2
+
+
+def test_grid_search_builds_its_stacks_once_per_march(monkeypatch):
+    from switchctl import equilibrium, pde
+    from switchctl.models import toy_anchored_model
+
+    class Builds(dict):
+        """The grid search's memo, counting the stacks stored in it."""
+        count = 0
+
+        def __setitem__(self, key, stacks):
+            Builds.count += 1
+            super().__setitem__(key, stacks)
+
+    calls = []
+    minimizer = equilibrium.controls_on_grid
+    monkeypatch.setattr(pde, "_SEARCH_STACKS", Builds())
+    monkeypatch.setattr(equilibrium, "controls_on_grid",
+                        lambda *a: calls.append(1) or minimizer(*a))
+    model = toy_anchored_model(True)
+    equilibrium.solve_equilibrium(model, model.default_grid(41),
+                                  time_grid(0, 1, 48))
+    assert len(calls) == 49
+    assert Builds.count == 1
+
+
+def test_regime_coupling_copied_once_per_table(monkeypatch):
+    from switchctl import pde
+    copies = []
+    transposed_table = pde._transposed_table
+    monkeypatch.setattr(pde, "_COUPLINGS", {})
+    monkeypatch.setattr(pde, "_transposed_table",
+                        lambda q: copies.append(1) or transposed_table(q))
+    grid = SpatialGrid(-2, 2, 41)
+    solve_hjb(toy_hjb(grid, ControlSet(lo=-1.0, hi=1.0)), time_grid(0, 1, 20))
+    assert len(copies) == 1
+
+
+def test_grid_search_needs_psi_for_several_controls():
+    grid = SpatialGrid(-1, 1, 21)
+    problem = toy_hjb(grid, ControlSet(lo=-1.0, hi=1.0))
+    problem.control_dim = 2
+    problem.g = lambda tau, s, x, i, y, z, qv, u: u[:, 0] ** 2 + u[:, 1] ** 2
+    with pytest.raises(ConfigError, match="control_dim is 2.*psi") as err:
+        controls_on_grid(problem, 0.0, np.zeros((21, 2)))
+    assert err.value.exit_code == 2
+
+
 def test_hamiltonian_stack_equals_written_out_sum():
     from switchctl.pde import _hamiltonian
     grid = SpatialGrid(-2, 2, 41)
