@@ -40,7 +40,7 @@ step: policy-evaluation splitting.  The grid search sums one regime's
 Hamiltonian in place on an (n_x, n_u) view of all (node, control)
 pairs, with the value's derivatives and coupling as n_x columns that
 broadcast against it, from node and control stacks that a march builds
-once per grid and control set; a call takes about 200 us on toy-lq
+once per grid and control set; a call takes about 215 us on toy-lq
 (n_x 41, 257 controls, m 2) on a 2-vCPU VM.
 
 Domain truncation: the problems live on all of R, so the grid imposes
