@@ -50,10 +50,11 @@ def _keep_freed_heap():
     glibc returns the top of the heap to the system whenever more than
     its trim threshold (128 KiB) is free there, and raises that
     threshold only after the process frees a larger mmapped block.  The
-    grid-search minimizer allocates and frees about 0.76 MB of
+    grid-search minimizer allocates and frees about 0.68 MB of
     temporaries per call, so until such a block is freed every call
-    faults its pages in again: 8,700 minor faults per toy-lq verify at
-    n_x 41 and n_t 64, against a handful with this setting.  These are
+    faults its pages in again: 8,100 minor faults per toy-lq verify at
+    n_x 41 and n_t 64 (a second run in one process), against 15 with
+    this setting.  These are
     the values glibc's own adaptive thresholds top out at.  Without
     glibc's mallopt this does nothing.
     """

@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .fields import (BC_DIRICHLET, FeedbackStrategy, TwoTimeField,
-                     ValueField, d1, refuse_oversized)
-from .pde import (_hamiltonian, _pointwise, _qv, controls_on_grid,
-                  solve_rows_batch)
+                     ValueField, _lagrange_weights, _mix, d1,
+                     refuse_oversized)
+from .pde import (_feedback_strategy, _hamiltonian, _pointwise, _qv,
+                  controls_on_grid, solve_rows_batch)
 
 
 class ClampWarning(UserWarning):
@@ -154,37 +155,11 @@ def solve_equilibrium(model, grid, times, boundary=None, keep_rows=None,
     if fired:
         warnings.warn(f"minimizer derivative clamp fired {fired} times "
                       f"during the equilibrium solve", ClampWarning)
-    cs = model.control_set
-    strategy = FeedbackStrategy(times, grid, controls,
-                                bounds=[(cs.lo, cs.hi)] * model.control_dim,
-                                names=model.control_names)
     return EquilibriumSolution(theta=theta,
                                value=ValueField(times, grid, diag.swapaxes(1, 2)),
-                               strategy=strategy, residual=worst)
-
-
-def _lagrange_weights(taus, nodes):
-    """(len(taus), K) Lagrange weights of the K anchor ``nodes`` at
-    ``taus``: L_j(tau) = prod over l != j of (tau - tau_l) / (tau_j -
-    tau_l), in node order, so exactly one and zero at the nodes."""
-    taus = np.asarray(taus, dtype=float)
-    out = np.ones((len(taus), len(nodes)))
-    for j, tau_j in enumerate(nodes):
-        for l, tau_l in enumerate(nodes):
-            if l != j:
-                out[:, j] *= (taus - tau_l) / (tau_j - tau_l)
-    return out
-
-
-def _mix(weights, rows):
-    """sum_j weights[:, j] rows[j] for (n, K) weights and K rows: one
-    elementwise multiply-add per node, in node order, so an entry's
-    value does not depend on how many entries are formed at once."""
-    w = weights.reshape(weights.shape + (1,) * (rows.ndim - 1))
-    out = w[:, 0] * rows[0]
-    for j in range(1, len(rows)):
-        out += w[:, j] * rows[j]
-    return out
+                               strategy=_feedback_strategy(problem, times,
+                                                           controls),
+                               residual=worst)
 
 
 # anchors, as fractions of the horizon, at which a declared basis is checked

@@ -93,14 +93,42 @@ def d1(values, dx, axis=-1):
 
 
 def d2(values, dx, axis=-1):
-    """Second derivative, central inside, one-sided second order at edges."""
+    """Second derivative, central inside, one-sided second order at edges;
+    a ConfigError on fewer than the four nodes the edge stencil reads."""
     v = np.asarray(values, dtype=float).swapaxes(axis, -1)
+    if v.shape[-1] < 4:
+        raise ConfigError(f"the second derivative's one-sided edge stencil "
+                          f"reads four nodes; the grid has {v.shape[-1]}")
     out = np.empty_like(v)
     out[..., 1:-1] = (v[..., 2:] - 2 * v[..., 1:-1] + v[..., :-2]) / dx**2
     out[..., 0] = (2 * v[..., 0] - 5 * v[..., 1] + 4 * v[..., 2] - v[..., 3]) / dx**2
     out[..., -1] = (2 * v[..., -1] - 5 * v[..., -2] + 4 * v[..., -3]
                     - v[..., -4]) / dx**2
     return out.swapaxes(axis, -1)
+
+
+def _lagrange_weights(taus, nodes):
+    """(len(taus), K) Lagrange weights of the K anchor ``nodes`` at
+    ``taus``: L_j(tau) = prod over l != j of (tau - tau_l) / (tau_j -
+    tau_l), in node order, so exactly one and zero at the nodes."""
+    taus = np.asarray(taus, dtype=float)
+    out = np.ones((len(taus), len(nodes)))
+    for j, tau_j in enumerate(nodes):
+        for l, tau_l in enumerate(nodes):
+            if l != j:
+                out[:, j] *= (taus - tau_l) / (tau_j - tau_l)
+    return out
+
+
+def _mix(weights, rows):
+    """sum_j weights[:, j] rows[j] for (n, K) weights and K rows: one
+    elementwise multiply-add per node, in node order, so an entry's
+    value does not depend on how many entries are formed at once."""
+    w = weights.reshape(weights.shape + (1,) * (rows.ndim - 1))
+    out = w[:, 0] * rows[0]
+    for j in range(1, len(rows)):
+        out += w[:, j] * rows[j]
+    return out
 
 
 def _bracket(nodes, value):

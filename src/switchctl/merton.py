@@ -22,7 +22,6 @@ objects.  The PDE core minimizes, so its adapter (see models.py) negates
 values and data once at the boundary.
 """
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceError, DomainError, NumericError,
                      ResolutionError)
-from .fields import refuse_oversized, regime_index
+from .fields import _lagrange_weights, refuse_oversized, regime_index
 from .partition import Partition, node_owners
 from .sde import ControlledDynamics, simulate_ensemble
 
@@ -284,8 +283,7 @@ def solve_equilibrium_ode(spec, times, tol=1e-12, max_iter=200):
         dt, s_stages = _rk4_stages(times[k], times[k - 1])
         nodes = times[k - 1:k + 3]
         known = [phi[at[j] + j] for j in range(k, min(k + 3, n))]
-        weights = [[math.prod((s - t) / (t_j - t) for t in nodes if t != t_j)
-                    for t_j in nodes] for s in s_stages]
+        weights = _lagrange_weights(s_stages, nodes)
         g_diag = [float(spec.g(s, s)) for s in s_stages]
         # rows tau_j <= s_{k-1} <= s, so g stays on its domain
         g_rows = [np.asarray(spec.g(times[:k], s), dtype=float)[:, None]

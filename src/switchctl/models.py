@@ -188,7 +188,7 @@ def toy_anchored_model(time_inconsistent=True):
     return ControlModel(
         name="toy-lq", m=2,
         b=lambda s, x, i, u: u[:, 0],
-        sigma=lambda s, x, i, u: np.full_like(np.asarray(x, dtype=float), 0.4),
+        sigma=lambda s, x, i, u: 0.4,
         g=g, h=h,
         control_set=ControlSet(lo=-1.0, hi=1.0),
         T=1.0,

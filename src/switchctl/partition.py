@@ -152,17 +152,14 @@ def run_cycles(model, partition, grid, times, boundary=None):
                          if boundary is not None else None,
                          active_from=kidx[:-1])
     controls[0] = minimizer(0, 0)
-    cs = model.control_set
-    strategy = FeedbackStrategy(times, grid, controls,
-                                bounds=[(cs.lo, cs.hi)] * model.control_dim,
-                                names=model.control_names)
     # the fields are (n_t, n_x, m) views of the regime-major rows
     node_major = rows.swapaxes(2, 3)
     nodes = np.arange(len(times))
     return PiSolution(
         partition=partition, times=times, grid=grid,
         value=ValueField(times, grid, node_major[node_owners(kidx, nodes), nodes]),
-        strategy=strategy, knot_idx=kidx,
+        strategy=pde._feedback_strategy(problem, times, controls),
+        knot_idx=kidx,
         theta_blocks={j + 1: ValueField(times[kidx[j]:], grid,
                                         node_major[j, kidx[j]:])
                       for j in range(n_rows)})

@@ -25,13 +25,16 @@ row is already the column-major right-hand side (m*n_x,) of LAPACK's
 copy, and every regime's values lie in one contiguous run of n_x.
 Fields handed out (ValueField, TwoTimeField) stay (n_t, n_x, m), as
 transposed views of the march's levels where they can.
-solve_linear_parabolic marches one row under prescribed
-coefficients.  Every controlled solve goes through the one backward
-march, solve_rows_batch, which freezes the controls a caller's callback
-returns at each level: solve_representation passes the node values of a
-given strategy, solve_hjb the minimizer on its own row, the equilibrium
-solver the minimizer on the diagonal, and the partition cycles the
-minimizer on the row of the player who owns the step.
+Every solve goes through the one backward march, solve_rows_batch,
+which reads no coefficient itself: the problem forms each step's a,
+beta and source, an HJBProblem from b, sigma and g under the controls
+the march freezes, a LinearPDEProblem from its prescribed a, beta and
+source.  solve_linear_parabolic marches one row.  A controlled march
+freezes the controls a caller's callback returns at each level:
+solve_representation passes the node values of a given strategy,
+solve_hjb the minimizer on its own row, the equilibrium solver the
+minimizer on the diagonal, and the partition cycles the minimizer on
+the row of the player who owns the step.
 
 The HJB variant picks the control at the known time level (analytic
 minimizer when supplied, otherwise a deterministic grid search with ties
@@ -102,6 +105,23 @@ class LinearPDEProblem:
     terminal: np.ndarray = None         # (n_x, m)
     dirichlet: callable = None          # dirichlet(times) -> (n_t, m, 2) edges
 
+    def step_coefficients(self, s_mid, controls, tau):
+        """A step's (a, beta, sources) from the prescribed coefficients at
+        the mid time; no control or anchor enters, and the source is
+        that of one row."""
+        x = self.grid.x
+        a, beta = (_by_regime(self.m, x, lambda lab: fn(s_mid, x, lab))
+                   for fn in (self.a, self.beta))
+
+        def sources(s, v, qv, vx):
+            if self.source is None:
+                return np.zeros_like(v)
+            return _by_regime(self.m, x[1:-1], lambda lab: self.source(
+                s, x[1:-1], lab, v[0, lab - 1], vx[0, lab - 1],
+                qv[0, lab - 1]))[None]
+
+        return a, beta, sources
+
 
 @dataclass
 class HJBProblem:
@@ -111,7 +131,7 @@ class HJBProblem:
     (u is (n, control_dim)) for any length n, not only n_x: the grid
     search evaluates them on n_u * n_x stacked nodes, and forms four
     n_u * n_x float64 arrays of its own per regime (the sum, one term
-    buffer, and the y and qv stacks that g reads), 0.76 MB at peak per
+    buffer, and the y and qv stacks that g reads), 0.68 MB at peak per
     call with what toy-lq's b, sigma and g allocate (n_x 41, n_u 257,
     m 2).  The grid search minimizes over one control: control_dim > 1
     needs psi.  g must also broadcast
@@ -135,6 +155,31 @@ class HJBProblem:
     dirichlet: callable = None  # dirichlet(times) -> (n_t, m, 2) edges
     control_dim: int = 1
     control_names: list = None
+
+    def step_coefficients(self, s_mid, controls, tau):
+        """A step's (a, beta, sources) under the frozen (n_x, m,
+        control_dim) controls for rows anchored at tau, an (R, 1)
+        column: a = sigma^2 / 2 and beta = b as (m, n_x) stacks at the
+        mid time, and a source that calls g once per regime and stage
+        for all rows on the interior nodes, where the step reads it."""
+        x, m = self.grid.x, self.m
+        n_inner = len(x) - 2
+
+        def frozen(fn, s):
+            return _by_regime(m, x, lambda lab: fn(s, x, lab,
+                                                   controls[:, lab - 1]))
+
+        def sources(s, v, qv, vx):
+            z = vx * frozen(self.sigma, s)[:, 1:-1]
+            out = np.empty(v.shape)
+            for i in range(m):
+                out[:, i] = _pointwise("g", self.g(
+                    tau, s, x[1:-1], i + 1, v[:, i], z[:, i], qv[:, i],
+                    controls[1:-1, i]), (len(v), n_inner))
+            return out
+
+        a = 0.5 * frozen(self.sigma, s_mid)**2
+        return a, frozen(self.b, s_mid), sources
 
 
 @dataclass
@@ -166,37 +211,11 @@ def _qv(q_table, v, nodes=slice(None)):
     """
     out = np.zeros(v.shape)
     if q_table is not None:
-        q_ji = _memo(_COUPLINGS, id(q_table),
-                     lambda: (q_table, _transposed_table(q_table)))[1]
+        # [j, i, x] = Q(x)_ij on the nodes, copied so that each product reads rows
+        q_ji = np.ascontiguousarray(q_table[nodes].transpose(2, 1, 0))
         for j in range(v.shape[-2]):
-            out += q_ji[j][:, nodes] * v[..., j, None, :]
+            out += q_ji[j] * v[..., j, None, :]
     return out
-
-
-def _transposed_table(q_table):
-    """[j, i, x] = Q(x)_ij, copied so that each product of ``_qv`` reads
-    rows.  Read-only."""
-    q_ji = np.ascontiguousarray(q_table.transpose(2, 1, 0))
-    q_ji.flags.writeable = False
-    return q_ji
-
-
-def _memo(memo, key, build):
-    """``memo[key]``, built by ``build()`` on a miss; a memo holds at most
-    8 entries and drops its oldest for a new one."""
-    if key not in memo:
-        if len(memo) == 8:
-            del memo[next(iter(memo))]
-        memo[key] = build()
-    return memo[key]
-
-
-# id(q_table) -> (q_table, its _transposed_table copy): the coupling is read
-# from a copy made once per table, which the entry keeps alive so that
-# the id stays its own.  A table is read as it was at its first product
-# and is not to be edited in place after that (none is: models.q_table
-# builds each once).
-_COUPLINGS = {}
 
 
 def _implicit_bands(a, beta, dt, dx, bc):
@@ -351,32 +370,16 @@ def _step(v_next, s_lo, s_hi, grid, a, beta, q_table, sources, edges):
 
 
 def solve_linear_parabolic(problem, times):
-    """Backward solve of a closed linear system; returns the full field."""
+    """Backward solve of a closed linear system; returns the full field.
+
+    A one-row solve_rows_batch: the coefficients are prescribed, so no
+    control is frozen.
+    """
     times = np.asarray(times, dtype=float)
-    _check_stability(problem.q_table, times)
-    grid = problem.grid
-    x = grid.x
-    m = problem.m
-    values = np.empty((len(times), m, grid.n_x))      # regime-major levels
-    if problem.terminal is None:
-        raise ConfigError("linear problem needs terminal data")
-    values[-1] = np.asarray(problem.terminal, dtype=float).T
-
-    def sources(s, v, qv, vx):
-        if problem.source is None:
-            return np.zeros_like(v)
-        return _by_regime(m, x[1:-1], lambda lab: problem.source(
-            s, x[1:-1], lab, v[0, lab - 1], vx[0, lab - 1], qv[0, lab - 1]))[None]
-
-    edges = _edges(grid, [problem.dirichlet], times, m)
-    for k in range(len(times) - 2, -1, -1):
-        s_lo, s_hi = times[k], times[k + 1]
-        s_mid = 0.5 * (s_lo + s_hi)
-        a, beta = (_by_regime(m, x, lambda lab: fn(s_mid, x, lab))
-                   for fn in (problem.a, problem.beta))
-        values[k] = _step(values[k + 1][None], s_lo, s_hi, grid, a, beta,
-                          problem.q_table, sources, edges[:, k])[0]
-    return ValueField(times, grid, values.swapaxes(1, 2))
+    rows = _one_row(problem, times)
+    solve_rows_batch(problem, times, lambda k: None, [0.0], rows,
+                     [problem.dirichlet])
+    return ValueField(times, problem.grid, rows[0].swapaxes(1, 2))
 
 
 def _pointwise(name, out, shape):
@@ -437,23 +440,24 @@ def _search_stacks(x, control_set):
     """The grid search's controls and (node, control) stacks on nodes x:
     ``(grid_u, clamped, x_stack, u_stack)``, read-only, node-major: x_stack
     is each node n_u times and u_stack (n_x * n_u, 1) the n_x copies of
-    the controls.  Kept in a memo keyed on the bytes of x and of the
-    control set's values and on the repr of its other fields, exact to
-    the sign of a zero, so that a march builds them once."""
+    the controls.  Kept in ``_SEARCH_STACKS``, at most 8 entries (the
+    oldest dropped first), keyed on the bytes of x and of the control
+    set's values and on the repr of its other fields, exact to the sign
+    of a zero, so that a march builds them once."""
     cs = control_set
     values = None if cs.values is None else np.asarray(cs.values, dtype=float)
     key = (x.tobytes(), repr((cs.lo, cs.hi, cs.clamp, cs.n_grid)),
            None if values is None else (values.shape, values.tobytes()))
-
-    def build():
+    if key not in _SEARCH_STACKS:
         grid_u, clamped = cs.search_grid()
         stacks = (grid_u, np.repeat(x, len(grid_u)),
                   np.tile(grid_u, len(x))[:, None])
         for arr in stacks:
             arr.flags.writeable = False
-        return stacks[0], clamped, *stacks[1:]
-
-    return _memo(_SEARCH_STACKS, key, build)
+        if len(_SEARCH_STACKS) == 8:
+            del _SEARCH_STACKS[next(iter(_SEARCH_STACKS))]
+        _SEARCH_STACKS[key] = (stacks[0], clamped, *stacks[1:])
+    return _SEARCH_STACKS[key]
 
 
 _SEARCH_STACKS = {}
@@ -515,11 +519,9 @@ def solve_hjb(problem, times):
     policy-evaluation splitting.
     """
     times = np.asarray(times, dtype=float)
-    if problem.terminal is None:
-        raise ConfigError("HJB problem needs terminal data")
-    grid = problem.grid
     rows = _one_row(problem, times)
-    controls = np.empty((len(times), grid.n_x, problem.m, problem.control_dim))
+    controls = np.empty((len(times), problem.grid.n_x, problem.m,
+                         problem.control_dim))
 
     def minimizer(k):
         controls[k] = controls_on_grid(problem, times[k], rows[0, k].T)
@@ -528,12 +530,19 @@ def solve_hjb(problem, times):
     solve_rows_batch(problem, times, minimizer, [problem.anchor], rows,
                      [problem.dirichlet])
     minimizer(0)
-    value = ValueField(times, grid, rows[0].swapaxes(1, 2))
+    return HJBSolution(value=ValueField(times, problem.grid,
+                                        rows[0].swapaxes(1, 2)),
+                       strategy=_feedback_strategy(problem, times, controls))
+
+
+def _feedback_strategy(problem, times, controls):
+    """The strategy of a controlled march: its (n_t, n_x, m, control_dim)
+    ``controls`` on ``times`` and the problem's grid, bounded by the
+    problem's control set and named by its control names."""
     cs = problem.control_set
-    bounds = [(cs.lo, cs.hi)] * problem.control_dim if cs is not None else None
-    strategy = FeedbackStrategy(times, grid, controls, bounds=bounds,
-                                names=problem.control_names)
-    return HJBSolution(value=value, strategy=strategy)
+    return FeedbackStrategy(times, problem.grid, controls,
+                            bounds=[(cs.lo, cs.hi)] * problem.control_dim,
+                            names=problem.control_names)
 
 
 def _strategy_nodes(strategy, s, grid, m, control_dim):
@@ -562,8 +571,6 @@ def solve_representation(problem, times, strategy):
     field bit for bit.  This is a one-row solve_rows_batch.
     """
     times = np.asarray(times, dtype=float)
-    if problem.terminal is None:
-        raise ConfigError("representation problem needs terminal data")
     grid = problem.grid
     rows = _one_row(problem, times)
     solve_rows_batch(
@@ -576,7 +583,9 @@ def solve_representation(problem, times, strategy):
 
 def _one_row(problem, times):
     """A one-row level buffer (1, n_t, m, n_x) holding the problem's
-    terminal data at its last level."""
+    terminal data at its last level; a ConfigError without them."""
+    if problem.terminal is None:
+        raise ConfigError(f"{type(problem).__name__} needs terminal data")
     rows = np.empty((1, len(times), problem.m, problem.grid.n_x))
     rows[0, -1] = np.asarray(problem.terminal, dtype=float).T
     return rows
@@ -613,18 +622,19 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
     step each.  It is called once per level that some row steps from,
     after every row holds level k, so it may read the rows (and, with
     L >= 2, level k + 1 too); ``rows[r, k].T`` is the (n_x, m) level that
-    controls_on_grid reads.  Each step factorizes the regimes' stacked
-    banded matrices once and solves its rows as the right-hand sides; a
-    group of consecutive rows is stepped as a slice of the buffer.  The
-    coefficients b and sigma are evaluated once per group and time as
-    (m, n_x) stacks, and the source calls g once per regime and stage
-    for all rows, with their anchors as an (R, 1) column (see
-    HJBProblem).
+    controls_on_grid reads.  A LinearPDEProblem freezes no control; its
+    ``controls(k)`` returns None.  Each step factorizes the regimes'
+    stacked banded matrices once and solves its rows as the right-hand
+    sides; a group of consecutive rows is stepped as a slice of the
+    buffer.  The march reads no coefficient itself: each group's
+    ``problem.step_coefficients(s_mid, controls, tau)``, with the rows'
+    anchors as an (R, 1) column, returns the step's (m, n_x) a and beta
+    at the mid time and its source (see HJBProblem and
+    LinearPDEProblem).
     """
     times = np.asarray(times, dtype=float)
     _check_stability(problem.q_table, times)
     grid = problem.grid
-    x = grid.x
     m = problem.m
     anchors = np.asarray(anchors, dtype=float)
     active_from = np.zeros(len(anchors), dtype=np.int64) if active_from is None \
@@ -636,38 +646,21 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
                           f"needs (R, L, m, n_x) = ({len(anchors)}, L, {m}, "
                           f"{grid.n_x})")
     n_levels = rows.shape[1]
-    n_inner = grid.n_x - 2
-
-    def frozen(fn, s, u):
-        return _by_regime(m, x, lambda lab: fn(s, x, lab, u[:, lab - 1]))
-
     for k in range(len(times) - 1, 0, -1):
         s_hi, s_lo = times[k], times[k - 1]
         act = np.flatnonzero(active_from <= k - 1)
         if len(act) == 0:
             continue
         groups = controls(k)
-        if isinstance(groups, np.ndarray):
+        if not isinstance(groups, list):
             groups = [(act, groups)]
         s_mid = 0.5 * (s_lo + s_hi)
         for idx, u_star in groups:
             if len(idx) == 0:
                 continue
             sel = _rows(idx)
-            tau = anchors[sel, None]
-            a = 0.5 * frozen(problem.sigma, s_mid, u_star)**2
-            beta = frozen(problem.b, s_mid, u_star)
-
-            def sources(s, v, qv, vx):
-                """g on the interior nodes, where the step reads it."""
-                z = vx * frozen(problem.sigma, s, u_star)[:, 1:-1]
-                out = np.empty(v.shape)
-                for i in range(m):
-                    out[:, i] = _pointwise("g", problem.g(
-                        tau, s, x[1:-1], i + 1, v[:, i], z[:, i], qv[:, i],
-                        u_star[1:-1, i]), (len(v), n_inner))
-                return out
-
+            a, beta, sources = problem.step_coefficients(s_mid, u_star,
+                                                         anchors[sel, None])
             rows[sel, (k - 1) % n_levels] = _step(
                 rows[sel, k % n_levels], s_lo, s_hi, grid, a, beta,
                 problem.q_table, sources, edges[sel, k - 1])

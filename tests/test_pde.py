@@ -513,16 +513,16 @@ def test_grid_search_builds_its_stacks_once_per_march(monkeypatch):
     assert Builds.count == 1
 
 
-def test_regime_coupling_copied_once_per_table(monkeypatch):
-    from switchctl import pde
-    copies = []
-    transposed_table = pde._transposed_table
-    monkeypatch.setattr(pde, "_COUPLINGS", {})
-    monkeypatch.setattr(pde, "_transposed_table",
-                        lambda q: copies.append(1) or transposed_table(q))
-    grid = SpatialGrid(-2, 2, 41)
-    solve_hjb(toy_hjb(grid, ControlSet(lo=-1.0, hi=1.0)), time_grid(0, 1, 20))
-    assert len(copies) == 1
+def test_three_node_grid_is_a_config_error():
+    # the minimizer's second derivative reads four nodes at each edge
+    grid = SpatialGrid(-1, 1, 3)
+    problem = toy_hjb(grid, ControlSet(lo=-1.0, hi=1.0))
+    calls = [lambda: controls_on_grid(problem, 0.0, np.zeros((3, 2))),
+             lambda: solve_hjb(problem, time_grid(0, 1, 4))]
+    for call in calls:
+        with pytest.raises(ConfigError, match="reads four nodes") as err:
+            call()
+        assert err.value.exit_code == 2
 
 
 def test_grid_search_needs_psi_for_several_controls():
