@@ -108,17 +108,19 @@ class LinearPDEProblem:
     def step_coefficients(self, s_mid, controls, tau):
         """A step's (a, beta, sources) from the prescribed coefficients at
         the mid time; no control or anchor enters, and the source is
-        that of one row."""
+        called once per row and regime."""
         x = self.grid.x
         a, beta = (_by_regime(self.m, x, lambda lab: fn(s_mid, x, lab))
                    for fn in (self.a, self.beta))
 
         def sources(s, v, qv, vx):
-            if self.source is None:
-                return np.zeros_like(v)
-            return _by_regime(self.m, x[1:-1], lambda lab: self.source(
-                s, x[1:-1], lab, v[0, lab - 1], vx[0, lab - 1],
-                qv[0, lab - 1]))[None]
+            out = np.zeros(v.shape)
+            if self.source is not None:
+                for r in range(len(v)):
+                    out[r] = _by_regime(self.m, x[1:-1], lambda lab: self.source(
+                        s, x[1:-1], lab, v[r, lab - 1], vx[r, lab - 1],
+                        qv[r, lab - 1]))
+            return out
 
         return a, beta, sources
 
@@ -652,7 +654,7 @@ def solve_rows_batch(problem, times, controls, anchors, rows,
         if len(act) == 0:
             continue
         groups = controls(k)
-        if not isinstance(groups, list):
+        if groups is None or isinstance(groups, np.ndarray):
             groups = [(act, groups)]
         s_mid = 0.5 * (s_lo + s_hi)
         for idx, u_star in groups:

@@ -703,7 +703,7 @@ def test_artifact_record_hashes_in_blocks(tmp_path):
 
 def test_cli_keeps_freed_heap_for_the_grid_search():
     # after the CLI's malloc setting, the grid-search minimizer reuses
-    # the heap its temporaries (about 0.76 MB per call here) were freed to,
+    # the heap its temporaries (about 0.68 MB per call here) were freed to,
     # where glibc's defaults fault those pages in again at every call
     import ctypes
     import platform

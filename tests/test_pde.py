@@ -624,6 +624,23 @@ def test_rows_batch_steps_scattered_rows_as_gathers():
         assert np.array_equal(batch[r, k0:].swapaxes(1, 2), want)
 
 
+def test_rows_batch_linear_rows_equal_their_own_solves():
+    # a value-dependent source is read row by row
+    grid = SpatialGrid(-1, 1, 41, bc="dirichlet")
+    times = time_grid(0, 1, 24)
+    problem, _ = manufactured_problem(grid, with_dirichlet=True)
+    problem.source = lambda s, x, i, v, vx, qv: np.sin(v + x) * i - 0.2 * vx
+    terminals = [problem.terminal, np.stack([np.cos(grid.x)] * 2, axis=1)]
+    rows = np.empty((2, len(times), 2, grid.n_x))
+    rows[:, -1] = np.swapaxes(terminals, 1, 2)
+    solve_rows_batch(problem, times, lambda k: None, [0.0, 0.0], rows,
+                     [problem.dirichlet] * 2)
+    for r, terminal in enumerate(terminals):
+        want = solve_linear_parabolic(replace(problem, terminal=terminal),
+                                      times).values
+        assert np.array_equal(rows[r].swapaxes(1, 2), want)
+
+
 def test_rows_batch_refuses_a_buffer_of_another_layout():
     grid = SpatialGrid(-2, 2, 21)
     times = time_grid(0, 1, 8)
