@@ -52,11 +52,10 @@ def _keep_freed_heap():
     threshold only after the process frees a larger mmapped block.  The
     grid-search minimizer allocates and frees about 0.68 MB of
     temporaries per call, so until such a block is freed every call
-    faults its pages in again: 8,100 minor faults per toy-lq verify at
-    n_x 41 and n_t 64 (a second run in one process), against 15 with
-    this setting.  These are
-    the values glibc's own adaptive thresholds top out at.  Without
-    glibc's mallopt this does nothing.
+    faults its pages in again: 8,100 minor faults in a toy-lq verify at
+    n_x 41 and n_t 64 (the second in one process), against 15 with this
+    setting.  These are the values glibc's own adaptive thresholds top
+    out at.  Without glibc's mallopt this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

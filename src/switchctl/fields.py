@@ -108,9 +108,9 @@ def d2(values, dx, axis=-1):
 
 
 def _lagrange_weights(taus, nodes):
-    """(len(taus), K) Lagrange weights of the K anchor ``nodes`` at
-    ``taus``: L_j(tau) = prod over l != j of (tau - tau_l) / (tau_j -
-    tau_l), in node order, so exactly one and zero at the nodes."""
+    """(len(taus), K) Lagrange weights of the K ``nodes`` at ``taus``:
+    L_j(tau) = prod over l != j of (tau - tau_l) / (tau_j - tau_l), in
+    node order, so exactly one and zero at the nodes."""
     taus = np.asarray(taus, dtype=float)
     out = np.ones((len(taus), len(nodes)))
     for j, tau_j in enumerate(nodes):
